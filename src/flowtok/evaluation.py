@@ -1,10 +1,9 @@
 """Reconstruction error, Fréchet distance over embedding statistics, and
 side-by-side tokenizer comparison reports.
 
-All statistics run in float64 regardless of model precision. The
-eigensolver is a cyclic Jacobi iteration: self-contained, and accurate to
-round-off for the small symmetric matrices used here (d <= 64 at desk
-scale). Eigenvalue clamping is never silent; every clamp is counted, and
+All statistics run in float64 regardless of model precision, and
+eigendecompositions use NumPy's symmetric solvers (LAPACK syevd).
+Eigenvalue clamping is never silent; every clamp is counted, and
 uncollected clamp events raise a warning.
 """
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import LatentDataset
 from .pipeline import TokenizerModel, decode_tokens, encode_to_tokens
-from .tensor import NumericFault, ShapeError
+from .tensor import ShapeError
 
 
 class ClampWarning(RuntimeWarning):
@@ -106,61 +105,6 @@ def gaussian_stats(embeddings: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, covariance=cov, count=n)
 
 
-# ----------------------------------------------------------------------
-# symmetric eigensolver
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-10,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
-    symmetric matrix, by cyclic Jacobi rotations.
-
-    Sweeps stop once every off-diagonal magnitude falls below tol scaled by
-    the largest diagonal magnitude (floor 1).
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"jacobi_eigh expects a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
-        raise ValueError("jacobi_eigh: input not symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return a.reshape(1), v
-    for _ in range(max_sweeps):
-        scale = max(1.0, float(np.abs(np.diag(a)).max()))
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale * 1e-2:
-                    continue
-                # Classic stable rotation: t is the smaller-magnitude root
-                # of t^2 + 2 t theta - 1 = 0.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise NumericFault(f"jacobi_eigh: no convergence in {max_sweeps} sweeps")
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
-
-
 def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None,
                     sym_tol: float = 1e-8) -> np.ndarray:
     """Symmetric square root of a PSD matrix via eigendecomposition.
@@ -173,7 +117,7 @@ def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None,
         raise ShapeError(f"matrix_sqrt_psd expects a square matrix, got {m.shape}")
     if np.abs(m - m.T).max() > sym_tol * max(1.0, np.abs(m).max()):
         raise ValueError("matrix_sqrt_psd: input not symmetric within tolerance")
-    eigenvalues, vectors = jacobi_eigh(m)
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (m + m.T))
     eigenvalues = _clamp(eigenvalues, clamp_log, "matrix_sqrt_psd")
     root = (vectors * np.sqrt(eigenvalues)) @ vectors.T
     return 0.5 * (root + root.T)
@@ -192,7 +136,7 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats,
     root1 = matrix_sqrt_psd(s1.covariance, clamp_log)
     inner = root1 @ s2.covariance @ root1
     inner = 0.5 * (inner + inner.T)
-    eigenvalues, _ = jacobi_eigh(inner)
+    eigenvalues = np.linalg.eigvalsh(inner)
     eigenvalues = _clamp(eigenvalues, clamp_log, "frechet_distance")
     cross = 2.0 * float(np.sqrt(eigenvalues).sum())
     mean_gap = float(((s1.mean - s2.mean) ** 2).sum())

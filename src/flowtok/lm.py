@@ -16,17 +16,17 @@ Loss weighting is 10x on the whole span (markers included), 1x on text,
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .nn import AdamW, LayerNorm, Module, attention
+from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
 from .tensor import (
     DEFAULT_DTYPE,
     ShapeError,
     Tensor,
     concat,
-    gelu,
     logsumexp,
     matmul,
     no_grad,
@@ -102,59 +102,28 @@ class Vocab:
 # adapters and model
 
 
-class LoraLinear(Module):
+class LoraLinear(Linear):
     """Frozen dense layer with a trainable low-rank delta.
 
     out = x W + b + (alpha/rank) (x A) B, where only A and B learn. B
     starts at zero, so a fresh adapter is an exact no-op.
     """
 
-    def __init__(self, d_in: int, d_out: int, rank: int, alpha: float,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
+                 *, rank: int, alpha: float):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        self.weight = Tensor(rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out)),
-                             requires_grad=False, dtype=dtype)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=False, dtype=dtype)
+        super().__init__(d_in, d_out, rng, dtype=dtype)
+        self.weight.requires_grad = False
+        self.bias.requires_grad = False
         self.lora_a = Tensor(rng.normal(0.0, 0.02, size=(d_in, rank)),
                              requires_grad=True, dtype=dtype)
         self.lora_b = Tensor(np.zeros((rank, d_out)), requires_grad=True, dtype=dtype)
         self.scaling = alpha / rank
 
     def __call__(self, x: Tensor) -> Tensor:
-        base = matmul(x, self.weight) + self.bias
-        delta = scale(matmul(matmul(x, self.lora_a), self.lora_b), self.scaling)
-        return base + delta
-
-
-def _freeze_norm(norm: LayerNorm) -> LayerNorm:
-    norm.gamma.requires_grad = False
-    norm.beta.requires_grad = False
-    return norm
-
-
-class LoraBlock(Module):
-    """Pre-norm transformer block with adapters on all four attention
-    projections and both MLP layers; norms are frozen with the base."""
-
-    def __init__(self, cfg: "FusionConfig", rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        h = cfg.hidden_dim
-        lora = dict(rank=cfg.lora_rank, alpha=cfg.lora_alpha, rng=rng, dtype=dtype)
-        self.ln1 = _freeze_norm(LayerNorm(h, dtype=dtype))
-        self.wq = LoraLinear(h, h, **lora)
-        self.wk = LoraLinear(h, h, **lora)
-        self.wv = LoraLinear(h, h, **lora)
-        self.wo = LoraLinear(h, h, **lora)
-        self.ln2 = _freeze_norm(LayerNorm(h, dtype=dtype))
-        self.fc1 = LoraLinear(h, cfg.mlp_ratio * h, **lora)
-        self.fc2 = LoraLinear(cfg.mlp_ratio * h, h, **lora)
-        self.n_heads = cfg.n_heads
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.ln1(x)
-        x = x + self.wo(attention(self.wq(h), self.wk(h), self.wv(h),
-                                  self.n_heads, causal=True))
-        return x + self.fc2(gelu(self.fc1(self.ln2(x))))
+        base = super().__call__(x)
+        return base + scale(matmul(matmul(x, self.lora_a), self.lora_b), self.scaling)
 
 
 @dataclass
@@ -169,12 +138,14 @@ class FusionConfig:
     lora_alpha: float = 16.0
 
     def __post_init__(self):
-        if self.hidden_dim % self.head_dim != 0:
-            raise ShapeError(f"hidden {self.hidden_dim} not divisible by head {self.head_dim}")
+        _ = self.transformer  # TransformerConfig checks the block shape
 
     @property
-    def n_heads(self) -> int:
-        return self.hidden_dim // self.head_dim
+    def transformer(self) -> TransformerConfig:
+        """The causal block stack this configuration describes."""
+        return TransformerConfig(n_blocks=self.n_blocks, hidden_dim=self.hidden_dim,
+                                 head_dim=self.head_dim, causal=True, max_len=self.max_len,
+                                 mlp_ratio=self.mlp_ratio)
 
     def with_paper_adapters(self) -> "FusionConfig":
         """Full-scale adapter hyperparameters on the current architecture."""
@@ -182,6 +153,10 @@ class FusionConfig:
 
 
 class FusionLM(Module):
+    """Causal transformer over the fused vocabulary. The stack carries a
+    LoRA adapter on every dense layer and is frozen apart from the
+    adapter factors."""
+
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator | None = None,
                  dtype=DEFAULT_DTYPE):
         rng = np.random.default_rng(0) if rng is None else rng
@@ -190,8 +165,11 @@ class FusionLM(Module):
                                  requires_grad=False, dtype=dtype)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, h)),
                           requires_grad=False, dtype=dtype)
-        self.blocks = [LoraBlock(cfg, rng, dtype=dtype) for _ in range(cfg.n_blocks)]
-        self.ln_f = _freeze_norm(LayerNorm(h, dtype=dtype))
+        lora = partial(LoraLinear, rank=cfg.lora_rank, alpha=cfg.lora_alpha)
+        self.stack = TransformerStack(cfg.transformer, rng, dtype=dtype, linear=lora)
+        for name, t in self.stack.named_tensors():
+            if not name.endswith((".lora_a", ".lora_b")):
+                t.requires_grad = False
         self.out_base = Tensor(rng.normal(0.0, h ** -0.5, size=(h, cfg.v_text)),
                                requires_grad=False, dtype=dtype)
         self.audio_embed: Tensor | None = None
@@ -217,10 +195,7 @@ class FusionLM(Module):
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)
-        x = take_rows(table, ids) + take_rows(self.pos, np.arange(t))
-        for block in self.blocks:
-            x = block(x)
-        x = self.ln_f(x)
+        x = self.stack(take_rows(table, ids) + take_rows(self.pos, np.arange(t)))
         logits = matmul(x, self.out_base)
         if self.out_ext is not None:
             logits = concat([logits, matmul(x, self.out_ext)], axis=-1)
@@ -418,14 +393,6 @@ class LmTrainConfig:
     seed: int = 0
 
 
-@dataclass
-class LmTrainReport:
-    epochs_run: int
-    steps_run: int
-    step_losses: list[float]
-    final: dict[str, float]
-
-
 def collate(examples: list[FusionSequence]):
     """Pad a batch to its longest sequence. Returns (inputs, targets,
     weights, valid): inputs are ids[:-1], targets ids[1:], both padded
@@ -450,51 +417,24 @@ def collate(examples: list[FusionSequence]):
 
 
 def train_lm(examples: list[FusionSequence], model: FusionLM, cfg: LmTrainConfig,
-             metrics=None, max_steps: int | None = None) -> LmTrainReport:
+             metrics=None, max_steps: int | None = None) -> TrainReport:
+    """Adapter and new-row training; a non-finite loss rolls the model back
+    to its last finite state and raises DivergenceError."""
     if not examples:
         raise ValueError("train_lm: no examples")
     if model.vocab is None:
         raise ValueError("train_lm: extend_vocab must run before training")
-    rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    step_losses: list[float] = []
-    final: dict[str, float] = {}
-    steps_run = 0
-    epochs_run = 0
-    stop = False
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(examples))
-        sums: dict[str, float] = {}
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            inputs, targets, weights, valid = collate(batch)
-            logits = model(inputs)
-            loss, zloss, total = weighted_ce_zloss(logits, targets, weights,
-                                                   z_coeff=cfg.z_coeff, valid_mask=valid)
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            terms = {"ce": float(loss.data), "zloss": float(zloss.data),
-                     "loss": float(total.data)}
-            step_losses.append(terms["loss"])
-            for key, value in terms.items():
-                sums[key] = sums.get(key, 0.0) + value
-            n_batches += 1
-            steps_run += 1
-            if max_steps is not None and steps_run >= max_steps:
-                stop = True
-                break
-        if n_batches:
-            final = {key: value / n_batches for key, value in sums.items()}
-            if metrics is not None:
-                for key, value in final.items():
-                    metrics.add(steps_run, "train", key, value)
-        epochs_run = epoch + 1
-        if stop:
-            break
-    return LmTrainReport(epochs_run=epochs_run, steps_run=steps_run,
-                         step_losses=step_losses, final=final)
+
+    def loss_fn(rows):
+        inputs, targets, weights, valid = collate([examples[i] for i in rows])
+        loss, zloss, total = weighted_ce_zloss(model(inputs), targets, weights,
+                                               z_coeff=cfg.z_coeff, valid_mask=valid)
+        terms = {"ce": float(loss.data), "zloss": float(zloss.data), "loss": float(total.data)}
+        return total, terms, None
+
+    return fit(model, len(examples), loss_fn, rng=np.random.default_rng(cfg.seed),
+               epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+               weight_decay=cfg.weight_decay, metrics=metrics, max_steps=max_steps)
 
 
 def next_token_accuracy(model: FusionLM, examples: list[FusionSequence]) -> float:

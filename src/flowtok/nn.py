@@ -1,4 +1,4 @@
-"""Transformer building blocks and the AdamW optimizer.
+"""Transformer building blocks, the AdamW optimizer and the training loop.
 
 All blocks are pre-norm (norm, sublayer, residual) with a 4x GELU MLP and
 learned absolute position embeddings, assembled from the autodiff
@@ -9,13 +9,15 @@ outputs bit-identical whether or not later positions are present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .tensor import (
     DEFAULT_DTYPE,
+    NumericFault,
     ShapeError,
     Tensor,
     broadcast_to,
@@ -177,12 +179,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Te
 
 
 class AttentionLayer(Module):
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
+                 linear=Linear):
         h = cfg.hidden_dim
-        self.wq = Linear(h, h, rng, dtype=dtype)
-        self.wk = Linear(h, h, rng, dtype=dtype)
-        self.wv = Linear(h, h, rng, dtype=dtype)
-        self.wo = Linear(h, h, rng, dtype=dtype)
+        self.wq = linear(h, h, rng, dtype=dtype)
+        self.wk = linear(h, h, rng, dtype=dtype)
+        self.wv = linear(h, h, rng, dtype=dtype)
+        self.wo = linear(h, h, rng, dtype=dtype)
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
 
@@ -191,23 +194,29 @@ class AttentionLayer(Module):
 
 
 class Mlp(Module):
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
+                 linear=Linear):
         h = cfg.hidden_dim
-        self.fc1 = Linear(h, cfg.mlp_ratio * h, rng, dtype=dtype)
-        self.fc2 = Linear(cfg.mlp_ratio * h, h, rng, dtype=dtype)
+        self.fc1 = linear(h, cfg.mlp_ratio * h, rng, dtype=dtype)
+        self.fc2 = linear(cfg.mlp_ratio * h, h, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
 
 class TransformerBlock(Module):
-    """Pre-norm residual block: x + attn(ln(x)), then x + mlp(ln(x))."""
+    """Pre-norm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
 
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    `linear` builds all six dense layers; it is called as
+    linear(d_in, d_out, rng, dtype=dtype).
+    """
+
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
+                 linear=Linear):
         self.ln1 = LayerNorm(cfg.hidden_dim, dtype=dtype)
-        self.attn = AttentionLayer(cfg, rng, dtype=dtype)
+        self.attn = AttentionLayer(cfg, rng, dtype=dtype, linear=linear)
         self.ln2 = LayerNorm(cfg.hidden_dim, dtype=dtype)
-        self.mlp = Mlp(cfg, rng, dtype=dtype)
+        self.mlp = Mlp(cfg, rng, dtype=dtype, linear=linear)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
@@ -216,8 +225,9 @@ class TransformerBlock(Module):
 
 class TransformerStack(Module):
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 final_norm: bool = True):
-        self.blocks = [TransformerBlock(cfg, rng, dtype=dtype) for _ in range(cfg.n_blocks)]
+                 final_norm: bool = True, linear=Linear):
+        self.blocks = [TransformerBlock(cfg, rng, dtype=dtype, linear=linear)
+                       for _ in range(cfg.n_blocks)]
         self.ln_f = LayerNorm(cfg.hidden_dim, dtype=dtype) if final_norm else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -315,6 +325,91 @@ class AdamW:
     def zero_grad(self) -> None:
         for _, p in self._params:
             p.grad = None
+
+
+# ----------------------------------------------------------------------
+# training loop
+
+
+class DivergenceError(NumericFault):
+    """Training loss went non-finite; the model holds the last good state."""
+
+
+@dataclass
+class TrainReport:
+    epochs_run: int
+    steps_run: int
+    step_losses: list[float]
+    final: dict[str, float]
+
+
+def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Generator,
+        epochs: int, batch_size: int, lr: float, weight_decay: float, metrics=None,
+        max_steps: int | None = None, after_update: Callable | None = None,
+        epoch_metrics: Callable[[], dict[str, float]] | None = None,
+        checkpoint: Callable[[], None] | None = None) -> TrainReport:
+    """Shuffled minibatch AdamW training; deterministic for a fixed rng.
+
+    Every epoch walks one permutation of range(n_items) drawn from rng in
+    batches. loss_fn(rows) returns (loss, terms, aux): the scalar loss
+    tensor, per-step floats that include "loss", and whatever
+    after_update(aux) needs once the optimizer has stepped. The epoch means
+    of the terms, followed by epoch_metrics() when given, become
+    report.final and go to metrics; checkpoint() runs after every epoch.
+
+    On a non-finite loss the model is rolled back to the most recent state
+    that produced a finite loss, checkpoint() runs on that state, and
+    DivergenceError is raised.
+    """
+    opt = AdamW(model, lr=lr, weight_decay=weight_decay)
+    last_good = {name: t.data.copy() for name, t in model.named_tensors()}
+    step_losses: list[float] = []
+    final: dict[str, float] = {}
+    steps_run = 0
+    epochs_run = 0
+    for epoch in range(epochs):
+        order = rng.permutation(n_items)
+        sums: dict[str, float] = {}
+        n_batches = 0
+        for start in range(0, n_items, batch_size):
+            loss, terms, aux = loss_fn(order[start:start + batch_size])
+            if not math.isfinite(terms["loss"]):
+                for name, t in model.named_tensors():
+                    t.data = last_good[name]
+                if checkpoint is not None:
+                    checkpoint()
+                raise DivergenceError(
+                    f"non-finite loss at step {steps_run}; rolled back to the last "
+                    f"state with a finite loss")
+            # A finite loss certifies the current parameters; they become the
+            # rollback point before the optimizer mutates them.
+            for name, t in model.named_tensors():
+                np.copyto(last_good[name], t.data)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            if after_update is not None:
+                after_update(aux)
+            step_losses.append(terms["loss"])
+            for key, value in terms.items():
+                sums[key] = sums.get(key, 0.0) + value
+            n_batches += 1
+            steps_run += 1
+            if max_steps is not None and steps_run >= max_steps:
+                break
+        final = {key: value / n_batches for key, value in sums.items()}
+        if epoch_metrics is not None:
+            final.update(epoch_metrics())
+        if metrics is not None:
+            for key, value in final.items():
+                metrics.add(steps_run, "train", key, value)
+        epochs_run = epoch + 1
+        if checkpoint is not None:
+            checkpoint()
+        if max_steps is not None and steps_run >= max_steps:
+            break
+    return TrainReport(epochs_run=epochs_run, steps_run=steps_run,
+                       step_losses=step_losses, final=final)
 
 
 # ----------------------------------------------------------------------

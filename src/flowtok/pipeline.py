@@ -17,13 +17,10 @@ import numpy as np
 
 from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
-from .nn import AdamW, Linear, Module, TransformerConfig, TransformerStack
-from .tensor import DEFAULT_DTYPE, NumericFault, ShapeError, Tensor, no_grad, scale, square, take_rows
+# DivergenceError is re-exported for callers of train_tokenizer.
+from .nn import DivergenceError, Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
+from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale, square, take_rows
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
-
-
-class DivergenceError(NumericFault):
-    """Training loss went non-finite; the model holds the last good state."""
 
 
 @dataclass
@@ -167,14 +164,6 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
         return euler_sample(cond, model.decoder, flow_cfg, rng, shape=shape)
 
 
-@dataclass
-class TrainReport:
-    epochs_run: int
-    steps_run: int
-    step_losses: list[float]
-    final: dict[str, float]
-
-
 def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,
                 rng: np.random.Generator):
     """One training batch through encoder, quantizer, and decoder.
@@ -212,69 +201,38 @@ def train_tokenizer(dataset: LatentDataset, model: TokenizerModel, cfg: Tokenize
                     max_steps: int | None = None) -> TrainReport:
     """Single-worker training loop; fully deterministic for a fixed config.
 
-    On a non-finite loss the model is rolled back to the most recent state
-    that produced a finite loss, that state is written to checkpoint_path
-    when given, and DivergenceError is raised.
+    Dead codebook entries are restarted after every update, and each epoch
+    reports the codebook perplexity of its assignments. The model is
+    written to checkpoint_path, when given, after every epoch. On a
+    non-finite loss the model is rolled back to the most recent state that
+    produced a finite loss, that state is written to checkpoint_path, and
+    DivergenceError is raised.
     """
     if len(dataset) == 0:
         raise ValueError("train_tokenizer: empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    last_good = {name: t.data.copy() for name, t in model.named_tensors()}
-    step_losses: list[float] = []
-    final: dict[str, float] = {}
-    steps_run = 0
-    epochs_run = 0
+    counts = np.zeros(cfg.codebook_size)
 
-    def rollback_and_fail(step: int) -> None:
-        for name, t in model.named_tensors():
-            t.data = last_good[name].copy()
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, model)
-        raise DivergenceError(
-            f"non-finite loss at step {step}; rolled back to the last state "
-            f"with a finite loss")
+    def loss_fn(rows):
+        loss, terms, indices, flat_codes = _loss_terms(dataset.values[rows], model, cfg, rng)
+        return loss, terms, (indices, flat_codes)
 
-    stop = False
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        sums: dict[str, float] = {}
-        counts = np.zeros(cfg.codebook_size)
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = dataset.values[order[start:start + cfg.batch_size]]
-            loss, terms, indices, flat_codes = _loss_terms(batch, model, cfg, rng)
-            if not math.isfinite(terms["loss"]):
-                rollback_and_fail(steps_run)
-            # A finite loss certifies the current parameters; they become the
-            # rollback point before the optimizer mutates them.
-            last_good = {name: t.data.copy() for name, t in model.named_tensors()}
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            codebook_maintenance(model.codebook, indices, flat_codes, rng)
-            step_losses.append(terms["loss"])
-            for key, value in terms.items():
-                sums[key] = sums.get(key, 0.0) + value
-            counts += index_histogram(indices, cfg.codebook_size)
-            n_batches += 1
-            steps_run += 1
-            if max_steps is not None and steps_run >= max_steps:
-                stop = True
-                break
-        if n_batches:
-            final = {key: value / n_batches for key, value in sums.items()}
-            final["perplexity"] = codebook_perplexity(counts)
-            if metrics is not None:
-                for key, value in final.items():
-                    metrics.add(steps_run, "train", key, value)
-        epochs_run = epoch + 1
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, model)
-        if stop:
-            break
-    return TrainReport(epochs_run=epochs_run, steps_run=steps_run,
-                       step_losses=step_losses, final=final)
+    def after_update(step) -> None:
+        indices, flat_codes = step
+        codebook_maintenance(model.codebook, indices, flat_codes, rng)
+        counts[:] += index_histogram(indices, cfg.codebook_size)
+
+    def epoch_perplexity() -> dict[str, float]:
+        perplexity = codebook_perplexity(counts)
+        counts[:] = 0.0
+        return {"perplexity": perplexity}
+
+    checkpoint = None if checkpoint_path is None else (
+        lambda: save_checkpoint(checkpoint_path, model))
+    return fit(model, len(dataset), loss_fn, rng=rng, epochs=cfg.epochs,
+               batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
+               metrics=metrics, max_steps=max_steps, after_update=after_update,
+               epoch_metrics=epoch_perplexity, checkpoint=checkpoint)
 
 
 def bitrate(tokens_per_clip: int, clip_seconds: float, codebook_size: int) -> float:

@@ -214,6 +214,18 @@ class TestLmCommands:
                      "--set", "n_blocks=1", "--set", "epochs=1"])
         assert code == 0
 
+    def test_divergence_is_runtime_error_without_checkpoint(self, workspace, tmp_path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train-lm", "--stage", "pretrain",
+                         "--pairs", str(workspace / "enc" / "pairs.jsonl"),
+                         "--out", str(tmp_path / "lm"),
+                         "--set", "n_audio=16", "--set", "max_len=48",
+                         "--set", "hidden_dim=32", "--set", "head_dim=16",
+                         "--set", "n_blocks=1", "--set", "epochs=2",
+                         "--set", "lr=1e38"])
+        assert code == 2
+        assert not (tmp_path / "lm" / "lm.msnc").exists()
+
     def test_finetune_warm_start(self, workspace, tmp_path):
         shape = ["--set", "n_audio=16", "--set", "max_len=96",
                  "--set", "hidden_dim=32", "--set", "head_dim=16",

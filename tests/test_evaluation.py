@@ -1,8 +1,4 @@
-"""Evaluation statistics checked against independent oracles.
-
-numpy.linalg.eigh appears here only as the reference eigensolver for the
-Jacobi implementation; library code never calls it.
-"""
+"""Evaluation statistics checked against independent oracles."""
 
 import numpy as np
 import pytest
@@ -16,7 +12,6 @@ from flowtok.evaluation import (
     compare_tokenizers,
     frechet_distance,
     gaussian_stats,
-    jacobi_eigh,
     matrix_sqrt_psd,
     mean_pool_embeddings,
     reconstruction_error,
@@ -91,43 +86,6 @@ class TestGaussianStats:
             GaussianStats(mean=np.zeros(2), covariance=cov, count=3)
 
 
-class TestJacobiEigh:
-    def test_diagonal_matrix(self):
-        values, vectors = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-    def test_matches_library_eigensolver(self):
-        for seed in range(5):
-            m = random_psd(7, seed) - 2.0 * np.eye(7)
-            ours, _ = jacobi_eigh(m)
-            reference = np.linalg.eigh(m)[0]
-            np.testing.assert_allclose(ours, reference, atol=1e-8)
-
-    def test_reconstructs_input(self):
-        m = random_psd(6, 9)
-        values, vectors = jacobi_eigh(m)
-        np.testing.assert_allclose((vectors * values) @ vectors.T, m, atol=1e-9)
-
-    def test_vectors_orthonormal(self):
-        _, vectors = jacobi_eigh(random_psd(8, 10))
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
-
-    def test_moderate_dimension(self):
-        m = random_psd(48, 11)
-        values, _ = jacobi_eigh(m)
-        np.testing.assert_allclose(values, np.linalg.eigh(m)[0], atol=1e-7)
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[1.0, 2.0], [0.5, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(m)
-
-    def test_one_by_one(self):
-        values, vectors = jacobi_eigh(np.array([[4.0]]))
-        assert values[0] == 4.0 and vectors[0, 0] == 1.0
-
-
 class TestMatrixSqrt:
     def test_identity(self):
         np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
@@ -136,15 +94,44 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])),
                                    np.diag([2.0, 3.0]), atol=1e-12)
 
+    def test_diagonal_matrix(self):
+        # unsorted entries: the eigensolver returns them in ascending order,
+        # so the root is right only if values and vectors stay paired
+        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([9.0, 1.0, 4.0])),
+                                   np.diag([3.0, 1.0, 2.0]), atol=1e-12)
+
     def test_squares_back(self):
         m = random_psd(5, 12)
         root = matrix_sqrt_psd(m)
         assert np.abs(root @ root - m).max() < 1e-6
 
+    def test_reconstructs_input(self):
+        m = random_psd(6, 9)
+        root = matrix_sqrt_psd(m)
+        assert np.array_equal(root, root.T)
+        assert np.linalg.eigvalsh(root).min() > 0.0
+        np.testing.assert_allclose(root @ root, m, atol=1e-9)
+
+    def test_moderate_dimension(self):
+        m = random_psd(48, 11)
+        root = matrix_sqrt_psd(m)
+        assert np.abs(root @ root - m).max() < 1e-6
+
+    def test_one_by_one(self):
+        assert matrix_sqrt_psd(np.array([[4.0]]))[0, 0] == 2.0
+
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.2], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             matrix_sqrt_psd(m)
+
+    def test_symmetry_tolerance(self):
+        # round-off asymmetry below sym_tol (relative to the largest entry)
+        # is accepted; anything above it is an error, however small the matrix
+        within = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+        assert np.all(np.isfinite(matrix_sqrt_psd(within)))
+        with pytest.raises(ValueError, match="symmetric"):
+            matrix_sqrt_psd(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
     def test_clamping_counted(self):
         rng = np.random.default_rng(13)

@@ -23,6 +23,7 @@ from flowtok.lm import (
     train_lm,
     weighted_ce_zloss,
 )
+from flowtok.nn import DivergenceError
 from flowtok.tensor import ShapeError, Tensor
 
 
@@ -119,6 +120,12 @@ class TestLoraLinear:
         layer = LoraLinear(4, 3, rank=1, alpha=1.0, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             layer(Tensor(np.zeros((2, 5), dtype=np.float32)))
+
+
+class TestFusionConfig:
+    def test_indivisible_heads_rejected(self):
+        with pytest.raises(ShapeError, match="divisible"):
+            small_config(hidden_dim=48, head_dim=32)
 
 
 class TestExtendVocab:
@@ -378,6 +385,31 @@ class TestTraining:
         examples = self.make_examples(vocab, n=3, seed=3)
         report = train_lm(examples, model, LmTrainConfig(epochs=30, batch_size=3, lr=3e-3))
         assert np.mean(report.step_losses[-5:]) < np.mean(report.step_losses[:5])
+
+    def test_trainable_set_is_adapters_and_new_rows(self):
+        """Only the LoRA factors of the six dense layers per block and the
+        audio rows learn. frozen_digest hashes frozen tensors only, so a
+        norm left trainable would slip past the conservation test."""
+        model, _ = extended_model()
+        layers = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.fc1", "mlp.fc2")
+        expected = {f"stack.blocks.{i}.{layer}.{factor}"
+                    for i in range(model.cfg.n_blocks) for layer in layers
+                    for factor in ("lora_a", "lora_b")}
+        expected |= {"audio_embed", "out_ext"}
+        assert {name for name, _ in model.named_parameters()} == expected
+
+    def test_divergence_aborts_and_rolls_back(self):
+        """lr large enough that the first update overflows float32 on the
+        next forward pass, so the only loss ever certified finite is the
+        one at initialization."""
+        model, vocab = extended_model()
+        before = {name: t.data.copy() for name, t in model.named_tensors()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite"):
+                train_lm(self.make_examples(vocab), model, LmTrainConfig(lr=1e38))
+        for name, t in model.named_tensors():
+            assert np.all(np.isfinite(t.data)), name
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
 
     def test_requires_extension(self):
         model = FusionLM(small_config(), np.random.default_rng(0))

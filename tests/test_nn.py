@@ -1,4 +1,4 @@
-"""Transformer blocks, timestep embeddings, AdamW."""
+"""Transformer blocks, timestep embeddings, AdamW, the training loop."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from flowtok.nn import (
     AdamW,
     AttentionLayer,
+    DivergenceError,
     Embedding,
     LayerNorm,
     Linear,
@@ -15,9 +16,11 @@ from flowtok.nn import (
     TransformerStack,
     attention,
     block_gradient_checks,
+    fit,
     timestep_features,
 )
-from flowtok.tensor import ShapeError, Tensor, no_grad
+from flowtok.data import MetricsLog
+from flowtok.tensor import ShapeError, Tensor, no_grad, square
 
 
 def _rng(seed=0):
@@ -167,6 +170,45 @@ class TestAdamW:
             b.grad = -np.ones(3, dtype=b.dtype)
             opt.step()
         assert (np.sign(opt._m[0]) != np.sign(opt._m[1])).all()
+
+
+class TestFit:
+    def _quadratic(self, seen, nan_at=None):
+        """A Linear fitted to zero output; seen records the weight at every
+        loss call, and call nan_at (1-based) reports a non-finite loss."""
+        layer = Linear(3, 2, _rng(5), dtype=np.float64)
+        x = _rng(6).normal(size=(10, 3))
+
+        def loss_fn(rows):
+            seen.append(layer.weight.data.copy())
+            loss = square(layer(Tensor(x[rows]))).mean()
+            value = np.nan if len(seen) == nan_at else float(loss.data)
+            return loss, {"loss": value}, rows.size
+
+        return layer, loss_fn
+
+    def test_max_steps_stops_mid_epoch(self):
+        seen, sizes, saves = [], [], []
+        layer, loss_fn = self._quadratic(seen)
+        log = MetricsLog()
+        report = fit(layer, 10, loss_fn, rng=_rng(7), epochs=5, batch_size=4, lr=1e-2,
+                     weight_decay=0.0, metrics=log, max_steps=4,
+                     after_update=sizes.append, checkpoint=lambda: saves.append(1))
+        assert (report.epochs_run, report.steps_run) == (2, 4)
+        assert sizes == [4, 4, 2, 4]
+        assert len(report.step_losses) == 4 and len(saves) == 2
+        assert [(step, metric) for step, _, metric, _ in log.rows] == [(3, "loss"), (4, "loss")]
+        assert report.final["loss"] == report.step_losses[-1]
+
+    def test_rollback_to_last_finite_state_before_checkpoint(self):
+        seen, saved = [], []
+        layer, loss_fn = self._quadratic(seen, nan_at=3)
+        with pytest.raises(DivergenceError, match="step 2"):
+            fit(layer, 10, loss_fn, rng=_rng(7), epochs=2, batch_size=4, lr=1e-2,
+                weight_decay=0.0, checkpoint=lambda: saved.append(layer.weight.data.copy()))
+        assert not np.array_equal(seen[1], seen[2])
+        np.testing.assert_array_equal(layer.weight.data, seen[1])
+        np.testing.assert_array_equal(saved[-1], seen[1])
 
 
 class TestModuleRegistry:
