@@ -10,6 +10,7 @@ byte-identical artifacts.
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .evaluation import (
     mean_pool_embeddings,
     reconstruction_error,
 )
-from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OtCfmConfig
+from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE
 from .lm import (
     FusionConfig,
     FusionLM,
@@ -52,7 +53,7 @@ from .lm import (
     next_token_accuracy,
     train_lm,
 )
-from .nn import TransformerConfig, block_gradient_checks
+from .nn import block_gradient_checks
 from .pipeline import (
     TokenizerConfig,
     TokenizerModel,
@@ -83,29 +84,54 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # config plumbing
 
+def _flatten(cfg, prefix: str = "") -> dict:
+    """A config dataclass as flat dotted keys, e.g. `encoder.n_blocks`."""
+    flat = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            flat.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            flat[prefix + f.name] = value
+    return flat
+
+
+def _build(cls, flat: dict, prefix: str = "", default=None):
+    """Inverse of _flatten: a cls whose fields come from flat's dotted keys.
+
+    Missing keys keep the default instance's value (cls() at the top, its
+    own nested config below), and keys cls lacks are ignored."""
+    default = cls() if default is None else default
+    changes = {}
+    for f in fields(cls):
+        value = getattr(default, f.name)
+        key = prefix + f.name
+        if is_dataclass(value):
+            changes[f.name] = _build(type(value), flat, key + ".", value)
+        elif key in flat:
+            changes[f.name] = flat[key]
+    return replace(default, **changes)
+
+
 GEN_DATA_DEFAULTS = {
     "n_classes": 4, "frames": 32, "dim": 16, "noise_std": 0.05,
     "bimodal_class": -1, "n_per_class": 16, "splits": "train,val", "seed": 0,
 }
 
-TRAIN_TOKENIZER_DEFAULTS = {
-    "code_dim": 16, "codebook_size": 256,
-    "encoder.n_blocks": 2, "encoder.hidden_dim": 128, "encoder.head_dim": 32,
-    "decoder.n_blocks": 2, "decoder.hidden_dim": 128, "decoder.head_dim": 32,
-    "flow.sigma_min": 1e-4, "flow.n_sample_steps": 32, "timestep_dim": 64,
-    "lr": 1e-4, "weight_decay": 0.01, "epochs": 10, "batch_size": 16,
-    "codebook_loss_weight": 1.0, "commitment_weight": 0.25, "seed": 0,
-}
+# Keys train-tokenizer takes from its data and --objective, not from config.
+_TOKENIZER_INPUTS = {"frames", "data_dim", "objective"} | {
+    f"{tower}.{name}" for tower in ("encoder", "decoder")
+    for name in ("causal", "max_len", "mlp_ratio")}
+
+TRAIN_TOKENIZER_DEFAULTS = {key: value for key, value in _flatten(TokenizerConfig()).items()
+                            if key not in _TOKENIZER_INPUTS}
 
 ENCODE_DEFAULTS = {"seed": 0}
 
 DECODE_DEFAULTS = {"seed": 0}
 
 TRAIN_LM_DEFAULTS = {
-    "v_text": 256, "n_blocks": 4, "hidden_dim": 128, "head_dim": 32,
-    "mlp_ratio": 4, "max_len": 512, "lora_rank": 8, "lora_alpha": 16.0,
-    "n_audio": 256, "lr": 1e-3, "weight_decay": 0.01, "epochs": 10,
-    "batch_size": 8, "z_coeff": 1e-4, "seed": 0,
+    **_flatten(FusionConfig()), **_flatten(LmTrainConfig()), "n_audio": 256,
     # Optional warm start (usually a pretrain checkpoint before finetune).
     # Structural keys must match the checkpoint; mismatches fail loudly.
     "checkpoint": None,
@@ -118,8 +144,8 @@ EVAL_DEFAULTS = {"seed": 0, "n_steps": None}
 COMPARE_DEFAULTS = {"seed": 0, "n_steps": None}
 
 REPORT_DEFAULTS = {
-    "tokens_per_clip": 215, "clip_seconds": 10.0, "codebook_size": 8196,
-    "seed": 0,
+    "tokens_per_clip": TokenizerConfig.paper().frames, "clip_seconds": 10.0,
+    "codebook_size": TokenizerConfig.paper().codebook_size, "seed": 0,
 }
 
 
@@ -167,46 +193,12 @@ def _write_resolved(out_dir: Path, command: str, config: dict, **extras) -> None
 # ---------------------------------------------------------------------------
 # model (de)serialization helpers
 
-def _transformer(config: dict, prefix: str, causal: bool, max_len: int) -> TransformerConfig:
-    return TransformerConfig(
-        n_blocks=config[f"{prefix}.n_blocks"],
-        hidden_dim=config[f"{prefix}.hidden_dim"],
-        head_dim=config[f"{prefix}.head_dim"],
-        causal=causal, max_len=max_len)
-
-
-def _tokenizer_config(config: dict, objective: str, frames: int, data_dim: int,
-                      seed: int = 0) -> TokenizerConfig:
-    flow = OtCfmConfig(sigma_min=config["flow.sigma_min"],
-                       n_sample_steps=config["flow.n_sample_steps"],
-                       objective=objective)
-    return TokenizerConfig(
-        frames=frames, data_dim=data_dim, code_dim=config["code_dim"],
-        codebook_size=config["codebook_size"], objective=objective,
-        encoder=_transformer(config, "encoder", True, frames),
-        decoder=_transformer(config, "decoder", False, frames),
-        flow=flow, timestep_dim=config["timestep_dim"],
-        lr=config.get("lr", 1e-4), weight_decay=config.get("weight_decay", 0.01),
-        epochs=config.get("epochs", 10), batch_size=config.get("batch_size", 16),
-        codebook_loss_weight=config.get("codebook_loss_weight", 1.0),
-        commitment_weight=config.get("commitment_weight", 0.25), seed=seed)
-
-
-def _tokenizer_sidecar(cfg: TokenizerConfig) -> dict:
-    """The structural half of the config: enough to rebuild the model."""
-    return {
-        "frames": cfg.frames, "data_dim": cfg.data_dim, "code_dim": cfg.code_dim,
-        "codebook_size": cfg.codebook_size, "objective": cfg.objective,
-        "encoder.n_blocks": cfg.encoder.n_blocks,
-        "encoder.hidden_dim": cfg.encoder.hidden_dim,
-        "encoder.head_dim": cfg.encoder.head_dim,
-        "decoder.n_blocks": cfg.decoder.n_blocks,
-        "decoder.hidden_dim": cfg.decoder.hidden_dim,
-        "decoder.head_dim": cfg.decoder.head_dim,
-        "flow.sigma_min": cfg.flow.sigma_min,
-        "flow.n_sample_steps": cfg.flow.n_sample_steps,
-        "timestep_dim": cfg.timestep_dim,
-    }
+def _tokenizer_config(flat: dict) -> TokenizerConfig:
+    """The tokenizer of a train-tokenizer config or sidecar, which holds
+    frames, data_dim and objective; both towers span the clip."""
+    frames = flat["frames"]
+    return _build(TokenizerConfig, {**flat, "encoder.max_len": frames,
+                                    "decoder.max_len": frames})
 
 
 def _read_sidecar(checkpoint_path) -> dict:
@@ -217,32 +209,16 @@ def _read_sidecar(checkpoint_path) -> dict:
     return json.loads(sidecar.read_text(encoding="utf-8"))
 
 
-def _load_tokenizer(checkpoint_path) -> tuple[TokenizerModel, TokenizerConfig]:
-    side = _read_sidecar(checkpoint_path)
-    cfg = _tokenizer_config(side, side["objective"], side["frames"], side["data_dim"])
-    model = TokenizerModel(cfg, np.random.default_rng(0))
+def _load_tokenizer(checkpoint_path) -> TokenizerModel:
+    model = TokenizerModel(_tokenizer_config(_read_sidecar(checkpoint_path)),
+                           np.random.default_rng(0))
     load_checkpoint(checkpoint_path, model)
-    return model, cfg
-
-
-def _lm_sidecar(cfg: FusionConfig, n_audio: int, stage: str) -> dict:
-    return {
-        "v_text": cfg.v_text, "n_blocks": cfg.n_blocks,
-        "hidden_dim": cfg.hidden_dim, "head_dim": cfg.head_dim,
-        "mlp_ratio": cfg.mlp_ratio, "max_len": cfg.max_len,
-        "lora_rank": cfg.lora_rank, "lora_alpha": cfg.lora_alpha,
-        "n_audio": n_audio, "stage": stage,
-    }
+    return model
 
 
 def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
     side = _read_sidecar(checkpoint_path)
-    cfg = FusionConfig(
-        v_text=side["v_text"], n_blocks=side["n_blocks"],
-        hidden_dim=side["hidden_dim"], head_dim=side["head_dim"],
-        mlp_ratio=side["mlp_ratio"], max_len=side["max_len"],
-        lora_rank=side["lora_rank"], lora_alpha=side["lora_alpha"])
-    model = FusionLM(cfg, np.random.default_rng(0))
+    model = FusionLM(_build(FusionConfig, side), np.random.default_rng(0))
     vocab = extend_vocab(model, side["n_audio"], np.random.default_rng(0))
     load_checkpoint(checkpoint_path, model)
     return model, vocab
@@ -309,12 +285,12 @@ def cmd_train_tokenizer(args, config: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_latents(args.data)
     _, frames, data_dim = dataset.values.shape
-    cfg = _tokenizer_config(config, args.objective, frames, data_dim,
-                            seed=config["seed"])
+    side = {**config, "frames": frames, "data_dim": data_dim, "objective": args.objective}
+    cfg = _tokenizer_config(side)
     model = TokenizerModel(cfg)
     checkpoint = out / "tokenizer.msnc"
     # Sidecar goes first so even a divergence-rollback checkpoint loads.
-    _write_json(checkpoint.with_suffix(".json"), _tokenizer_sidecar(cfg))
+    _write_json(checkpoint.with_suffix(".json"), side)
     metrics = MetricsLog()
     report = train_tokenizer(dataset, model, cfg, metrics=metrics,
                              checkpoint_path=checkpoint)
@@ -334,7 +310,7 @@ def cmd_train_tokenizer(args, config: dict) -> int:
 def cmd_encode(args, config: dict) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, _ = _load_tokenizer(args.checkpoint)
+    model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
     tokens = encode_to_tokens(dataset.values, model)
     np.save(out / "tokens.npy", tokens)
@@ -354,7 +330,7 @@ def cmd_encode(args, config: dict) -> int:
 def cmd_decode(args, config: dict) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, _ = _load_tokenizer(args.checkpoint)
+    model = _load_tokenizer(args.checkpoint)
     tokens = np.load(args.tokens)
     if tokens.ndim == 1:
         tokens = tokens[np.newaxis, :]
@@ -376,11 +352,7 @@ def cmd_train_lm(args, config: dict) -> int:
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise ValueError(f"no caption/token pairs in {args.pairs}")
-    cfg = FusionConfig(
-        v_text=config["v_text"], n_blocks=config["n_blocks"],
-        hidden_dim=config["hidden_dim"], head_dim=config["head_dim"],
-        mlp_ratio=config["mlp_ratio"], max_len=config["max_len"],
-        lora_rank=config["lora_rank"], lora_alpha=config["lora_alpha"])
+    cfg = _build(FusionConfig, config)
     model = FusionLM(cfg, np.random.default_rng(config["seed"]))
     vocab = extend_vocab(model, config["n_audio"], np.random.default_rng(config["seed"] + 1))
     if config["checkpoint"] is not None:
@@ -397,16 +369,12 @@ def cmd_train_lm(args, config: dict) -> int:
             instruction = pair.get("instruction", INSTRUCTIONS[i % len(INSTRUCTIONS)])
             answer = pair.get("answer", pair["caption"])
             examples.append(build_finetune_example(instruction, codes, answer, vocab))
-    train_cfg = LmTrainConfig(
-        lr=config["lr"], weight_decay=config["weight_decay"],
-        epochs=config["epochs"], batch_size=config["batch_size"],
-        z_coeff=config["z_coeff"], seed=config["seed"])
     metrics = MetricsLog()
-    report = train_lm(examples, model, train_cfg, metrics=metrics)
+    report = train_lm(examples, model, _build(LmTrainConfig, config), metrics=metrics)
     checkpoint = out / "lm.msnc"
     save_checkpoint(checkpoint, model)
     _write_json(checkpoint.with_suffix(".json"),
-                _lm_sidecar(cfg, config["n_audio"], args.stage))
+                {**_flatten(cfg), "n_audio": config["n_audio"], "stage": args.stage})
     metrics.write_csv(out / "metrics.csv")
     accuracy = next_token_accuracy(model, examples)
     metrics.write_json(out / "metrics.json", command="train-lm", stage=args.stage,
@@ -444,7 +412,7 @@ def cmd_generate(args, config: dict) -> int:
 
 
 def cmd_eval_recon(args, config: dict) -> int:
-    model, _ = _load_tokenizer(args.checkpoint)
+    model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
     split = Path(args.data).stem
     decoded = decode_split(split, dataset, model, config["seed"], config["n_steps"])
@@ -460,7 +428,7 @@ def cmd_eval_recon(args, config: dict) -> int:
 
 
 def cmd_eval_fad(args, config: dict) -> int:
-    model, _ = _load_tokenizer(args.checkpoint)
+    model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
     split = Path(args.data).stem
     decoded = decode_split(split, dataset, model, config["seed"], config["n_steps"])
@@ -482,8 +450,8 @@ def cmd_eval_fad(args, config: dict) -> int:
 def cmd_compare(args, config: dict) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model_fm, _ = _load_tokenizer(args.fm)
-    model_mse, _ = _load_tokenizer(args.mse)
+    model_fm = _load_tokenizer(args.fm)
+    model_mse = _load_tokenizer(args.mse)
     splits = {}
     for item in args.data:
         name, sep, path = item.partition("=")

@@ -42,19 +42,16 @@ OBJECTIVES = (OBJECTIVE_FLOW, OBJECTIVE_MSE)
 
 @dataclass
 class OtCfmConfig:
-    """Path width, sampler resolution, and training objective."""
+    """Path width and sampler resolution."""
 
     sigma_min: float = 1e-4
     n_sample_steps: int = 32
-    objective: str = OBJECTIVE_FLOW
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_min < 1.0:
             raise ValueError(f"sigma_min must be in [0, 1), got {self.sigma_min}")
         if self.n_sample_steps < 1:
             raise ValueError(f"n_sample_steps must be >= 1, got {self.n_sample_steps}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
 
 @dataclass

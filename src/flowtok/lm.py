@@ -16,7 +16,7 @@ Loss weighting is 10x on the whole span (markers included), 1x on text,
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -146,10 +146,6 @@ class FusionConfig:
         return TransformerConfig(n_blocks=self.n_blocks, hidden_dim=self.hidden_dim,
                                  head_dim=self.head_dim, causal=True, max_len=self.max_len,
                                  mlp_ratio=self.mlp_ratio)
-
-    def with_paper_adapters(self) -> "FusionConfig":
-        """Full-scale adapter hyperparameters on the current architecture."""
-        return replace(self, lora_rank=64, lora_alpha=128.0)
 
 
 class FusionLM(Module):

@@ -58,11 +58,6 @@ class TokenizerConfig:
                 raise ValueError(f"{cfg_name} max_len {cfg.max_len} < frames {self.frames}")
 
     @classmethod
-    def desk(cls, objective: str = OBJECTIVE_FLOW, **overrides) -> "TokenizerConfig":
-        """Small configuration sized for laptop-scale runs and tests."""
-        return cls(objective=objective, **overrides)
-
-    @classmethod
     def paper(cls, objective: str = OBJECTIVE_FLOW) -> "TokenizerConfig":
         """Full-scale configuration: 215x64 clips, 8196 codes, 12-block towers."""
         return cls(
@@ -76,9 +71,6 @@ class TokenizerConfig:
             epochs=75,
             lr=1e-4,
         )
-
-    def with_objective(self, objective: str) -> "TokenizerConfig":
-        return replace(self, objective=objective)
 
 
 class CausalEncoder(Module):
@@ -202,37 +194,41 @@ def train_tokenizer(dataset: LatentDataset, model: TokenizerModel, cfg: Tokenize
     """Single-worker training loop; fully deterministic for a fixed config.
 
     Dead codebook entries are restarted after every update, and each epoch
-    reports the codebook perplexity of its assignments. The model is
-    written to checkpoint_path, when given, after every epoch. On a
-    non-finite loss the model is rolled back to the most recent state that
-    produced a finite loss, that state is written to checkpoint_path, and
-    DivergenceError is raised.
+    reports the codebook perplexity of its assignments and the number of
+    entries it restarted. The model is written to checkpoint_path, when
+    given, after every epoch. On a non-finite loss the model is rolled back
+    to the most recent state that produced a finite loss, that state is
+    written to checkpoint_path, and DivergenceError is raised.
     """
     if len(dataset) == 0:
         raise ValueError("train_tokenizer: empty dataset")
     rng = np.random.default_rng(cfg.seed)
     counts = np.zeros(cfg.codebook_size)
+    restarts = 0
 
     def loss_fn(rows):
         loss, terms, indices, flat_codes = _loss_terms(dataset.values[rows], model, cfg, rng)
         return loss, terms, (indices, flat_codes)
 
     def after_update(step) -> None:
+        nonlocal restarts
         indices, flat_codes = step
-        codebook_maintenance(model.codebook, indices, flat_codes, rng)
+        restarts += codebook_maintenance(model.codebook, indices, flat_codes, rng).size
         counts[:] += index_histogram(indices, cfg.codebook_size)
 
-    def epoch_perplexity() -> dict[str, float]:
-        perplexity = codebook_perplexity(counts)
+    def epoch_codebook_stats() -> dict[str, float]:
+        nonlocal restarts
+        stats = {"perplexity": codebook_perplexity(counts), "restarts": float(restarts)}
         counts[:] = 0.0
-        return {"perplexity": perplexity}
+        restarts = 0
+        return stats
 
     checkpoint = None if checkpoint_path is None else (
         lambda: save_checkpoint(checkpoint_path, model))
     return fit(model, len(dataset), loss_fn, rng=rng, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
                metrics=metrics, max_steps=max_steps, after_update=after_update,
-               epoch_metrics=epoch_perplexity, checkpoint=checkpoint)
+               epoch_metrics=epoch_codebook_stats, checkpoint=checkpoint)
 
 
 def bitrate(tokens_per_clip: int, clip_seconds: float, codebook_size: int) -> float:

@@ -186,7 +186,7 @@ def _toy_tokenizer_config(objective: str) -> TokenizerConfig:
         frames=16, data_dim=8, code_dim=8, codebook_size=32, objective=objective,
         encoder=TransformerConfig(causal=True, **tower),
         decoder=TransformerConfig(causal=False, **tower),
-        flow=OtCfmConfig(objective=objective),
+        flow=OtCfmConfig(),
         timestep_dim=32, lr=3e-3, weight_decay=0.0,
         epochs=2000, batch_size=8, seed=0)
 

@@ -8,7 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from flowtok.cli import main
+from flowtok.cli import (
+    REPORT_DEFAULTS,
+    TRAIN_LM_DEFAULTS,
+    TRAIN_TOKENIZER_DEFAULTS,
+    _build,
+    _flatten,
+    main,
+)
+from flowtok.lm import FusionConfig, LmTrainConfig
+from flowtok.pipeline import TokenizerConfig
 
 TINY_TOKENIZER = [
     "--set", "codebook_size=16", "--set", "code_dim=8",
@@ -100,6 +109,54 @@ class TestConfigPlumbing:
         from flowtok.data import load_latents
         assert len(load_latents(tmp_path / "d" / "train.msnl")) == 12
 
+    def test_derived_defaults_pinned(self):
+        """The config surface derived from the dataclasses: every key and
+        default the commands accept."""
+        assert TRAIN_TOKENIZER_DEFAULTS == {
+            "code_dim": 16, "codebook_size": 256,
+            "encoder.n_blocks": 2, "encoder.hidden_dim": 128, "encoder.head_dim": 32,
+            "decoder.n_blocks": 2, "decoder.hidden_dim": 128, "decoder.head_dim": 32,
+            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 32, "timestep_dim": 64,
+            "lr": 1e-4, "weight_decay": 0.01, "epochs": 10, "batch_size": 16,
+            "codebook_loss_weight": 1.0, "commitment_weight": 0.25, "seed": 0,
+        }
+        assert TRAIN_LM_DEFAULTS == {
+            "v_text": 256, "n_blocks": 4, "hidden_dim": 128, "head_dim": 32,
+            "mlp_ratio": 4, "max_len": 512, "lora_rank": 8, "lora_alpha": 16.0,
+            "n_audio": 256, "lr": 1e-3, "weight_decay": 0.01, "epochs": 10,
+            "batch_size": 8, "z_coeff": 1e-4, "seed": 0, "checkpoint": None,
+        }
+        assert REPORT_DEFAULTS == {
+            "tokens_per_clip": 215, "clip_seconds": 10.0, "codebook_size": 8196,
+            "seed": 0,
+        }
+
+    @pytest.mark.parametrize("cfg", [
+        TokenizerConfig.paper(),
+        FusionConfig(v_text=128, n_blocks=2, hidden_dim=64, head_dim=16, mlp_ratio=2,
+                     max_len=64, lora_rank=4, lora_alpha=8.0),
+        LmTrainConfig(lr=3e-4, weight_decay=0.0, epochs=3, batch_size=2, z_coeff=0.0,
+                      seed=7),
+    ], ids=["tokenizer-paper", "fusion", "lm-train"])
+    def test_build_inverts_flatten(self, cfg):
+        assert _build(type(cfg), _flatten(cfg)) == cfg
+
+    @pytest.mark.parametrize("command, key", [
+        ("gen-data", "nope"),
+        ("train-tokenizer", "encoder.bogus"),
+        # Set from the data, or not a field at all.
+        ("train-tokenizer", "encoder.max_len"),
+        ("train-tokenizer", "flow.objective"),
+        ("train-lm", "transformer"),
+    ])
+    def test_unknown_set_key_rejected(self, command, key):
+        """Exit 1 before any input is read; an accepted key would fail on
+        the missing input with exit 2."""
+        inputs = {"gen-data": [],
+                  "train-tokenizer": ["--objective", "fm", "--data", "missing"],
+                  "train-lm": ["--stage", "pretrain", "--pairs", "missing"]}[command]
+        assert main([command, *inputs, "--out", "unused", "--set", f"{key}=1"]) == 1
+
     def test_set_parses_json_values(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--set", "noise_std=0.0",
                      "--set", "bimodal_class=null", "--set", "splits=train",
@@ -119,6 +176,26 @@ class TestArtifacts:
         side = json.loads((workspace / "fm" / "tokenizer.json").read_text())
         assert side["objective"] == "fm"
         assert side["frames"] == 8
+        assert set(side) == set(TRAIN_TOKENIZER_DEFAULTS) | {"frames", "data_dim", "objective"}
+
+    def test_structural_only_sidecar_loads(self, workspace, tmp_path):
+        """A sidecar with only the structural keys, as older releases wrote
+        it, rebuilds the same model: encode gives the same tokens."""
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "tokenizer.msnc").write_bytes((workspace / "fm" / "tokenizer.msnc").read_bytes())
+        (old / "tokenizer.json").write_text(json.dumps({
+            "frames": 8, "data_dim": 4, "code_dim": 8, "codebook_size": 16,
+            "objective": "fm",
+            "encoder.n_blocks": 1, "encoder.hidden_dim": 32, "encoder.head_dim": 16,
+            "decoder.n_blocks": 1, "decoder.hidden_dim": 32, "decoder.head_dim": 16,
+            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 2, "timestep_dim": 16,
+        }))
+        assert main(["encode", "--checkpoint", str(old / "tokenizer.msnc"),
+                     "--data", str(workspace / "data" / "train.msnl"),
+                     "--out", str(tmp_path / "enc")]) == 0
+        np.testing.assert_array_equal(np.load(tmp_path / "enc" / "tokens.npy"),
+                                      np.load(workspace / "enc" / "tokens.npy"))
 
     def test_metrics_csv_layout(self, workspace):
         lines = (workspace / "fm" / "metrics.csv").read_text().splitlines()

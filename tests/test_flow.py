@@ -86,8 +86,6 @@ class TestSamplePath:
             OtCfmConfig(sigma_min=1.0)
         with pytest.raises(ValueError):
             OtCfmConfig(n_sample_steps=0)
-        with pytest.raises(ValueError):
-            OtCfmConfig(objective="diffusion")
 
 
 class TestCfmLoss:

@@ -10,6 +10,7 @@ from flowtok.data import (
     LatentDataset,
     read_checkpoint,
 )
+from flowtok import pipeline
 from flowtok.nn import TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
@@ -22,6 +23,7 @@ from flowtok.pipeline import (
     train_tokenizer,
 )
 from flowtok.tensor import ShapeError
+from flowtok.vq import codebook_maintenance
 
 
 def tiny_config(objective="fm", **overrides):
@@ -66,10 +68,6 @@ class TestConfig:
     def test_rejects_unknown_objective(self):
         with pytest.raises(ValueError, match="objective"):
             tiny_config(objective="diffusion")
-
-    def test_objective_swap_preserves_architecture(self):
-        cfg = tiny_config("fm")
-        assert cfg.with_objective("mse").encoder == cfg.encoder
 
     def test_paper_scale_numbers(self):
         cfg = TokenizerConfig.paper()
@@ -223,8 +221,29 @@ class TestTraining:
         for step, split, metric, value in log.rows:
             per_metric[metric] = per_metric.get(metric, 0) + 1
         assert set(per_metric) == {"loss", "decoder_loss", "codebook_loss",
-                                   "commitment_loss", "perplexity"}
+                                   "commitment_loss", "perplexity", "restarts"}
         assert all(count == 3 for count in per_metric.values())
+
+    def test_restarts_counted_per_epoch(self, monkeypatch):
+        """A codebook far larger than a batch's assignments restarts entries
+        (fresh entries start with zero usage), and the per-epoch counts add
+        up to the ids codebook_maintenance returned."""
+        returned = []
+
+        def recording(*args, **kwargs):
+            dead = codebook_maintenance(*args, **kwargs)
+            returned.append(dead.size)
+            return dead
+
+        monkeypatch.setattr(pipeline, "codebook_maintenance", recording)
+        cfg = tiny_config("mse", codebook_size=256, epochs=2, batch_size=4)
+        model = TokenizerModel(cfg)
+        log = MetricsLog()
+        report = train_tokenizer(tiny_dataset(cfg), model, cfg, metrics=log)
+        per_epoch = [value for _, _, metric, value in log.rows if metric == "restarts"]
+        assert len(per_epoch) == 2 and report.final["restarts"] == per_epoch[-1]
+        assert sum(per_epoch) > 0
+        assert sum(per_epoch) == sum(returned)
 
     def test_divergence_aborts_and_rolls_back(self, tmp_path):
         """lr large enough that the first update overflows float32 on the
