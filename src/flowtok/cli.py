@@ -31,15 +31,7 @@ from .data import (
     save_latents,
     save_pairs_jsonl,
 )
-from .evaluation import (
-    ClampLog,
-    compare_tokenizers,
-    decode_split,
-    frechet_distance,
-    gaussian_stats,
-    mean_pool_embeddings,
-    reconstruction_error,
-)
+from .evaluation import ClampLog, compare_tokenizers, decode_split, split_metrics
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE
 from .lm import (
     FusionConfig,
@@ -411,39 +403,26 @@ def cmd_generate(args, config: dict) -> int:
     return 0
 
 
-def cmd_eval_recon(args, config: dict) -> int:
-    model = _load_tokenizer(args.checkpoint)
-    dataset = load_latents(args.data)
-    split = Path(args.data).stem
-    decoded = decode_split(split, dataset, model, config["seed"], config["n_steps"])
-    value = reconstruction_error(dataset.values, decoded)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {"split": split, "metric": "recon_mse", "value": value,
-                      "count": len(dataset), "seed": config["seed"]})
-    _write_resolved(out.parent, "eval-recon", config,
-                    checkpoint=str(args.checkpoint), data=str(args.data))
-    print(f"recon_mse[{split}] = {value:.6f}")
-    return 0
+_EVAL_METRICS = {"eval-recon": "recon_mse", "eval-fad": "frechet"}
 
 
-def cmd_eval_fad(args, config: dict) -> int:
+def cmd_eval(args, config: dict) -> int:
+    """eval-recon and eval-fad: one of split_metrics' values for the split."""
     model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
     split = Path(args.data).stem
     decoded = decode_split(split, dataset, model, config["seed"], config["n_steps"])
     clamp = ClampLog()
-    reference = gaussian_stats(mean_pool_embeddings(dataset.values))
-    candidate = gaussian_stats(mean_pool_embeddings(decoded))
-    value = frechet_distance(reference, candidate, clamp_log=clamp)
+    metric = _EVAL_METRICS[args.command]
+    value = split_metrics(dataset, decoded, clamp)[metric]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {"split": split, "metric": "frechet", "value": value,
+    _write_json(out, {"split": split, "metric": metric, "value": value,
                       "clamp_events": clamp.events, "count": len(dataset),
                       "seed": config["seed"]})
-    _write_resolved(out.parent, "eval-fad", config,
+    _write_resolved(out.parent, args.command, config,
                     checkpoint=str(args.checkpoint), data=str(args.data))
-    print(f"frechet[{split}] = {value:.6f} ({clamp.events} eigenvalue clamps)")
+    print(f"{metric}[{split}] = {value:.6f} ({clamp.events} eigenvalue clamps)")
     return 0
 
 
@@ -570,17 +549,12 @@ def build_parser() -> _Parser:
                    help="disable audio-span bracketing constraints")
     p.add_argument("--out", required=True, metavar="FILE")
 
-    p = add("eval-recon", "reconstruction error of a tokenizer on a dataset",
-            EVAL_DEFAULTS, cmd_eval_recon)
-    p.add_argument("--checkpoint", required=True, metavar="FILE")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
-
-    p = add("eval-fad", "distributional distance of reconstructions",
-            EVAL_DEFAULTS, cmd_eval_fad)
-    p.add_argument("--checkpoint", required=True, metavar="FILE")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
+    for name, help_text in (("eval-recon", "reconstruction error of a tokenizer on a dataset"),
+                            ("eval-fad", "distributional distance of reconstructions")):
+        p = add(name, help_text, EVAL_DEFAULTS, cmd_eval)
+        p.add_argument("--checkpoint", required=True, metavar="FILE")
+        p.add_argument("--data", required=True, metavar="FILE")
+        p.add_argument("--out", required=True, metavar="FILE")
 
     p = add("compare", "side-by-side metrics for flow and MSE tokenizers",
             COMPARE_DEFAULTS, cmd_compare)

@@ -1,5 +1,6 @@
 """Reconstruction error, Fréchet distance over embedding statistics, and
-side-by-side tokenizer comparison reports.
+side-by-side tokenizer comparison reports. Every evaluation decodes a
+split with decode_split and scores it with split_metrics.
 
 All statistics run in float64 regardless of model precision, and
 eigendecompositions use NumPy's symmetric solvers (LAPACK syevd).
@@ -192,39 +193,40 @@ class ComparisonReport:
 
 
 def decode_split(split_name: str, dataset: LatentDataset, model: TokenizerModel,
-                  seed: int, n_steps: int | None) -> np.ndarray:
-    """Decode every clip with a per-sample noise stream keyed by
-    (seed, split, index) only, never by the model, so two models see
-    identical noise and the same model twice gives identical output."""
-    split_key = zlib.crc32(split_name.encode())
-    decoded = np.empty_like(dataset.values)
-    for i in range(len(dataset)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, split_key, i)))
-        tokens = encode_to_tokens(dataset.values[i], model)
-        decoded[i] = decode_tokens(tokens, model, rng=rng, n_steps=n_steps)
-    return decoded
+                 seed: int, n_steps: int | None) -> np.ndarray:
+    """Encode and decode the whole split in one call each, in the split's
+    dtype. The noise stream is keyed by (seed, split) only, never by the
+    model, so two models see identical noise and the same model twice
+    gives identical output."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(split_name.encode()))))
+    tokens = encode_to_tokens(dataset.values, model)
+    decoded = decode_tokens(tokens, model, rng=rng, n_steps=n_steps)
+    return decoded.astype(dataset.values.dtype, copy=False)
+
+
+def split_metrics(dataset: LatentDataset, decoded: np.ndarray,
+                  clamp_log: ClampLog) -> dict[str, float]:
+    """recon_mse over the whole split, and the Fréchet distance from the
+    split's mean-pooled ground truth (the reference) to its decode."""
+    reference = gaussian_stats(mean_pool_embeddings(dataset.values))
+    candidate = gaussian_stats(mean_pool_embeddings(decoded))
+    return {"recon_mse": reconstruction_error(dataset.values, decoded),
+            "frechet": frechet_distance(reference, candidate, clamp_log)}
 
 
 def compare_tokenizers(splits: dict[str, LatentDataset], model_fm: TokenizerModel,
                        model_mse: TokenizerModel, seed: int = 0,
                        n_steps: int | None = None) -> ComparisonReport:
-    """Reconstruction error and Fréchet distance for both models on every
-    held-out split. The Fréchet reference is the split's own ground-truth
-    latents, mean-pooled."""
+    """split_metrics for both models on every held-out split."""
     report = ComparisonReport()
     clamps = ClampLog()
     for split_name in sorted(splits):
         dataset = splits[split_name]
         if len(dataset) == 0:
             raise ValueError(f"split {split_name!r} is empty")
-        reference = gaussian_stats(mean_pool_embeddings(dataset.values))
         for model_name, model in (("fm", model_fm), ("mse", model_mse)):
             decoded = decode_split(split_name, dataset, model, seed, n_steps)
-            errors = [reconstruction_error(dataset.values[i], decoded[i])
-                      for i in range(len(dataset))]
-            stats = gaussian_stats(mean_pool_embeddings(decoded))
-            report.add(split_name, model_name, "recon_mse", float(np.mean(errors)))
-            report.add(split_name, model_name, "frechet",
-                       frechet_distance(stats, reference, clamps))
+            for metric, value in split_metrics(dataset, decoded, clamps).items():
+                report.add(split_name, model_name, metric, value)
     report.clamp_events = clamps.events
     return report

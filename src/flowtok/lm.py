@@ -198,8 +198,7 @@ class FusionLM(Module):
         return logits.reshape(t, self.vocab_size) if squeeze else logits
 
 
-def extend_vocab(model: FusionLM, n_audio: int, rng: np.random.Generator,
-                 init_scale: float = 0.02) -> Vocab:
+def extend_vocab(model: FusionLM, n_audio: int, rng: np.random.Generator) -> Vocab:
     """Grow the model by n_audio + 2 ids (audio block, soa, eoa). The new
     embedding and output rows are the only tensors added, and the only
     embedding tensors that learn."""
@@ -209,9 +208,9 @@ def extend_vocab(model: FusionLM, n_audio: int, rng: np.random.Generator,
         raise ValueError(f"n_audio must be >= 1, got {n_audio}")
     h = model.cfg.hidden_dim
     extra = n_audio + 2
-    model.audio_embed = Tensor(rng.normal(0.0, init_scale, size=(extra, h)),
+    model.audio_embed = Tensor(rng.normal(0.0, 0.02, size=(extra, h)),
                                requires_grad=True, dtype=model.dtype)
-    model.out_ext = Tensor(rng.normal(0.0, init_scale, size=(h, extra)),
+    model.out_ext = Tensor(rng.normal(0.0, 0.02, size=(h, extra)),
                            requires_grad=True, dtype=model.dtype)
     model.vocab = Vocab(v_text=model.cfg.v_text, n_audio=n_audio)
     return model.vocab
@@ -233,7 +232,7 @@ def frozen_digest(model: Module) -> str:
 
 @dataclass
 class FusionSequence:
-    """Token ids with per-token target weights and an audio-span mask.
+    """Token ids with per-token target weights.
 
     weights[t] is the loss weight of x_t as a prediction target;
     weights[0] is never consumed (nothing predicts the first token).
@@ -241,8 +240,6 @@ class FusionSequence:
 
     ids: np.ndarray
     weights: np.ndarray
-    audio_mask: np.ndarray
-    stage: str
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -283,14 +280,10 @@ def build_pretrain_example(caption: str, audio_codes, vocab: Vocab,
     text_weights = np.full(text.shape, TEXT_WEIGHT)
     span_weights = np.full(span.shape, AUDIO_WEIGHT)
     if rng.random() < 0.5:
-        ids = np.concatenate([text, span])
-        weights = np.concatenate([text_weights, span_weights])
-        audio_mask = np.concatenate([np.zeros(text.size, bool), np.ones(span.size, bool)])
-    else:
-        ids = np.concatenate([span, text])
-        weights = np.concatenate([span_weights, text_weights])
-        audio_mask = np.concatenate([np.ones(span.size, bool), np.zeros(text.size, bool)])
-    return FusionSequence(ids=ids, weights=weights, audio_mask=audio_mask, stage="pretrain")
+        return FusionSequence(ids=np.concatenate([text, span]),
+                              weights=np.concatenate([text_weights, span_weights]))
+    return FusionSequence(ids=np.concatenate([span, text]),
+                          weights=np.concatenate([span_weights, text_weights]))
 
 
 def build_finetune_example(instruction: str, audio_codes, answer: str, vocab: Vocab,
@@ -309,28 +302,13 @@ def build_finetune_example(instruction: str, audio_codes, answer: str, vocab: Vo
     codes = np.asarray(audio_codes, dtype=np.int64)
     if codes.size == 0:
         raise ValueError("build_finetune_example: empty audio")
-    prompt_parts = [
-        (vocab.encode_text("USER: "), False),
-        (_span(vocab, codes), True),
-        (vocab.encode_text(" " + instruction + " ASSISTANT: "), False),
-    ]
-    answer_parts = [(vocab.encode_text(answer), False)]
+    prompt = [vocab.encode_text("USER: "), _span(vocab, codes),
+              vocab.encode_text(" " + instruction + " ASSISTANT: ")]
+    parts = [(part, 0.0) for part in prompt] + [(vocab.encode_text(answer), TEXT_WEIGHT)]
     if answer_audio_codes is not None:
-        answer_parts.append((_span(vocab, answer_audio_codes), True))
-
-    ids, weights, audio_mask = [], [], []
-    for part, is_audio in prompt_parts:
-        ids.append(part)
-        weights.append(np.zeros(part.size))
-        audio_mask.append(np.full(part.size, is_audio))
-    for part, is_audio in answer_parts:
-        ids.append(part)
-        weights.append(np.full(part.size, AUDIO_WEIGHT if is_audio else TEXT_WEIGHT))
-        audio_mask.append(np.full(part.size, is_audio))
-    return FusionSequence(ids=np.concatenate(ids),
-                          weights=np.concatenate(weights),
-                          audio_mask=np.concatenate(audio_mask).astype(bool),
-                          stage="finetune")
+        parts.append((_span(vocab, answer_audio_codes), AUDIO_WEIGHT))
+    return FusionSequence(ids=np.concatenate([part for part, _ in parts]),
+                          weights=np.concatenate([np.full(part.size, w) for part, w in parts]))
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +460,8 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
         raise ValueError("generate: prompt violates the audio-span bracketing")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    audio_ids = np.arange(vocab.v_text, vocab.v_text + vocab.n_audio)
+    in_span = np.append(np.arange(vocab.v_text, vocab.v_text + vocab.n_audio), vocab.eoa)
+    outside = np.append(np.arange(vocab.v_text), vocab.soa)
     out = list(ids)
     with no_grad():
         for _ in range(max_new_tokens):
@@ -491,10 +470,7 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
             logits = model(np.asarray(out, dtype=np.int64)).data[-1].astype(np.float64)
             if constrain_audio:
                 masked = np.full_like(logits, -np.inf)
-                if open_span:
-                    allowed = np.concatenate([audio_ids, [vocab.eoa]])
-                else:
-                    allowed = np.concatenate([np.arange(vocab.v_text), [vocab.soa]])
+                allowed = in_span if open_span else outside
                 masked[allowed] = logits[allowed]
                 logits = masked
             if temperature <= 0.0:

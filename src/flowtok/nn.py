@@ -1,8 +1,8 @@
 """Transformer building blocks, the AdamW optimizer and the training loop.
 
-All blocks are pre-norm (norm, sublayer, residual) with a 4x GELU MLP and
-learned absolute position embeddings, assembled from the autodiff
-primitives in `tensor`. Causal masking uses a finite -1e9 additive
+All blocks are pre-norm (norm, sublayer, residual) with a 4x GELU MLP,
+assembled from the autodiff primitives in `tensor`; each model owns its
+learned absolute position table. Causal masking uses a finite -1e9 additive
 constant: exp underflows to +0.0 for masked scores, which keeps prefix
 outputs bit-identical whether or not later positions are present.
 """
@@ -20,8 +20,6 @@ from .tensor import (
     NumericFault,
     ShapeError,
     Tensor,
-    broadcast_to,
-    concat,
     gelu,
     grad_check,
     matmul,
@@ -30,7 +28,6 @@ from .tensor import (
     softmax,
     square,
     swapaxes,
-    take_rows,
     tmean,
 )
 
@@ -102,17 +99,13 @@ class TransformerConfig:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True,
-                 dtype=DEFAULT_DTYPE, init_std: float | None = None):
-        std = init_std if init_std is not None else d_in**-0.5
-        self.weight = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype) if bias else None
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+        self.weight = Tensor(rng.normal(0.0, d_in**-0.5, size=(d_in, d_out)),
+                             requires_grad=True, dtype=dtype)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight) + self.bias
 
 
 class LayerNorm(Module):
@@ -128,15 +121,6 @@ class LayerNorm(Module):
         var = tmean(square(centered), axis=-1, keepdims=True)
         normed = centered * power(var + self.eps, -0.5)
         return normed * self.gamma + self.beta
-
-
-class Embedding(Module):
-    def __init__(self, n: int, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 init_std: float = 0.02):
-        self.table = Tensor(rng.normal(0.0, init_std, size=(n, dim)), requires_grad=True, dtype=dtype)
-
-    def __call__(self, indices) -> Tensor:
-        return take_rows(self.table, indices)
 
 
 _MASK_FILL = -1e9
@@ -224,16 +208,18 @@ class TransformerBlock(Module):
 
 
 class TransformerStack(Module):
+    """cfg.n_blocks blocks, then a final LayerNorm."""
+
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 final_norm: bool = True, linear=Linear):
+                 linear=Linear):
         self.blocks = [TransformerBlock(cfg, rng, dtype=dtype, linear=linear)
                        for _ in range(cfg.n_blocks)]
-        self.ln_f = LayerNorm(cfg.hidden_dim, dtype=dtype) if final_norm else None
+        self.ln_f = LayerNorm(cfg.hidden_dim, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         for block in self.blocks:
             x = block(x)
-        return self.ln_f(x) if self.ln_f is not None else x
+        return self.ln_f(x)
 
 
 # ----------------------------------------------------------------------
@@ -288,17 +274,14 @@ class AdamW:
     """Adam with bias-corrected moments and decoupled weight decay.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+
+    params is a Module (its trainable parameters) or (name, tensor) pairs.
     """
 
     def __init__(self, params, lr: float = 1e-4, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
-        if isinstance(params, Module):
-            params = list(params.named_parameters())
-        elif isinstance(params, dict):
-            params = list(params.items())
-        else:
-            params = [p if isinstance(p, tuple) else (f"param{i}", p) for i, p in enumerate(params)]
-        self._params: list[tuple[str, Tensor]] = params
+        self._params: list[tuple[str, Tensor]] = (
+            list(params.named_parameters()) if isinstance(params, Module) else list(params))
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

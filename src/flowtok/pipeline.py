@@ -84,7 +84,7 @@ class CausalEncoder(Module):
         self.in_proj = Linear(data_dim, cfg.hidden_dim, rng, dtype=dtype)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, cfg.hidden_dim)),
                           requires_grad=True, dtype=dtype)
-        self.stack = TransformerStack(cfg, rng, dtype=dtype, final_norm=True)
+        self.stack = TransformerStack(cfg, rng, dtype=dtype)
         self.out_proj = Linear(cfg.hidden_dim, code_dim, rng, dtype=dtype)
         self.data_dim = data_dim
         self.code_dim = code_dim

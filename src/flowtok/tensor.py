@@ -44,10 +44,6 @@ def set_nan_checks(enabled: bool) -> None:
     _nan_checks = bool(enabled)
 
 
-def nan_checks_enabled() -> bool:
-    return _nan_checks
-
-
 _grad_enabled = True
 
 
@@ -382,7 +378,7 @@ _GELU_K = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (smooth everywhere)."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * x**3)
+    inner = _GELU_C * (x + _GELU_K * (x * x * x))
     th = np.tanh(inner)
     out = 0.5 * x * (1.0 + th)
 

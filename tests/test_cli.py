@@ -253,6 +253,23 @@ class TestArtifacts:
         names = {line.split(",")[1] for line in lines[1:]}
         assert names == {"fm", "mse"}
 
+    def test_eval_commands_equal_compare_rows(self, workspace, tmp_path):
+        """eval-recon and eval-fad report compare's values bit for bit."""
+        val = workspace / "data" / "val.msnl"
+        checkpoints = {name: str(workspace / name / "tokenizer.msnc") for name in ("fm", "mse")}
+        assert main(["compare", "--fm", checkpoints["fm"], "--mse", checkpoints["mse"],
+                     "--data", f"val={val}", "--out", str(tmp_path / "compare"),
+                     "--set", "n_steps=2"]) == 0
+        rows = json.loads((tmp_path / "compare" / "compare.json").read_text())["rows"]
+        for model, checkpoint in checkpoints.items():
+            for command, metric in (("eval-recon", "recon_mse"), ("eval-fad", "frechet")):
+                out = tmp_path / f"{model}-{command}.json"
+                assert main([command, "--checkpoint", checkpoint, "--data", str(val),
+                             "--out", str(out), "--set", "n_steps=2"]) == 0
+                [expected] = [row["value"] for row in rows
+                              if (row["split"], row["model"], row["metric"]) == ("val", model, metric)]
+                assert json.loads(out.read_text())["value"] == expected, (model, metric)
+
     def test_compare_rejects_unnamed_split(self, workspace, tmp_path):
         code = main(["compare", "--fm", str(workspace / "fm" / "tokenizer.msnc"),
                      "--mse", str(workspace / "mse" / "tokenizer.msnc"),

@@ -1,5 +1,7 @@
 """Evaluation statistics checked against independent oracles."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from flowtok.evaluation import (
     ComparisonReport,
     GaussianStats,
     compare_tokenizers,
+    decode_split,
     frechet_distance,
     gaussian_stats,
     matrix_sqrt_psd,
@@ -245,6 +248,36 @@ def small_splits(n=4):
         "val": gen_latent_dataset(spec, n_per_class=n, split="val"),
         "test": gen_latent_dataset(spec, n_per_class=n, split="test"),
     }
+
+
+class TestDecodeSplit:
+    def test_mse_matches_per_clip_loop(self):
+        """The one-call decode equals the per-clip loop it replaced, bit for
+        bit, where no noise is drawn."""
+        from flowtok.pipeline import decode_tokens, encode_to_tokens
+
+        _, mse = small_models()
+        dataset = small_splits(n=16)["val"]
+        reference = np.empty_like(dataset.values)
+        for i in range(len(dataset)):
+            rng = np.random.default_rng(np.random.SeedSequence((0, zlib.crc32(b"val"), i)))
+            reference[i] = decode_tokens(encode_to_tokens(dataset.values[i], mse), mse, rng=rng)
+        decoded = decode_split("val", dataset, mse, 0, None)
+        assert decoded.dtype == dataset.values.dtype
+        assert decoded.tobytes() == reference.tobytes()
+
+    def test_fm_is_one_call_on_the_split_stream(self):
+        """A flow decode is `flowtok decode`'s call on the split's tokens,
+        with one noise stream keyed by (seed, split) only."""
+        from flowtok.pipeline import decode_tokens, encode_to_tokens
+
+        fm, _ = small_models()
+        dataset = small_splits()["val"]
+        rng = np.random.default_rng(np.random.SeedSequence((3, zlib.crc32(b"val"))))
+        expected = decode_tokens(encode_to_tokens(dataset.values, fm), fm, rng=rng, n_steps=2)
+        decoded = decode_split("val", dataset, fm, 3, 2)
+        assert decoded.dtype == np.float32
+        assert decoded.tobytes() == expected.astype(np.float32).tobytes()
 
 
 class TestCompareTokenizers:

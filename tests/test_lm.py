@@ -193,8 +193,6 @@ class TestBuilders:
         _, vocab = extended_model()
         seq = build_pretrain_example("ab", [1, 2, 3], vocab, _FixedRandom(0.0))
         np.testing.assert_array_equal(seq.weights, [1, 1, 10, 10, 10, 10, 10])
-        np.testing.assert_array_equal(seq.audio_mask,
-                                      [False, False, True, True, True, True, True])
 
     def test_pretrain_rejects_empty_parts(self):
         _, vocab = extended_model()
@@ -340,10 +338,8 @@ class TestWeightedLoss:
 class TestCollate:
     def test_padding_layout(self):
         v = Vocab(v_text=8, n_audio=2)
-        a = FusionSequence(ids=np.array([1, 2, 3]), weights=np.array([1.0, 1.0, 10.0]),
-                           audio_mask=np.zeros(3, bool), stage="pretrain")
-        b = FusionSequence(ids=np.array([4, 5]), weights=np.array([1.0, 1.0]),
-                           audio_mask=np.zeros(2, bool), stage="pretrain")
+        a = FusionSequence(ids=np.array([1, 2, 3]), weights=np.array([1.0, 1.0, 10.0]))
+        b = FusionSequence(ids=np.array([4, 5]), weights=np.array([1.0, 1.0]))
         inputs, targets, weights, valid = collate([a, b])
         np.testing.assert_array_equal(inputs, [[1, 2], [4, 0]])
         np.testing.assert_array_equal(targets, [[2, 3], [5, 0]])
@@ -413,8 +409,7 @@ class TestTraining:
 
     def test_requires_extension(self):
         model = FusionLM(small_config(), np.random.default_rng(0))
-        seq = FusionSequence(ids=np.array([1, 2]), weights=np.array([1.0, 1.0]),
-                             audio_mask=np.zeros(2, bool), stage="pretrain")
+        seq = FusionSequence(ids=np.array([1, 2]), weights=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="extend_vocab"):
             train_lm([seq], model, LmTrainConfig())
 
@@ -508,7 +503,6 @@ class TestMemorization:
 
     def test_accuracy_requires_weighted_positions(self):
         model, vocab = extended_model()
-        seq = FusionSequence(ids=np.array([1, 2, 3]), weights=np.zeros(3),
-                             audio_mask=np.zeros(3, bool), stage="pretrain")
+        seq = FusionSequence(ids=np.array([1, 2, 3]), weights=np.zeros(3))
         with pytest.raises(ValueError, match="no weighted"):
             next_token_accuracy(model, [seq])

@@ -7,7 +7,6 @@ from flowtok.nn import (
     AdamW,
     AttentionLayer,
     DivergenceError,
-    Embedding,
     LayerNorm,
     Linear,
     TimestepEmbedding,
@@ -220,11 +219,6 @@ class TestModuleRegistry:
         assert names[0].startswith("blocks.0.")
         assert names == [n for n, _ in stack.named_parameters()]
         assert "ln_f.gamma" in names
-
-    def test_embedding_lookup_shape(self):
-        emb = Embedding(10, 4, _rng(12))
-        out = emb(np.array([[1, 2], [3, 4]]))
-        assert out.shape == (2, 2, 4)
 
     def test_linear_bias_broadcasts(self):
         lin = Linear(4, 3, _rng(13))
