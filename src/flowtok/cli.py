@@ -328,8 +328,7 @@ def cmd_decode(args, config: dict) -> int:
         tokens = tokens[np.newaxis, :]
     rng = np.random.default_rng(config["seed"])
     values = decode_tokens(tokens, model, rng=rng, n_steps=args.steps)
-    decoded = LatentDataset(values=np.asarray(values, dtype=np.float32),
-                            labels=np.zeros(values.shape[0], dtype=np.uint16))
+    decoded = LatentDataset(values=values, labels=np.zeros(values.shape[0], dtype=np.uint16))
     path = out / "decoded.msnl"
     save_latents(path, decoded)
     _write_resolved(out, "decode", config, checkpoint=str(args.checkpoint),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -183,6 +184,9 @@ def _named_tensors(source) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(path, source) -> None:
+    """Write source's tensors to path atomically: the bytes go to a sibling
+    temp file, are fsynced, then renamed over path, so a crash or error at
+    any point leaves the previous file whole and no temp file behind."""
     chunks: list[bytes] = []
     for name, arr in _named_tensors(source):
         encoded = name.encode("utf-8")
@@ -198,11 +202,19 @@ def save_checkpoint(path, source) -> None:
         chunks.append(arr.tobytes())
     records = b"".join(chunks)
     crc = zlib.crc32(records) & 0xFFFFFFFF
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(records)
-        f.write(struct.pack("<I", crc))
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(records)
+            f.write(struct.pack("<I", crc))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
@@ -304,6 +316,8 @@ def load_pairs_jsonl(path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
             if "caption" not in obj or "audio_tokens" not in obj:
                 raise DatasetFormatError(f"{path}:{line_no}: missing caption or audio_tokens")
             pairs.append(obj)

@@ -194,14 +194,12 @@ class ComparisonReport:
 
 def decode_split(split_name: str, dataset: LatentDataset, model: TokenizerModel,
                  seed: int, n_steps: int | None) -> np.ndarray:
-    """Encode and decode the whole split in one call each, in the split's
-    dtype. The noise stream is keyed by (seed, split) only, never by the
-    model, so two models see identical noise and the same model twice
-    gives identical output."""
+    """Encode and decode the whole split in one call each. The noise stream
+    is keyed by (seed, split) only, never by the model, so two models see
+    identical noise and the same model twice gives identical output."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(split_name.encode()))))
     tokens = encode_to_tokens(dataset.values, model)
-    decoded = decode_tokens(tokens, model, rng=rng, n_steps=n_steps)
-    return decoded.astype(dataset.values.dtype, copy=False)
+    return decode_tokens(tokens, model, rng=rng, n_steps=n_steps)
 
 
 def split_metrics(dataset: LatentDataset, decoded: np.ndarray,

@@ -24,16 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Module, TimestepEmbedding, TransformerConfig, TransformerStack
-from .tensor import (
-    DEFAULT_DTYPE,
-    NumericFault,
-    ShapeError,
-    Tensor,
-    broadcast_to,
-    concat,
-    square,
-    take_rows,
-)
+from .tensor import NumericFault, ShapeError, Tensor, concat, square
 
 OBJECTIVE_FLOW = "fm"
 OBJECTIVE_MSE = "mse"
@@ -104,21 +95,19 @@ class DitDecoder(Module):
 
     The noisy state and the conditioning sequence are concatenated along
     channels, projected to the hidden width, and every position receives
-    the same projected timestep embedding on top of its learned position
-    embedding. The output projection maps back to the data width.
+    the same projected timestep embedding; the stack then adds its learned
+    position embedding. The output projection maps back to the data width.
     """
 
     def __init__(self, data_dim: int, cond_dim: int, cfg: TransformerConfig,
-                 timestep_dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+                 timestep_dim: int, rng: np.random.Generator):
         if cfg.causal:
             raise ValueError("the decoder attends bidirectionally; pass a non-causal config")
-        self.in_proj = Linear(data_dim + cond_dim, cfg.hidden_dim, rng, dtype=dtype)
-        self.t_embed = TimestepEmbedding(timestep_dim, rng, dtype=dtype)
-        self.t_proj = Linear(timestep_dim, cfg.hidden_dim, rng, dtype=dtype)
-        self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, cfg.hidden_dim)),
-                          requires_grad=True, dtype=dtype)
-        self.stack = TransformerStack(cfg, rng, dtype=dtype)
-        self.out_proj = Linear(cfg.hidden_dim, data_dim, rng, dtype=dtype)
+        self.in_proj = Linear(data_dim + cond_dim, cfg.hidden_dim, rng)
+        self.t_embed = TimestepEmbedding(timestep_dim, rng)
+        self.t_proj = Linear(timestep_dim, cfg.hidden_dim, rng)
+        self.stack = TransformerStack(cfg, rng)
+        self.out_proj = Linear(cfg.hidden_dim, data_dim, rng)
         self.data_dim = data_dim
         self.cond_dim = cond_dim
 
@@ -128,24 +117,15 @@ class DitDecoder(Module):
         as x_t."""
         x_t = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float32))
         cond = cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond, dtype=np.float32))
-        squeeze = x_t.ndim == 2
-        if squeeze:
-            x_t = x_t.reshape(1, *x_t.shape)
-            cond = cond.reshape(1, *cond.shape)
-        if x_t.shape[:2] != cond.shape[:2]:
+        if x_t.shape[:-1] != cond.shape[:-1]:
             raise ShapeError(
                 f"decoder: state {x_t.shape} and conditioning {cond.shape} disagree on (B, T)"
             )
-        b, tlen = x_t.shape[0], x_t.shape[1]
-        if tlen > self.pos.shape[0]:
-            raise ShapeError(f"sequence length {tlen} exceeds positional table {self.pos.shape[0]}")
-        h = self.in_proj(concat([x_t, cond], axis=-1))
-        te = self.t_proj(self.t_embed(np.broadcast_to(np.asarray(t, dtype=np.float64), (b,))))
-        h = h + broadcast_to(te.reshape(b, 1, h.shape[-1]), h.shape)
-        h = h + take_rows(self.pos, np.arange(tlen))
-        h = self.stack(h)
-        out = self.out_proj(h)
-        return out.reshape(tlen, self.data_dim) if squeeze else out
+        batch = x_t.shape[:-2]
+        times = np.broadcast_to(np.asarray(t, dtype=np.float64), batch or (1,))
+        te = self.t_proj(self.t_embed(times))
+        h = self.in_proj(concat([x_t, cond], axis=-1)) + te.reshape(*batch, 1, te.shape[-1])
+        return self.out_proj(self.stack(h))
 
 
 def euler_sample(cond, velocity, cfg: OtCfmConfig, rng: np.random.Generator,
@@ -153,11 +133,14 @@ def euler_sample(cond, velocity, cfg: OtCfmConfig, rng: np.random.Generator,
     """Integrate dx/dt = velocity(x, t, cond) from t=0 to 1 in fixed steps.
 
     x0 defaults to a standard normal of `shape` (itself defaulting to the
-    conditioning's shape). Any non-finite state aborts with the step named.
+    conditioning's shape), rounded to the conditioning's dtype, so float32
+    conditioning keeps a float32 state. Any non-finite state aborts with the
+    step named.
     """
     cond_arr = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
     if x0 is None:
         x0 = rng.standard_normal(shape if shape is not None else cond_arr.shape)
+        x0 = x0.astype(cond_arr.dtype)
     x = np.array(x0, dtype=np.float64 if np.asarray(x0).dtype == np.float64 else np.float32)
     n = cfg.n_sample_steps
     for i in range(n):

@@ -109,16 +109,16 @@ class LoraLinear(Linear):
     starts at zero, so a fresh adapter is an exact no-op.
     """
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 *, rank: int, alpha: float):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, rank: int,
+                 alpha: float):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        super().__init__(d_in, d_out, rng, dtype=dtype)
+        super().__init__(d_in, d_out, rng)
         self.weight.requires_grad = False
         self.bias.requires_grad = False
         self.lora_a = Tensor(rng.normal(0.0, 0.02, size=(d_in, rank)),
-                             requires_grad=True, dtype=dtype)
-        self.lora_b = Tensor(np.zeros((rank, d_out)), requires_grad=True, dtype=dtype)
+                             requires_grad=True, dtype=DEFAULT_DTYPE)
+        self.lora_b = Tensor(np.zeros((rank, d_out)), requires_grad=True, dtype=DEFAULT_DTYPE)
         self.scaling = alpha / rank
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -151,28 +151,24 @@ class FusionConfig:
 class FusionLM(Module):
     """Causal transformer over the fused vocabulary. The stack carries a
     LoRA adapter on every dense layer and is frozen apart from the
-    adapter factors."""
+    adapter factors, its position table included."""
 
-    def __init__(self, cfg: FusionConfig, rng: np.random.Generator | None = None,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: FusionConfig, rng: np.random.Generator | None = None):
         rng = np.random.default_rng(0) if rng is None else rng
         h = cfg.hidden_dim
         self.text_embed = Tensor(rng.normal(0.0, 0.02, size=(cfg.v_text, h)),
-                                 requires_grad=False, dtype=dtype)
-        self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, h)),
-                          requires_grad=False, dtype=dtype)
+                                 requires_grad=False, dtype=DEFAULT_DTYPE)
         lora = partial(LoraLinear, rank=cfg.lora_rank, alpha=cfg.lora_alpha)
-        self.stack = TransformerStack(cfg.transformer, rng, dtype=dtype, linear=lora)
+        self.stack = TransformerStack(cfg.transformer, rng, linear=lora)
         for name, t in self.stack.named_tensors():
             if not name.endswith((".lora_a", ".lora_b")):
                 t.requires_grad = False
         self.out_base = Tensor(rng.normal(0.0, h ** -0.5, size=(h, cfg.v_text)),
-                               requires_grad=False, dtype=dtype)
+                               requires_grad=False, dtype=DEFAULT_DTYPE)
         self.audio_embed: Tensor | None = None
         self.out_ext: Tensor | None = None
         self.vocab: Vocab | None = None
         self.cfg = cfg
-        self.dtype = dtype
 
     @property
     def vocab_size(self) -> int:
@@ -180,22 +176,16 @@ class FusionLM(Module):
 
     def __call__(self, ids) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        squeeze = ids.ndim == 1
-        if squeeze:
-            ids = ids[None, :]
-        if ids.ndim != 2:
+        if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
-        b, t = ids.shape
-        if t > self.cfg.max_len:
-            raise ShapeError(f"sequence length {t} exceeds max_len {self.cfg.max_len}")
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)
-        x = self.stack(take_rows(table, ids) + take_rows(self.pos, np.arange(t)))
+        x = self.stack(take_rows(table, ids))
         logits = matmul(x, self.out_base)
         if self.out_ext is not None:
             logits = concat([logits, matmul(x, self.out_ext)], axis=-1)
-        return logits.reshape(t, self.vocab_size) if squeeze else logits
+        return logits
 
 
 def extend_vocab(model: FusionLM, n_audio: int, rng: np.random.Generator) -> Vocab:
@@ -209,9 +199,9 @@ def extend_vocab(model: FusionLM, n_audio: int, rng: np.random.Generator) -> Voc
     h = model.cfg.hidden_dim
     extra = n_audio + 2
     model.audio_embed = Tensor(rng.normal(0.0, 0.02, size=(extra, h)),
-                               requires_grad=True, dtype=model.dtype)
+                               requires_grad=True, dtype=model.text_embed.dtype)
     model.out_ext = Tensor(rng.normal(0.0, 0.02, size=(h, extra)),
-                           requires_grad=True, dtype=model.dtype)
+                           requires_grad=True, dtype=model.text_embed.dtype)
     model.vocab = Vocab(v_text=model.cfg.v_text, n_audio=n_audio)
     return model.vocab
 

@@ -1,10 +1,12 @@
 """Transformer building blocks, the AdamW optimizer and the training loop.
 
 All blocks are pre-norm (norm, sublayer, residual) with a 4x GELU MLP,
-assembled from the autodiff primitives in `tensor`; each model owns its
-learned absolute position table. Causal masking uses a finite -1e9 additive
-constant: exp underflows to +0.0 for masked scores, which keeps prefix
-outputs bit-identical whether or not later positions are present.
+assembled from the autodiff primitives in `tensor`; the stack owns the
+learned absolute position table and the length check. Modules build in
+DEFAULT_DTYPE; `Module.double` recasts one to float64 for finite-difference
+checks. Causal masking uses a finite -1e9 additive constant: exp underflows
+to +0.0 for masked scores, which keeps prefix outputs bit-identical whether
+or not later positions are present.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .tensor import (
     softmax,
     square,
     swapaxes,
+    take_rows,
     tmean,
 )
 
@@ -69,6 +72,12 @@ class Module:
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
+    def double(self) -> "Module":
+        """Recast every tensor to float64 in place; returns self."""
+        for _, t in self.named_tensors():
+            t.data = t.data.astype(np.float64)
+        return self
+
 
 @dataclass
 class TransformerConfig:
@@ -99,10 +108,10 @@ class TransformerConfig:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Tensor(rng.normal(0.0, d_in**-0.5, size=(d_in, d_out)),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)
+                             requires_grad=True, dtype=DEFAULT_DTYPE)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=DEFAULT_DTYPE)
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight) + self.bias
@@ -111,9 +120,9 @@ class Linear(Module):
 class LayerNorm(Module):
     """Normalizes the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=DEFAULT_DTYPE):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
+    def __init__(self, dim: int, eps: float = 1e-5):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=DEFAULT_DTYPE)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=DEFAULT_DTYPE)
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -163,13 +172,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Te
 
 
 class AttentionLayer(Module):
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 linear=Linear):
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
         h = cfg.hidden_dim
-        self.wq = linear(h, h, rng, dtype=dtype)
-        self.wk = linear(h, h, rng, dtype=dtype)
-        self.wv = linear(h, h, rng, dtype=dtype)
-        self.wo = linear(h, h, rng, dtype=dtype)
+        self.wq = linear(h, h, rng)
+        self.wk = linear(h, h, rng)
+        self.wv = linear(h, h, rng)
+        self.wo = linear(h, h, rng)
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
 
@@ -178,11 +186,10 @@ class AttentionLayer(Module):
 
 
 class Mlp(Module):
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 linear=Linear):
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
         h = cfg.hidden_dim
-        self.fc1 = linear(h, cfg.mlp_ratio * h, rng, dtype=dtype)
-        self.fc2 = linear(cfg.mlp_ratio * h, h, rng, dtype=dtype)
+        self.fc1 = linear(h, cfg.mlp_ratio * h, rng)
+        self.fc2 = linear(cfg.mlp_ratio * h, h, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
@@ -192,15 +199,14 @@ class TransformerBlock(Module):
     """Pre-norm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
 
     `linear` builds all six dense layers; it is called as
-    linear(d_in, d_out, rng, dtype=dtype).
+    linear(d_in, d_out, rng).
     """
 
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 linear=Linear):
-        self.ln1 = LayerNorm(cfg.hidden_dim, dtype=dtype)
-        self.attn = AttentionLayer(cfg, rng, dtype=dtype, linear=linear)
-        self.ln2 = LayerNorm(cfg.hidden_dim, dtype=dtype)
-        self.mlp = Mlp(cfg, rng, dtype=dtype, linear=linear)
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
+        self.ln1 = LayerNorm(cfg.hidden_dim)
+        self.attn = AttentionLayer(cfg, rng, linear=linear)
+        self.ln2 = LayerNorm(cfg.hidden_dim)
+        self.mlp = Mlp(cfg, rng, linear=linear)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
@@ -208,18 +214,32 @@ class TransformerBlock(Module):
 
 
 class TransformerStack(Module):
-    """cfg.n_blocks blocks, then a final LayerNorm."""
+    """Learned absolute positions, cfg.n_blocks blocks, then a final LayerNorm.
 
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE,
-                 linear=Linear):
-        self.blocks = [TransformerBlock(cfg, rng, dtype=dtype, linear=linear)
-                       for _ in range(cfg.n_blocks)]
-        self.ln_f = LayerNorm(cfg.hidden_dim, dtype=dtype)
+    Takes (T, H) or (B, T, H) with T <= cfg.max_len and returns the input's
+    shape; an unbatched input runs as a batch of one.
+    """
+
+    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
+        self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, cfg.hidden_dim)),
+                          requires_grad=True, dtype=DEFAULT_DTYPE)
+        self.blocks = [TransformerBlock(cfg, rng, linear=linear) for _ in range(cfg.n_blocks)]
+        self.ln_f = LayerNorm(cfg.hidden_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"transformer stack expects (T, H) or (B, T, H), got {x.shape}")
+        tlen = x.shape[-2]
+        if tlen > self.pos.shape[0]:
+            raise ShapeError(f"sequence length {tlen} exceeds max_len {self.pos.shape[0]}")
+        unbatched = x.ndim == 2
+        if unbatched:
+            x = x.reshape(1, *x.shape)
+        x = x + take_rows(self.pos, np.arange(tlen))
         for block in self.blocks:
             x = block(x)
-        return self.ln_f(x)
+        x = self.ln_f(x)
+        return x.reshape(x.shape[1:]) if unbatched else x
 
 
 # ----------------------------------------------------------------------
@@ -251,16 +271,15 @@ def timestep_features(t, dim: int, dtype=DEFAULT_DTYPE) -> Tensor:
 class TimestepEmbedding(Module):
     """Sinusoidal features pushed through a 2-layer MLP of the same width."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, rng: np.random.Generator):
         if dim % 2 != 0:
             raise ShapeError(f"timestep embedding dim must be even, got {dim}")
-        self.fc1 = Linear(dim, dim, rng, dtype=dtype)
-        self.fc2 = Linear(dim, dim, rng, dtype=dtype)
+        self.fc1 = Linear(dim, dim, rng)
+        self.fc2 = Linear(dim, dim, rng)
         self.dim = dim
-        self._dtype = dtype
 
     def __call__(self, t) -> Tensor:
-        feats = timestep_features(t, self.dim, dtype=self._dtype)
+        feats = timestep_features(t, self.dim, dtype=self.fc1.weight.dtype)
         if feats.ndim == 1:
             feats = feats.reshape(1, self.dim)
         return self.fc2(gelu(self.fc1(feats)))
@@ -405,7 +424,7 @@ def block_gradient_checks(eps: float = 1e-5) -> dict[str, float]:
     cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=False, max_len=16)
     results: dict[str, float] = {}
 
-    ln = LayerNorm(8, dtype=np.float64)
+    ln = LayerNorm(8).double()
     x = rng.normal(size=(2, 3, 8))
     # probe with a random linear functional; sum of squares of a normalized
     # vector is nearly input-invariant, which starves the gradient
@@ -423,15 +442,15 @@ def block_gradient_checks(eps: float = 1e-5) -> dict[str, float]:
 
     results["attention_causal"] = grad_check(causal_target, qkv, eps=eps)
 
-    mlp = Mlp(cfg, rng, dtype=np.float64)
+    mlp = Mlp(cfg, rng).double()
     results["mlp"] = grad_check(lambda t: square(mlp(t)).sum(), [rng.normal(size=(2, 3, 8))], eps=eps)
 
-    block = TransformerBlock(cfg, rng, dtype=np.float64)
+    block = TransformerBlock(cfg, rng).double()
     results["transformer_block"] = grad_check(
         lambda t: square(block(t)).sum(), [rng.normal(size=(1, 4, 8))], eps=eps
     )
 
-    temb = TimestepEmbedding(8, rng, dtype=np.float64)
+    temb = TimestepEmbedding(8, rng).double()
 
     def temb_target(w):
         saved = temb.fc1.weight

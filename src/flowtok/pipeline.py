@@ -19,7 +19,7 @@ from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
 # DivergenceError is re-exported for callers of train_tokenizer.
 from .nn import DivergenceError, Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
-from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale, square, take_rows
+from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale, square
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
 
 
@@ -74,48 +74,32 @@ class TokenizerConfig:
 
 
 class CausalEncoder(Module):
-    """Maps a latent clip (T, D) to continuous codes (T, code_dim), with
-    position t a function of frames 0..t only."""
+    """Maps a latent clip (T, D) or a batch (B, T, D) to continuous codes of
+    width code_dim, with position t a function of frames 0..t only."""
 
     def __init__(self, data_dim: int, code_dim: int, cfg: TransformerConfig,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+                 rng: np.random.Generator):
         if not cfg.causal:
             raise ShapeError("CausalEncoder requires a causal transformer config")
-        self.in_proj = Linear(data_dim, cfg.hidden_dim, rng, dtype=dtype)
-        self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, cfg.hidden_dim)),
-                          requires_grad=True, dtype=dtype)
-        self.stack = TransformerStack(cfg, rng, dtype=dtype)
-        self.out_proj = Linear(cfg.hidden_dim, code_dim, rng, dtype=dtype)
+        self.in_proj = Linear(data_dim, cfg.hidden_dim, rng)
+        self.stack = TransformerStack(cfg, rng)
+        self.out_proj = Linear(cfg.hidden_dim, code_dim, rng)
         self.data_dim = data_dim
         self.code_dim = code_dim
-        self.max_len = cfg.max_len
 
     def __call__(self, x) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        if x.ndim != 3:
-            raise ShapeError(f"encoder expects (T, D) or (B, T, D), got {x.shape}")
-        b, tlen, d = x.shape
-        if d != self.data_dim:
-            raise ShapeError(f"encoder expects data dim {self.data_dim}, got {d}")
-        if tlen > self.max_len:
-            raise ShapeError(f"sequence length {tlen} exceeds max_len {self.max_len}")
-        h = self.in_proj(x) + take_rows(self.pos, np.arange(tlen))
-        h = self.stack(h)
-        out = self.out_proj(h)
-        return out.reshape(tlen, self.code_dim) if squeeze else out
+        if x.shape[-1:] != (self.data_dim,):
+            raise ShapeError(f"encoder expects data dim {self.data_dim}, got shape {x.shape}")
+        return self.out_proj(self.stack(self.in_proj(x)))
 
 
 class TokenizerModel(Module):
-    def __init__(self, cfg: TokenizerConfig, rng: np.random.Generator | None = None,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: TokenizerConfig, rng: np.random.Generator | None = None):
         rng = np.random.default_rng(cfg.seed) if rng is None else rng
-        self.encoder = CausalEncoder(cfg.data_dim, cfg.code_dim, cfg.encoder, rng, dtype=dtype)
-        self.codebook = Codebook(cfg.codebook_size, cfg.code_dim, rng, dtype=dtype)
-        self.decoder = DitDecoder(cfg.data_dim, cfg.code_dim, cfg.decoder,
-                                  cfg.timestep_dim, rng, dtype=dtype)
+        self.encoder = CausalEncoder(cfg.data_dim, cfg.code_dim, cfg.encoder, rng)
+        self.codebook = Codebook(cfg.codebook_size, cfg.code_dim, rng)
+        self.decoder = DitDecoder(cfg.data_dim, cfg.code_dim, cfg.decoder, cfg.timestep_dim, rng)
         self.cfg = cfg
         # One width runs end to end: encoder codes are codebook queries are
         # decoder conditioning.
@@ -125,12 +109,11 @@ class TokenizerModel(Module):
 def encode_to_tokens(z, model: TokenizerModel) -> np.ndarray:
     """Latent clip(s) to discrete token indices, (T,) or (B, T)."""
     z_arr = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=DEFAULT_DTYPE)
-    batched = z_arr.ndim == 3
     with no_grad():
         codes = model.encoder(z_arr)
         flat = codes.data.reshape(-1, model.codebook.dim)
         indices = nearest_entries(flat, model.codebook.entries.data)
-    return indices.reshape(z_arr.shape[:-1]) if batched else indices
+    return indices.reshape(z_arr.shape[:-1])
 
 
 def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | None = None,

@@ -25,10 +25,11 @@ class Codebook(Module):
     log(threshold)/log(decay) steps before becoming eligible again.
     """
 
-    def __init__(self, k: int, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, k: int, dim: int, rng: np.random.Generator):
         if k < 1 or dim < 1:
             raise ShapeError(f"codebook needs positive k and dim, got {k}x{dim}")
-        self.entries = Tensor(rng.normal(0.0, 1.0, size=(k, dim)), requires_grad=True, dtype=dtype)
+        self.entries = Tensor(rng.normal(0.0, 1.0, size=(k, dim)), requires_grad=True,
+                              dtype=DEFAULT_DTYPE)
         self.usage = Tensor(np.zeros(k), dtype=np.float32)
 
     @property

@@ -1,5 +1,7 @@
 """Synthetic data generation and file format contracts."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,24 @@ class TestCheckpoints:
         names = set(read_checkpoint(path))
         assert names == {"proj.weight", "proj.bias", "scale"}
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that fails before the rename leaves the old file's bytes
+        and no temp file."""
+        model = _TinyModel()
+        path = tmp_path / "model.msnc"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        model.proj.weight.data[:] = 7.0
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.msnc"]
+
 
 class TestCaptions:
     def test_deterministic_for_fixed_rng(self):
@@ -325,6 +345,13 @@ class TestPairsJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"caption": "ok", "audio_tokens": []}\n{oops\n')
         with pytest.raises(DatasetFormatError, match=":2"):
+            load_pairs_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", "null", "true"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"caption": "ok", "audio_tokens": []}\n' + line + "\n")
+        with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:2: expected a JSON object"):
             load_pairs_jsonl(path)
 
 

@@ -173,6 +173,21 @@ class TestDitDecoder:
                   rng.normal(size=(6, 4)).astype(np.float32))
         assert out.shape == (6, 4)
 
+    def test_unbatched_input_equals_batch_of_one(self):
+        rng = _rng(16)
+        dec = _tiny_decoder(rng)
+        x = rng.normal(size=(6, 4)).astype(np.float32)
+        c = rng.normal(size=(6, 4)).astype(np.float32)
+        with no_grad():
+            single = dec(x, 0.375, c).data
+            batch = dec(x[None], np.array([0.375]), c[None]).data
+        assert single.tobytes() == batch[0].tobytes()
+
+    def test_sequence_longer_than_max_len_rejected(self):
+        dec = _tiny_decoder(_rng(16), max_len=8)
+        with pytest.raises(ShapeError, match="max_len 8"):
+            dec(np.zeros((9, 4), dtype=np.float32), 0.0, np.zeros((9, 4), dtype=np.float32))
+
     def test_conditioning_changes_output(self):
         rng = _rng(17)
         dec = _tiny_decoder(rng)

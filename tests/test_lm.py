@@ -24,7 +24,7 @@ from flowtok.lm import (
     weighted_ce_zloss,
 )
 from flowtok.nn import DivergenceError
-from flowtok.tensor import ShapeError, Tensor
+from flowtok.tensor import ShapeError, Tensor, no_grad
 
 
 class _FixedRandom:
@@ -151,11 +151,26 @@ class TestExtendVocab:
         assert after.shape[-1] == 266
         np.testing.assert_array_equal(after[:, :256], before)
 
+    def test_unbatched_ids_equal_batch_of_one(self):
+        model, vocab = extended_model()
+        ids = np.array([65, vocab.soa, vocab.audio_ids([2])[0], vocab.eoa, 66])
+        with no_grad():
+            single = model(ids).data
+            batch = model(ids[None]).data
+        assert single.shape == (5, vocab.size)
+        assert single.tobytes() == batch[0].tobytes()
+
+    def test_sequence_longer_than_max_len_rejected(self):
+        model, _ = extended_model()
+        with pytest.raises(ShapeError, match="max_len 96"):
+            model(np.zeros(97, dtype=np.int64))
+
     def test_new_rows_trainable_text_rows_frozen(self):
         model, _ = extended_model()
         trainable = {name for name, _ in model.named_parameters()}
         assert "audio_embed" in trainable and "out_ext" in trainable
         assert "text_embed" not in trainable and "out_base" not in trainable
+        assert "stack.pos" not in trainable
 
     def test_new_row_gradients_nonzero_with_audio(self):
         model, vocab = extended_model()

@@ -175,7 +175,7 @@ class TestFit:
     def _quadratic(self, seen, nan_at=None):
         """A Linear fitted to zero output; seen records the weight at every
         loss call, and call nan_at (1-based) reports a non-finite loss."""
-        layer = Linear(3, 2, _rng(5), dtype=np.float64)
+        layer = Linear(3, 2, _rng(5)).double()
         x = _rng(6).normal(size=(10, 3))
 
         def loss_fn(rows):
@@ -216,9 +216,15 @@ class TestModuleRegistry:
         cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4)
         stack = TransformerStack(cfg, rng)
         names = [n for n, _ in stack.named_parameters()]
-        assert names[0].startswith("blocks.0.")
+        assert names[0] == "pos" and names[1].startswith("blocks.0.")
         assert names == [n for n, _ in stack.named_parameters()]
         assert "ln_f.gamma" in names
+
+    def test_stack_rejects_four_dim_input(self):
+        cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, max_len=4)
+        stack = TransformerStack(cfg, _rng(12))
+        with pytest.raises(ShapeError, match=r"\(T, H\) or \(B, T, H\)"):
+            stack(Tensor(np.zeros((1, 1, 3, 8), dtype=np.float32)))
 
     def test_linear_bias_broadcasts(self):
         lin = Linear(4, 3, _rng(13))

@@ -22,7 +22,7 @@ from flowtok.pipeline import (
     encode_to_tokens,
     train_tokenizer,
 )
-from flowtok.tensor import ShapeError
+from flowtok.tensor import ShapeError, no_grad
 from flowtok.vq import codebook_maintenance
 
 
@@ -115,6 +115,22 @@ class TestEncode:
         model = TokenizerModel(cfg)
         with pytest.raises(ShapeError, match="data dim"):
             encode_to_tokens(np.zeros((16, 5), dtype=np.float32), model)
+
+    def test_unbatched_clip_equals_batch_of_one(self):
+        cfg = tiny_config()
+        model = TokenizerModel(cfg)
+        clip = tiny_dataset(cfg).values[0]
+        with no_grad():
+            single = model.encoder(clip).data
+            batch = model.encoder(clip[None]).data
+        assert single.shape == (cfg.frames, cfg.code_dim)
+        assert single.tobytes() == batch[0].tobytes()
+
+    def test_clip_longer_than_max_len_rejected(self):
+        cfg = tiny_config()
+        model = TokenizerModel(cfg)
+        with pytest.raises(ShapeError, match="max_len 16"):
+            encode_to_tokens(np.zeros((17, cfg.data_dim), dtype=np.float32), model)
 
     def test_encoder_requires_causal_config(self):
         with pytest.raises(ShapeError, match="causal"):
