@@ -1,7 +1,9 @@
 """Command-line front end: one non-interactive subcommand per workflow.
 
-Outputs are files; every run drops a resolved-config JSON (seed included)
-next to them so it can be replayed exactly. Exit codes: 0 success, 1
+Outputs are files; every run drops a resolved-config JSON (seed and
+every parsed argument included) next to them so it can be replayed
+exactly. A checkpoint carries its model's config in its header, so
+commands that read one need no other file. Exit codes: 0 success, 1
 usage error, 2 runtime failure. With MSN_DETERMINISTIC=1 the package
 pins BLAS to a single thread, so equal configs and seeds give
 byte-identical artifacts.
@@ -10,7 +12,6 @@ byte-identical artifacts.
 import argparse
 import json
 import sys
-from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,19 @@ import numpy as np
 from . import __version__
 from .data import (
     INSTRUCTIONS,
+    CheckpointError,
     LatentDataset,
     MetricsLog,
     SyntheticLatentSpec,
+    _build,
+    _flatten,
     config_digest,
     gen_caption,
     gen_latent_dataset,
-    load_checkpoint,
     load_latents,
     load_pairs_jsonl,
+    load_tensors,
+    read_checkpoint,
     save_checkpoint,
     save_latents,
     save_pairs_jsonl,
@@ -76,35 +81,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _flatten(cfg, prefix: str = "") -> dict:
-    """A config dataclass as flat dotted keys, e.g. `encoder.n_blocks`."""
-    flat = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            flat.update(_flatten(value, f"{prefix}{f.name}."))
-        else:
-            flat[prefix + f.name] = value
-    return flat
-
-
-def _build(cls, flat: dict, prefix: str = "", default=None):
-    """Inverse of _flatten: a cls whose fields come from flat's dotted keys.
-
-    Missing keys keep the default instance's value (cls() at the top, its
-    own nested config below), and keys cls lacks are ignored."""
-    default = cls() if default is None else default
-    changes = {}
-    for f in fields(cls):
-        value = getattr(default, f.name)
-        key = prefix + f.name
-        if is_dataclass(value):
-            changes[f.name] = _build(type(value), flat, key + ".", value)
-        elif key in flat:
-            changes[f.name] = flat[key]
-    return replace(default, **changes)
-
-
 GEN_DATA_DEFAULTS = {
     "n_classes": 4, "frames": 32, "dim": 16, "noise_std": 0.05,
     "bimodal_class": -1, "n_per_class": 16, "splits": "train,val", "seed": 0,
@@ -118,22 +94,17 @@ _TOKENIZER_INPUTS = {"frames", "data_dim", "objective"} | {
 TRAIN_TOKENIZER_DEFAULTS = {key: value for key, value in _flatten(TokenizerConfig()).items()
                             if key not in _TOKENIZER_INPUTS}
 
-ENCODE_DEFAULTS = {"seed": 0}
+SEED_DEFAULTS = {"seed": 0}
 
-DECODE_DEFAULTS = {"seed": 0}
+# decode, eval-* and compare; n_steps None keeps the checkpoint's flow.n_sample_steps.
+DECODE_DEFAULTS = {"seed": 0, "n_steps": None}
 
 TRAIN_LM_DEFAULTS = {
     **_flatten(FusionConfig()), **_flatten(LmTrainConfig()), "n_audio": 256,
     # Optional warm start (usually a pretrain checkpoint before finetune).
-    # Structural keys must match the checkpoint; mismatches fail loudly.
+    # The model keys must match the checkpoint's; mismatches fail loudly.
     "checkpoint": None,
 }
-
-GENERATE_DEFAULTS = {"seed": 0}
-
-EVAL_DEFAULTS = {"seed": 0, "n_steps": None}
-
-COMPARE_DEFAULTS = {"seed": 0, "n_steps": None}
 
 REPORT_DEFAULTS = {
     "tokens_per_clip": TokenizerConfig.paper().frames, "clip_seconds": 10.0,
@@ -176,43 +147,32 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_resolved(out_dir: Path, command: str, config: dict, **extras) -> None:
-    payload = {"command": command, **config, **extras}
+def _write_resolved(config: dict, args) -> None:
+    """The run record: the resolved config plus every parsed argument but
+    the plumbing, in --out when that is a directory, else beside it."""
+    payload = {**config, **{key: value for key, value in vars(args).items()
+                            if key not in {"func", "defaults", "config", "overrides", "out"}}}
     payload["digest"] = config_digest(payload)
-    _write_json(out_dir / f"{command}-config.json", payload)
+    out = Path(args.out)
+    _write_json((out if out.is_dir() else out.parent) / f"{args.command}-config.json", payload)
 
 
 # ---------------------------------------------------------------------------
-# model (de)serialization helpers
-
-def _tokenizer_config(flat: dict) -> TokenizerConfig:
-    """The tokenizer of a train-tokenizer config or sidecar, which holds
-    frames, data_dim and objective; both towers span the clip."""
-    frames = flat["frames"]
-    return _build(TokenizerConfig, {**flat, "encoder.max_len": frames,
-                                    "decoder.max_len": frames})
-
-
-def _read_sidecar(checkpoint_path) -> dict:
-    path = Path(checkpoint_path)
-    sidecar = path.with_suffix(".json")
-    if not sidecar.is_file():
-        raise FileNotFoundError(f"missing model config {sidecar} next to {path.name}")
-    return json.loads(sidecar.read_text(encoding="utf-8"))
-
+# model loading: a checkpoint's header holds its config
 
 def _load_tokenizer(checkpoint_path) -> TokenizerModel:
-    model = TokenizerModel(_tokenizer_config(_read_sidecar(checkpoint_path)),
-                           np.random.default_rng(0))
-    load_checkpoint(checkpoint_path, model)
+    header, tensors = read_checkpoint(checkpoint_path)
+    model = TokenizerModel(_build(TokenizerConfig, header), np.random.default_rng(0))
+    load_tensors(checkpoint_path, tensors, model)
     return model
 
 
 def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
-    side = _read_sidecar(checkpoint_path)
-    model = FusionLM(_build(FusionConfig, side), np.random.default_rng(0))
-    vocab = extend_vocab(model, side["n_audio"], np.random.default_rng(0))
-    load_checkpoint(checkpoint_path, model)
+    header, tensors = read_checkpoint(checkpoint_path)
+    model = FusionLM(_build(FusionConfig, header), np.random.default_rng(0))
+    # The audio block is audio_embed's rows less soa and eoa.
+    vocab = extend_vocab(model, tensors["audio_embed"].shape[0] - 2, np.random.default_rng(0))
+    load_tensors(checkpoint_path, tensors, model)
     return model, vocab
 
 
@@ -268,7 +228,6 @@ def cmd_gen_data(args, config: dict) -> int:
         path = out / f"{split}.msnl"
         save_latents(path, ds)
         print(f"wrote {path} ({len(ds)} clips of {spec.frames}x{spec.dim})")
-    _write_resolved(out, "gen-data", config)
     return 0
 
 
@@ -277,21 +236,19 @@ def cmd_train_tokenizer(args, config: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_latents(args.data)
     _, frames, data_dim = dataset.values.shape
-    side = {**config, "frames": frames, "data_dim": data_dim, "objective": args.objective}
-    cfg = _tokenizer_config(side)
+    # Both towers span the clip.
+    cfg = _build(TokenizerConfig, {**config, "frames": frames, "data_dim": data_dim,
+                                   "objective": args.objective,
+                                   "encoder.max_len": frames, "decoder.max_len": frames})
     model = TokenizerModel(cfg)
     checkpoint = out / "tokenizer.msnc"
-    # Sidecar goes first so even a divergence-rollback checkpoint loads.
-    _write_json(checkpoint.with_suffix(".json"), side)
     metrics = MetricsLog()
+    # train_tokenizer writes the checkpoint after every epoch.
     report = train_tokenizer(dataset, model, cfg, metrics=metrics,
                              checkpoint_path=checkpoint)
-    save_checkpoint(checkpoint, model)
     metrics.write_csv(out / "metrics.csv")
     metrics.write_json(out / "metrics.json", command="train-tokenizer",
                        objective=args.objective, seed=config["seed"])
-    _write_resolved(out, "train-tokenizer", config,
-                    objective=args.objective, data=str(args.data))
     print(f"wrote {checkpoint}")
     print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
           f"final loss {report.final['loss']:.6f}, "
@@ -312,8 +269,6 @@ def cmd_encode(args, config: dict) -> int:
         pairs.append({"caption": gen_caption(label, rng),
                       "audio_tokens": tokens[i].tolist()})
     save_pairs_jsonl(out / "pairs.jsonl", pairs)
-    _write_resolved(out, "encode", config,
-                    checkpoint=str(args.checkpoint), data=str(args.data))
     print(f"wrote {out / 'tokens.npy'} ({tokens.shape[0]} clips x {tokens.shape[1]} tokens)")
     print(f"wrote {out / 'pairs.jsonl'}")
     return 0
@@ -327,12 +282,10 @@ def cmd_decode(args, config: dict) -> int:
     if tokens.ndim == 1:
         tokens = tokens[np.newaxis, :]
     rng = np.random.default_rng(config["seed"])
-    values = decode_tokens(tokens, model, rng=rng, n_steps=args.steps)
+    values = decode_tokens(tokens, model, rng=rng, n_steps=config["n_steps"])
     decoded = LatentDataset(values=values, labels=np.zeros(values.shape[0], dtype=np.uint16))
     path = out / "decoded.msnl"
     save_latents(path, decoded)
-    _write_resolved(out, "decode", config, checkpoint=str(args.checkpoint),
-                    tokens=str(args.tokens), steps=args.steps)
     print(f"wrote {path} ({len(decoded)} clips)")
     return 0
 
@@ -347,7 +300,14 @@ def cmd_train_lm(args, config: dict) -> int:
     model = FusionLM(cfg, np.random.default_rng(config["seed"]))
     vocab = extend_vocab(model, config["n_audio"], np.random.default_rng(config["seed"] + 1))
     if config["checkpoint"] is not None:
-        load_checkpoint(Path(config["checkpoint"]), model)
+        path = Path(config["checkpoint"])
+        header, tensors = read_checkpoint(path)
+        run = _flatten(cfg)
+        differ = [f"{key} (checkpoint {header.get(key)!r}, run {run.get(key)!r})"
+                  for key in sorted(header.keys() | run.keys()) if header.get(key) != run.get(key)]
+        if differ:
+            raise CheckpointError(f"{path}: run config differs in {', '.join(differ)}")
+        load_tensors(path, tensors, model)
     order_rng = np.random.default_rng(config["seed"] + 2)
     examples = []
     for i, pair in enumerate(pairs):
@@ -364,13 +324,10 @@ def cmd_train_lm(args, config: dict) -> int:
     report = train_lm(examples, model, _build(LmTrainConfig, config), metrics=metrics)
     checkpoint = out / "lm.msnc"
     save_checkpoint(checkpoint, model)
-    _write_json(checkpoint.with_suffix(".json"),
-                {**_flatten(cfg), "n_audio": config["n_audio"], "stage": args.stage})
     metrics.write_csv(out / "metrics.csv")
     accuracy = next_token_accuracy(model, examples)
     metrics.write_json(out / "metrics.json", command="train-lm", stage=args.stage,
                        seed=config["seed"], next_token_accuracy=accuracy)
-    _write_resolved(out, "train-lm", config, stage=args.stage, pairs=str(args.pairs))
     print(f"wrote {checkpoint}")
     print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
           f"final loss {report.step_losses[-1]:.4f}, "
@@ -394,10 +351,6 @@ def cmd_generate(args, config: dict) -> int:
         "segments": _segments(result.tokens, vocab),
         "unclosed_audio": bool(result.unclosed_audio),
     })
-    _write_resolved(out.parent, "generate", config,
-                    checkpoint=str(args.checkpoint), prompt=args.prompt,
-                    max_new=args.max_new, temperature=args.temperature,
-                    top_k=args.top_k)
     print(f"wrote {out} ({result.generated.size} new tokens)")
     return 0
 
@@ -419,8 +372,6 @@ def cmd_eval(args, config: dict) -> int:
     _write_json(out, {"split": split, "metric": metric, "value": value,
                       "clamp_events": clamp.events, "count": len(dataset),
                       "seed": config["seed"]})
-    _write_resolved(out.parent, args.command, config,
-                    checkpoint=str(args.checkpoint), data=str(args.data))
     print(f"{metric}[{split}] = {value:.6f} ({clamp.events} eigenvalue clamps)")
     return 0
 
@@ -440,8 +391,6 @@ def cmd_compare(args, config: dict) -> int:
                                 seed=config["seed"], n_steps=config["n_steps"])
     report.write_csv(out / "compare.csv")
     report.write_json(out / "compare.json", seed=config["seed"])
-    _write_resolved(out, "compare", config, fm=str(args.fm), mse=str(args.mse),
-                    data=list(args.data))
     for split, model_name, metric, value in report.rows:
         print(f"{metric}[{split}, {model_name}] = {value:.6f}")
     return 0
@@ -482,7 +431,6 @@ def cmd_report(args, config: dict) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
-    _write_resolved(out.parent, "report", config)
     print(f"bitrate {bps:.1f} bps")
     print(note)
     return 0
@@ -518,7 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("encode", "encode latents to discrete tokens and caption pairs",
-            ENCODE_DEFAULTS, cmd_encode)
+            SEED_DEFAULTS, cmd_encode)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
@@ -527,8 +475,6 @@ def build_parser() -> _Parser:
             DECODE_DEFAULTS, cmd_decode)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--tokens", required=True, metavar="FILE")
-    p.add_argument("--steps", type=int, default=None, metavar="N",
-                   help="integration steps (flow objective only)")
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("train-lm", "train the fusion language model on token pairs",
@@ -538,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("generate", "sample tokens from a trained fusion LM",
-            GENERATE_DEFAULTS, cmd_generate)
+            SEED_DEFAULTS, cmd_generate)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-new", type=int, default=64, metavar="N")
@@ -550,13 +496,13 @@ def build_parser() -> _Parser:
 
     for name, help_text in (("eval-recon", "reconstruction error of a tokenizer on a dataset"),
                             ("eval-fad", "distributional distance of reconstructions")):
-        p = add(name, help_text, EVAL_DEFAULTS, cmd_eval)
+        p = add(name, help_text, DECODE_DEFAULTS, cmd_eval)
         p.add_argument("--checkpoint", required=True, metavar="FILE")
         p.add_argument("--data", required=True, metavar="FILE")
         p.add_argument("--out", required=True, metavar="FILE")
 
     p = add("compare", "side-by-side metrics for flow and MSE tokenizers",
-            COMPARE_DEFAULTS, cmd_compare)
+            DECODE_DEFAULTS, cmd_compare)
     p.add_argument("--fm", required=True, metavar="FILE",
                    help="flow-objective checkpoint")
     p.add_argument("--mse", required=True, metavar="FILE",
@@ -585,7 +531,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         config = _load_config(args.defaults, args.config, args.overrides)
-        return args.func(args, config)
+        code = args.func(args, config)
+        if hasattr(args, "out"):
+            _write_resolved(config, args)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

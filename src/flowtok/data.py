@@ -5,12 +5,13 @@ Formats (all little-endian):
   latent dataset  magic "MSNL", u32 version=1, u32 count, u32 T, u32 D,
                   count*T*D float32 values, then count u16 class labels.
 
-  checkpoint      magic "MSNC", u32 version=1, then one record per tensor:
-                  u16 name length, UTF-8 name, u8 ndim, u32 per dim,
-                  float32 payload; a trailing u32 CRC-32 covers every byte
-                  between the version field and the CRC, so truncation at
-                  any offset is detected. Records end when exactly four
-                  bytes remain.
+  checkpoint      magic "MSNC", u32 version=2, u32 header length, a UTF-8
+                  JSON header (the source's cfg as sorted flat dotted keys,
+                  {} without one), then one record per tensor: u16 name
+                  length, UTF-8 name, u8 ndim, u32 per dim, float32
+                  payload; a trailing u32 CRC-32 covers every byte between
+                  the version field and the CRC, so truncation at any
+                  offset is detected. Records end when four bytes remain.
 
 Synthetic clips are damped sinusoids with per-class frequency, amplitude,
 damping, and phase profiles, which keeps classes linearly separable. One
@@ -26,7 +27,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .tensor import Tensor
 LATENT_MAGIC = b"MSNL"
 CHECKPOINT_MAGIC = b"MSNC"
 LATENT_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -175,6 +176,35 @@ def load_latents(path) -> LatentDataset:
 # checkpoints
 
 
+def _flatten(cfg, prefix: str = "") -> dict:
+    """A config dataclass as flat dotted keys, e.g. `encoder.n_blocks`."""
+    flat = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            flat.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            flat[prefix + f.name] = value
+    return flat
+
+
+def _build(cls, flat: dict, prefix: str = "", default=None):
+    """Inverse of _flatten: a cls whose fields come from flat's dotted keys.
+
+    Missing keys keep the default instance's value (cls() at the top, its
+    own nested config below), and keys cls lacks are ignored."""
+    default = cls() if default is None else default
+    changes = {}
+    for f in fields(cls):
+        value = getattr(default, f.name)
+        key = prefix + f.name
+        if is_dataclass(value):
+            changes[f.name] = _build(type(value), flat, key + ".", value)
+        elif key in flat:
+            changes[f.name] = flat[key]
+    return replace(default, **changes)
+
+
 def _named_tensors(source) -> list[tuple[str, np.ndarray]]:
     if isinstance(source, Module):
         return [(name, t.data) for name, t in source.named_tensors()]
@@ -184,10 +214,13 @@ def _named_tensors(source) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(path, source) -> None:
-    """Write source's tensors to path atomically: the bytes go to a sibling
-    temp file, are fsynced, then renamed over path, so a crash or error at
-    any point leaves the previous file whole and no temp file behind."""
-    chunks: list[bytes] = []
+    """Write source's config header and tensors to path atomically: the
+    bytes go to a sibling temp file, are fsynced, then renamed over path,
+    so a crash or error at any point leaves the previous file whole and no
+    temp file behind."""
+    cfg = getattr(source, "cfg", None)
+    header = json.dumps({} if cfg is None else _flatten(cfg), sort_keys=True).encode("utf-8")
+    chunks: list[bytes] = [struct.pack("<I", len(header)), header]
     for name, arr in _named_tensors(source):
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -200,14 +233,14 @@ def save_checkpoint(path, source) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    records = b"".join(chunks)
-    crc = zlib.crc32(records) & 0xFFFFFFFF
+    body = b"".join(chunks)
+    crc = zlib.crc32(body) & 0xFFFFFFFF
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(records)
+            f.write(body)
             f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
@@ -217,27 +250,36 @@ def save_checkpoint(path, source) -> None:
         raise
 
 
-def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse and CRC-verify; returns name -> float32 array. Fails atomically:
-    either the whole file parses or nothing is returned."""
+def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse and CRC-verify; returns (config, tensors): the header's flat
+    config dict and name -> float32 array. Fails atomically: either the
+    whole file parses or nothing is returned."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    records = raw[8:-4]
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(records) & 0xFFFFFFFF != stored_crc:
+    end = len(raw) - 4
+    (stored_crc,) = struct.unpack_from("<I", raw, end)
+    records = memoryview(raw)[:end]
+    if zlib.crc32(records[8:]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: CRC mismatch, file corrupt or truncated")
+    try:
+        off = 12 + struct.unpack_from("<I", records, 8)[0]
+        if off > end:
+            raise ValueError("header length overruns the file")
+        config = json.loads(bytes(records[12:off]).decode("utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError("header is not a JSON object")
+    except (struct.error, ValueError, RecursionError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
     tensors: dict[str, np.ndarray] = {}
-    off = 0
-    end = len(records)
     while off < end:
         try:
             (name_len,) = struct.unpack_from("<H", records, off)
             off += 2
-            name = records[off:off + name_len].decode("utf-8")
+            name = bytes(records[off:off + name_len]).decode("utf-8")
             off += name_len
             (ndim,) = struct.unpack_from("<B", records, off)
             off += 1
@@ -251,15 +293,12 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = payload.reshape(shape).copy()
-    if off != end:
-        raise CheckpointError(f"{path}: {end - off} stray bytes after last record")
-    return tensors
+    return config, tensors
 
 
-def load_checkpoint(path, model: Module) -> None:
-    """Load into an existing model. Name sets must match exactly; mismatches
-    are reported with the offending names listed."""
-    tensors = read_checkpoint(path)
+def load_tensors(path, tensors: dict[str, np.ndarray], model: Module) -> None:
+    """Copy tensors read from path into model. Name sets must match
+    exactly; mismatches are reported with the offending names listed."""
     expected = {name: t for name, t in model.named_tensors()}
     unknown = sorted(set(tensors) - set(expected))
     missing = sorted(set(expected) - set(tensors))
@@ -277,6 +316,12 @@ def load_checkpoint(path, model: Module) -> None:
     for name, arr in tensors.items():
         target = expected[name]
         target.data = arr.astype(target.dtype, copy=False)
+
+
+def load_checkpoint(path, model: Module) -> None:
+    """Load path's tensors into an existing model (see load_tensors); the
+    header's config is not compared."""
+    load_tensors(path, read_checkpoint(path)[1], model)
 
 
 # ----------------------------------------------------------------------

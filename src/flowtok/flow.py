@@ -122,6 +122,8 @@ class DitDecoder(Module):
                 f"decoder: state {x_t.shape} and conditioning {cond.shape} disagree on (B, T)"
             )
         batch = x_t.shape[:-2]
+        if np.ndim(t) and np.shape(t) != (batch or (1,)):
+            raise ShapeError(f"decoder: timestep shape {np.shape(t)} vs state {x_t.shape}")
         times = np.broadcast_to(np.asarray(t, dtype=np.float64), batch or (1,))
         te = self.t_proj(self.t_embed(times))
         h = self.in_proj(concat([x_t, cond], axis=-1)) + te.reshape(*batch, 1, te.shape[-1])

@@ -443,6 +443,8 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     ids = np.asarray(prompt, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ShapeError("generate: prompt must be a nonempty 1-D id sequence")
+    if ids.size >= model.cfg.max_len:
+        raise ShapeError(f"generate: prompt of {ids.size} tokens fills max_len {model.cfg.max_len}")
     if ids.min() < 0 or ids.max() >= vocab.size:
         raise ValueError(f"generate: prompt id outside [0, {vocab.size})")
     well_formed, open_span = audio_spans_valid(ids, vocab)

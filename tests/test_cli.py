@@ -16,6 +16,7 @@ from flowtok.cli import (
     _flatten,
     main,
 )
+from flowtok.data import read_checkpoint
 from flowtok.lm import FusionConfig, LmTrainConfig
 from flowtok.pipeline import TokenizerConfig
 
@@ -171,27 +172,25 @@ class TestArtifacts:
         assert (workspace / "data" / "train.msnl").is_file()
         assert (workspace / "data" / "val.msnl").is_file()
 
-    def test_tokenizer_checkpoint_and_sidecar(self, workspace):
-        assert (workspace / "fm" / "tokenizer.msnc").is_file()
-        side = json.loads((workspace / "fm" / "tokenizer.json").read_text())
-        assert side["objective"] == "fm"
-        assert side["frames"] == 8
-        assert set(side) == set(TRAIN_TOKENIZER_DEFAULTS) | {"frames", "data_dim", "objective"}
+    def test_tokenizer_checkpoint_header(self, workspace):
+        """The checkpoint's header holds the whole TokenizerConfig; no
+        other file describes the model."""
+        for objective in ("fm", "mse"):
+            assert sorted(p.name for p in (workspace / objective).glob("tokenizer*")) == [
+                "tokenizer.msnc"]
+            header, _ = read_checkpoint(workspace / objective / "tokenizer.msnc")
+            assert header["objective"] == objective
+            assert header["frames"] == header["encoder.max_len"] == 8
+            assert header["data_dim"] == 4
+            assert set(header) == set(_flatten(TokenizerConfig()))
 
-    def test_structural_only_sidecar_loads(self, workspace, tmp_path):
-        """A sidecar with only the structural keys, as older releases wrote
-        it, rebuilds the same model: encode gives the same tokens."""
-        old = tmp_path / "old"
-        old.mkdir()
-        (old / "tokenizer.msnc").write_bytes((workspace / "fm" / "tokenizer.msnc").read_bytes())
-        (old / "tokenizer.json").write_text(json.dumps({
-            "frames": 8, "data_dim": 4, "code_dim": 8, "codebook_size": 16,
-            "objective": "fm",
-            "encoder.n_blocks": 1, "encoder.hidden_dim": 32, "encoder.head_dim": 16,
-            "decoder.n_blocks": 1, "decoder.hidden_dim": 32, "decoder.head_dim": 16,
-            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 2, "timestep_dim": 16,
-        }))
-        assert main(["encode", "--checkpoint", str(old / "tokenizer.msnc"),
+    def test_checkpoint_copied_alone_loads(self, workspace, tmp_path):
+        """A checkpoint copied alone into an empty directory rebuilds the
+        same model: encode gives the same tokens."""
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "tokenizer.msnc").write_bytes((workspace / "fm" / "tokenizer.msnc").read_bytes())
+        assert main(["encode", "--checkpoint", str(alone / "tokenizer.msnc"),
                      "--data", str(workspace / "data" / "train.msnl"),
                      "--out", str(tmp_path / "enc")]) == 0
         np.testing.assert_array_equal(np.load(tmp_path / "enc" / "tokens.npy"),
@@ -213,7 +212,7 @@ class TestArtifacts:
     def test_decode_round_trip_shape(self, workspace, tmp_path):
         code = main(["decode", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),
                      "--tokens", str(workspace / "enc" / "tokens.npy"),
-                     "--steps", "2", "--out", str(tmp_path)])
+                     "--out", str(tmp_path), "--set", "n_steps=2"])
         assert code == 0
         from flowtok.data import load_latents
         decoded = load_latents(tmp_path / "decoded.msnl")
@@ -288,8 +287,11 @@ class TestLmCommands:
                      "--set", "n_blocks=1", "--set", "epochs=1"])
         assert code == 0
         assert (tmp_path / "lm" / "lm.msnc").is_file()
-        side = json.loads((tmp_path / "lm" / "lm.json").read_text())
-        assert side["n_audio"] == 16 and side["stage"] == "pretrain"
+        assert not (tmp_path / "lm" / "lm.json").exists()
+        header, tensors = read_checkpoint(tmp_path / "lm" / "lm.msnc")
+        assert header == _flatten(FusionConfig(max_len=48, hidden_dim=32, head_dim=16,
+                                               n_blocks=1))
+        assert tensors["audio_embed"].shape[0] == 16 + 2
         out = tmp_path / "gen.json"
         code = main(["generate", "--checkpoint", str(tmp_path / "lm" / "lm.msnc"),
                      "--prompt", "A gentle chime", "--max-new", "8",
@@ -338,6 +340,43 @@ class TestLmCommands:
         assert main(["train-lm", "--stage", "finetune", "--pairs", pairs,
                      "--out", str(tmp_path / "bad"), *wrong, *warm]) == 2
 
+    @pytest.mark.parametrize("key, value", [("lora_alpha", "64"), ("head_dim", "8")])
+    def test_warm_start_config_mismatch_named(self, workspace, tmp_path, capsys,
+                                              key, value):
+        """A warm start whose run config differs from the checkpoint's
+        header fails with exit 2 and names the key, even where no tensor
+        shape changes."""
+        shape = {"n_audio": "16", "max_len": "48", "hidden_dim": "32",
+                 "head_dim": "16", "n_blocks": "1", "epochs": "1"}
+        pairs = str(workspace / "enc" / "pairs.jsonl")
+
+        def train(out, **changes):
+            sets = [arg for k, v in {**shape, **changes}.items()
+                    for arg in ("--set", f"{k}={v}")]
+            return main(["train-lm", "--stage", "pretrain", "--pairs", pairs,
+                         "--out", str(tmp_path / out), *sets])
+
+        assert train("pre") == 0
+        warm = f'"{tmp_path / "pre" / "lm.msnc"}"'
+        capsys.readouterr()
+        assert train("bad", checkpoint=warm, **{key: value}) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "lm.msnc").exists()
+
+    def test_generate_records_every_argument(self, workspace, tmp_path):
+        assert main(["train-lm", "--stage", "pretrain",
+                     "--pairs", str(workspace / "enc" / "pairs.jsonl"),
+                     "--out", str(tmp_path / "lm"),
+                     "--set", "n_audio=16", "--set", "max_len=48",
+                     "--set", "hidden_dim=32", "--set", "head_dim=16",
+                     "--set", "n_blocks=1", "--set", "epochs=1"]) == 0
+        assert main(["generate", "--checkpoint", str(tmp_path / "lm" / "lm.msnc"),
+                     "--prompt", "A gentle chime", "--max-new", "4", "--unconstrained",
+                     "--out", str(tmp_path / "gen" / "gen.json")]) == 0
+        resolved = json.loads((tmp_path / "gen" / "generate-config.json").read_text())
+        assert resolved["unconstrained"] is True
+        assert resolved["max_new"] == 4 and resolved["command"] == "generate"
+
 
 class TestReport:
     def test_bitrate_and_annotation(self, tmp_path, capsys):
@@ -356,6 +395,14 @@ class TestReport:
         assert main(["report", "--out", str(out), "--metrics", str(extra)]) == 0
         payload = json.loads(out.read_text())
         assert payload["metrics"]["m.json"]["value"] == 1.5
+
+    def test_records_metric_files(self, tmp_path):
+        extra = tmp_path / "m.json"
+        extra.write_text(json.dumps({"metric": "recon_mse", "value": 1.5}))
+        assert main(["report", "--out", str(tmp_path / "report.json"),
+                     "--metrics", str(extra)]) == 0
+        resolved = json.loads((tmp_path / "report-config.json").read_text())
+        assert resolved["metrics"] == [str(extra)]
 
 
 class TestGradCheck:

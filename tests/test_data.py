@@ -1,11 +1,17 @@
 """Synthetic data generation and file format contracts."""
 
+import json
 import os
+import struct
+import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from flowtok.data import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     DatasetFormatError,
     EVENT_NOUNS,
@@ -175,6 +181,31 @@ class _TinyModel(Module):
         self.scale = Tensor(np.ones(4), requires_grad=True)
 
 
+@dataclass
+class _InnerConfig:
+    rate: float = 0.5
+
+
+@dataclass
+class _TinyConfig:
+    width: int = 3
+    inner: _InnerConfig = field(default_factory=_InnerConfig)
+
+
+class _ConfiguredModel(Module):
+    """A module with a config, so its checkpoint has a non-empty header."""
+
+    def __init__(self):
+        self.cfg = _TinyConfig()
+        self.w = Tensor(np.arange(6.0).reshape(2, 3))
+
+
+def _forge(path, body: bytes) -> None:
+    """A current-version checkpoint around body, with a valid CRC."""
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + body
+                     + struct.pack("<I", zlib.crc32(body)))
+
+
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         model = _TinyModel()
@@ -221,9 +252,9 @@ class TestCheckpoints:
         path = tmp_path / "model.msnc"
         save_checkpoint(path, model)
         raw = bytearray(path.read_bytes())
-        raw[4] = 2
+        raw[4] = 1
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 2"):
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
             read_checkpoint(path)
 
     def test_unknown_and_missing_names_listed(self, tmp_path):
@@ -254,7 +285,8 @@ class TestCheckpoints:
         state = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.float32(2.5)}
         path = tmp_path / "state.msnc"
         save_checkpoint(path, state)
-        back = read_checkpoint(path)
+        config, back = read_checkpoint(path)
+        assert config == {}
         np.testing.assert_array_equal(back["a"], state["a"])
         assert back["b"].shape == ()
         assert float(back["b"]) == 2.5
@@ -263,8 +295,58 @@ class TestCheckpoints:
         model = _TinyModel()
         path = tmp_path / "model.msnc"
         save_checkpoint(path, model)
-        names = set(read_checkpoint(path))
+        names = set(read_checkpoint(path)[1])
         assert names == {"proj.weight", "proj.bias", "scale"}
+
+    def test_header_is_flat_sorted_config(self, tmp_path):
+        path = tmp_path / "model.msnc"
+        save_checkpoint(path, _ConfiguredModel())
+        raw = path.read_bytes()
+        expected = json.dumps({"inner.rate": 0.5, "width": 3}, sort_keys=True).encode()
+        assert struct.unpack_from("<I", raw, 8) == (len(expected),)
+        assert raw[12:12 + len(expected)] == expected
+        config, tensors = read_checkpoint(path)
+        assert config == {"inner.rate": 0.5, "width": 3}
+        np.testing.assert_array_equal(tensors["w"], np.arange(6.0).reshape(2, 3))
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "model.msnc"
+        save_checkpoint(path, _ConfiguredModel())
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+
+    def test_every_bit_flip_rejected(self, tmp_path):
+        path = tmp_path / "model.msnc"
+        save_checkpoint(path, _ConfiguredModel())
+        raw = path.read_bytes()
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+
+    def test_forged_empty_file_reads(self, tmp_path):
+        """The forging helper writes a valid file when its body is."""
+        path = tmp_path / "model.msnc"
+        _forge(path, struct.pack("<I", 2) + b"{}")
+        assert read_checkpoint(path) == ({}, {})
+
+    @pytest.mark.parametrize("body, message", [
+        (struct.pack("<I", 1000) + b"{}", "overruns"),
+        (struct.pack("<I", 2) + b"\xff\xfe", "utf-8"),
+        (struct.pack("<I", 1) + b"{", "malformed header"),
+        (struct.pack("<I", 2) + b"[]", "not a JSON object"),
+        (b"\x00\x00", "malformed header"),
+    ], ids=["length-overrun", "bad-utf8", "bad-json", "json-array", "no-length"])
+    def test_crc_valid_malformed_header_rejected(self, tmp_path, body, message):
+        path = tmp_path / "model.msnc"
+        _forge(path, body)
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         """A write that fails before the rename leaves the old file's bytes

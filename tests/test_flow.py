@@ -216,6 +216,13 @@ class TestDitDecoder:
         with pytest.raises(ShapeError):
             dec(np.zeros((1, 5, 4), dtype=np.float32), 0.0, np.zeros((1, 6, 4), dtype=np.float32))
 
+    def test_timestep_batch_mismatch_rejected(self):
+        """A t whose length is not the batch's is a ShapeError naming both."""
+        dec = _tiny_decoder(_rng(20))
+        x = np.zeros((2, 5, 4), dtype=np.float32)
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 5, 4\)"):
+            dec(x, np.array([0.1, 0.2, 0.3]), x)
+
     def test_mse_reconstruct_pins_time_and_state(self):
         rng = _rng(21)
         dec = _tiny_decoder(rng)

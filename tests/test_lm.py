@@ -485,6 +485,13 @@ class TestGeneration:
         assert isinstance(constrained, GenerationResult)
         assert constrained.tokens.shape == free.tokens.shape
 
+    def test_full_prompt_rejected(self):
+        """A prompt that already fills max_len leaves nothing to generate."""
+        model, vocab = extended_model()
+        prompt = vocab.encode_text("a" * model.cfg.max_len)
+        with pytest.raises(ShapeError, match="max_len 96"):
+            generate(model, prompt, max_new_tokens=4)
+
     def test_respects_max_len(self):
         model, vocab = extended_model()
         prompt = vocab.encode_text("a" * 90)

@@ -275,7 +275,7 @@ class TestTraining:
                 train_tokenizer(ds, model, cfg, checkpoint_path=ckpt)
         for name, t in model.named_tensors():
             assert np.all(np.isfinite(t.data)), name
-        saved = read_checkpoint(ckpt)
+        _, saved = read_checkpoint(ckpt)
         np.testing.assert_array_equal(saved["encoder.in_proj.weight"],
                                       before["encoder.in_proj.weight"])
 
@@ -293,7 +293,7 @@ class TestTraining:
         ds = tiny_dataset(cfg)
         ckpt = tmp_path / "model.msnc"
         train_tokenizer(ds, model, cfg, checkpoint_path=ckpt)
-        saved = read_checkpoint(ckpt)
+        _, saved = read_checkpoint(ckpt)
         np.testing.assert_array_equal(saved["codebook.entries"], model.codebook.entries.data)
 
     def test_same_config_reproducible(self):
