@@ -1,12 +1,14 @@
 """Command-line front end: one non-interactive subcommand per workflow.
 
-Outputs are files; every run drops a resolved-config JSON (seed and
-every parsed argument included) next to them so it can be replayed
-exactly. A checkpoint carries its model's config in its header, so
-commands that read one need no other file. Exit codes: 0 success, 1
-usage error, 2 runtime failure. With MSN_DETERMINISTIC=1 the package
-pins BLAS to a single thread, so equal configs and seeds give
-byte-identical artifacts.
+Outputs are files under --out, which main creates (the directory, or a
+file's parent) before the command runs; every run then drops a
+resolved-config JSON (seed and every parsed argument included) there so
+it can be replayed exactly. A checkpoint carries its model's config in
+its header, so commands that read one need no other file. `eval` scores
+any number of named tokenizers on any number of named splits in one
+table. Exit codes: 0 success, 1 usage error, 2 runtime failure. With
+MSN_DETERMINISTIC=1 the package pins BLAS to a single thread, so equal
+configs and seeds give byte-identical artifacts.
 """
 
 import argparse
@@ -36,13 +38,14 @@ from .data import (
     save_latents,
     save_pairs_jsonl,
 )
-from .evaluation import ClampLog, compare_tokenizers, decode_split, split_metrics
+from .evaluation import compare_tokenizers
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE
 from .lm import (
     FusionConfig,
     FusionLM,
     LmTrainConfig,
     Vocab,
+    audio_segments,
     build_finetune_example,
     build_pretrain_example,
     extend_vocab,
@@ -96,7 +99,7 @@ TRAIN_TOKENIZER_DEFAULTS = {key: value for key, value in _flatten(TokenizerConfi
 
 SEED_DEFAULTS = {"seed": 0}
 
-# decode, eval-* and compare; n_steps None keeps the checkpoint's flow.n_sample_steps.
+# decode and eval; n_steps None keeps the checkpoint's flow.n_sample_steps.
 DECODE_DEFAULTS = {"seed": 0, "n_steps": None}
 
 TRAIN_LM_DEFAULTS = {
@@ -147,14 +150,27 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_resolved(config: dict, args) -> None:
+def _write_resolved(config: dict, args, out_dir: Path) -> None:
     """The run record: the resolved config plus every parsed argument but
-    the plumbing, in --out when that is a directory, else beside it."""
+    the plumbing, in the output directory."""
+    plumbing = {"func", "defaults", "config", "overrides", "out", "out_kind"}
     payload = {**config, **{key: value for key, value in vars(args).items()
-                            if key not in {"func", "defaults", "config", "overrides", "out"}}}
+                            if key not in plumbing}}
     payload["digest"] = config_digest(payload)
-    out = Path(args.out)
-    _write_json((out if out.is_dir() else out.parent) / f"{args.command}-config.json", payload)
+    _write_json(out_dir / f"{args.command}-config.json", payload)
+
+
+def _named_paths(flag: str, items: list[str]) -> dict[str, str]:
+    """The NAME=PATH items of a repeatable flag, in the order given."""
+    named: dict[str, str] = {}
+    for item in items:
+        name, sep, path = item.partition("=")
+        if not sep or not name:
+            raise UsageError(f"{flag} expects NAME=PATH, got {item!r}")
+        if name in named:
+            raise UsageError(f"{flag} names {name!r} twice")
+        named[name] = path
+    return named
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +185,8 @@ def _load_tokenizer(checkpoint_path) -> TokenizerModel:
 
 def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
     header, tensors = read_checkpoint(checkpoint_path)
+    if "audio_embed" not in tensors:
+        raise CheckpointError(f"{checkpoint_path}: not a fusion LM checkpoint (no audio_embed)")
     model = FusionLM(_build(FusionConfig, header), np.random.default_rng(0))
     # The audio block is audio_embed's rows less soa and eoa.
     vocab = extend_vocab(model, tensors["audio_embed"].shape[0] - 2, np.random.default_rng(0))
@@ -176,46 +194,10 @@ def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
     return model, vocab
 
 
-def _segments(tokens, vocab: Vocab) -> list[dict]:
-    """Split a token stream into text runs, audio spans, and stray markers."""
-    segments: list[dict] = []
-    text: list[int] = []
-    audio: list[int] | None = None
-
-    def flush_text():
-        if text:
-            segments.append({"type": "text",
-                             "text": vocab.decode_text(np.array(text, dtype=np.int64))})
-            text.clear()
-
-    for tok in np.asarray(tokens).tolist():
-        if audio is not None:
-            if tok == vocab.eoa:
-                segments.append({"type": "audio", "codes": audio})
-                audio = None
-            else:
-                audio.append(tok - vocab.v_text)
-        elif tok == vocab.soa:
-            flush_text()
-            audio = []
-        elif tok < vocab.v_text:
-            text.append(tok)
-        else:
-            # Unconstrained sampling can emit audio ids or eoa outside a span.
-            flush_text()
-            segments.append({"type": "marker", "id": tok})
-    flush_text()
-    if audio is not None:
-        segments.append({"type": "audio", "codes": audio, "unclosed": True})
-    return segments
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_data(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = SyntheticLatentSpec.create(
         n_classes=config["n_classes"], frames=config["frames"], dim=config["dim"],
         noise_std=config["noise_std"], seed=config["seed"],
@@ -225,15 +207,13 @@ def cmd_gen_data(args, config: dict) -> int:
         raise UsageError("splits must name at least one split")
     for split in splits:
         ds = gen_latent_dataset(spec, config["n_per_class"], split=split)
-        path = out / f"{split}.msnl"
+        path = args.out / f"{split}.msnl"
         save_latents(path, ds)
         print(f"wrote {path} ({len(ds)} clips of {spec.frames}x{spec.dim})")
     return 0
 
 
 def cmd_train_tokenizer(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = load_latents(args.data)
     _, frames, data_dim = dataset.values.shape
     # Both towers span the clip.
@@ -241,13 +221,13 @@ def cmd_train_tokenizer(args, config: dict) -> int:
                                    "objective": args.objective,
                                    "encoder.max_len": frames, "decoder.max_len": frames})
     model = TokenizerModel(cfg)
-    checkpoint = out / "tokenizer.msnc"
+    checkpoint = args.out / "tokenizer.msnc"
     metrics = MetricsLog()
     # train_tokenizer writes the checkpoint after every epoch.
     report = train_tokenizer(dataset, model, cfg, metrics=metrics,
                              checkpoint_path=checkpoint)
-    metrics.write_csv(out / "metrics.csv")
-    metrics.write_json(out / "metrics.json", command="train-tokenizer",
+    metrics.write_csv(args.out / "metrics.csv")
+    metrics.write_json(args.out / "metrics.json", command="train-tokenizer",
                        objective=args.objective, seed=config["seed"])
     print(f"wrote {checkpoint}")
     print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
@@ -257,26 +237,22 @@ def cmd_train_tokenizer(args, config: dict) -> int:
 
 
 def cmd_encode(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
     tokens = encode_to_tokens(dataset.values, model)
-    np.save(out / "tokens.npy", tokens)
+    np.save(args.out / "tokens.npy", tokens)
     pairs = []
     for i, label in enumerate(dataset.labels.tolist()):
         rng = np.random.default_rng(np.random.SeedSequence((config["seed"], i)))
         pairs.append({"caption": gen_caption(label, rng),
                       "audio_tokens": tokens[i].tolist()})
-    save_pairs_jsonl(out / "pairs.jsonl", pairs)
-    print(f"wrote {out / 'tokens.npy'} ({tokens.shape[0]} clips x {tokens.shape[1]} tokens)")
-    print(f"wrote {out / 'pairs.jsonl'}")
+    save_pairs_jsonl(args.out / "pairs.jsonl", pairs)
+    print(f"wrote {args.out / 'tokens.npy'} ({tokens.shape[0]} clips x {tokens.shape[1]} tokens)")
+    print(f"wrote {args.out / 'pairs.jsonl'}")
     return 0
 
 
 def cmd_decode(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_tokenizer(args.checkpoint)
     tokens = np.load(args.tokens)
     if tokens.ndim == 1:
@@ -284,15 +260,13 @@ def cmd_decode(args, config: dict) -> int:
     rng = np.random.default_rng(config["seed"])
     values = decode_tokens(tokens, model, rng=rng, n_steps=config["n_steps"])
     decoded = LatentDataset(values=values, labels=np.zeros(values.shape[0], dtype=np.uint16))
-    path = out / "decoded.msnl"
+    path = args.out / "decoded.msnl"
     save_latents(path, decoded)
     print(f"wrote {path} ({len(decoded)} clips)")
     return 0
 
 
 def cmd_train_lm(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise ValueError(f"no caption/token pairs in {args.pairs}")
@@ -322,11 +296,11 @@ def cmd_train_lm(args, config: dict) -> int:
             examples.append(build_finetune_example(instruction, codes, answer, vocab))
     metrics = MetricsLog()
     report = train_lm(examples, model, _build(LmTrainConfig, config), metrics=metrics)
-    checkpoint = out / "lm.msnc"
+    checkpoint = args.out / "lm.msnc"
     save_checkpoint(checkpoint, model)
-    metrics.write_csv(out / "metrics.csv")
+    metrics.write_csv(args.out / "metrics.csv")
     accuracy = next_token_accuracy(model, examples)
-    metrics.write_json(out / "metrics.json", command="train-lm", stage=args.stage,
+    metrics.write_json(args.out / "metrics.json", command="train-lm", stage=args.stage,
                        seed=config["seed"], next_token_accuracy=accuracy)
     print(f"wrote {checkpoint}")
     print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
@@ -342,57 +316,30 @@ def cmd_generate(args, config: dict) -> int:
                       rng=np.random.default_rng(config["seed"]),
                       temperature=args.temperature, top_k=args.top_k,
                       constrain_audio=not args.unconstrained)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {
+    _write_json(args.out, {
         "prompt": args.prompt,
         "tokens": result.tokens.tolist(),
         "generated": result.generated.tolist(),
-        "segments": _segments(result.tokens, vocab),
+        "segments": audio_segments(result.tokens, vocab),
         "unclosed_audio": bool(result.unclosed_audio),
     })
-    print(f"wrote {out} ({result.generated.size} new tokens)")
+    print(f"wrote {args.out} ({result.generated.size} new tokens)")
     return 0
-
-
-_EVAL_METRICS = {"eval-recon": "recon_mse", "eval-fad": "frechet"}
 
 
 def cmd_eval(args, config: dict) -> int:
-    """eval-recon and eval-fad: one of split_metrics' values for the split."""
-    model = _load_tokenizer(args.checkpoint)
-    dataset = load_latents(args.data)
-    split = Path(args.data).stem
-    decoded = decode_split(split, dataset, model, config["seed"], config["n_steps"])
-    clamp = ClampLog()
-    metric = _EVAL_METRICS[args.command]
-    value = split_metrics(dataset, decoded, clamp)[metric]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {"split": split, "metric": metric, "value": value,
-                      "clamp_events": clamp.events, "count": len(dataset),
-                      "seed": config["seed"]})
-    print(f"{metric}[{split}] = {value:.6f} ({clamp.events} eigenvalue clamps)")
-    return 0
-
-
-def cmd_compare(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model_fm = _load_tokenizer(args.fm)
-    model_mse = _load_tokenizer(args.mse)
-    splits = {}
-    for item in args.data:
-        name, sep, path = item.partition("=")
-        if not sep or not name:
-            raise UsageError(f"--data expects NAME=PATH, got {item!r}")
-        splits[name] = load_latents(path)
-    report = compare_tokenizers(splits, model_fm, model_mse,
-                                seed=config["seed"], n_steps=config["n_steps"])
-    report.write_csv(out / "compare.csv")
-    report.write_json(out / "compare.json", seed=config["seed"])
+    """split_metrics for every named checkpoint on every named split."""
+    checkpoints = _named_paths("--checkpoint", args.checkpoint)
+    data = _named_paths("--data", args.data)
+    models = {name: _load_tokenizer(path) for name, path in checkpoints.items()}
+    splits = {name: load_latents(path) for name, path in data.items()}
+    report = compare_tokenizers(splits, models, seed=config["seed"], n_steps=config["n_steps"])
+    report.write_csv(args.out / "eval.csv")
+    report.write_json(args.out / "eval.json", seed=config["seed"],
+                      counts={name: len(dataset) for name, dataset in splits.items()})
     for split, model_name, metric, value in report.rows:
         print(f"{metric}[{split}, {model_name}] = {value:.6f}")
+    print(f"{report.clamp_events} eigenvalue clamps")
     return 0
 
 
@@ -426,11 +373,8 @@ def cmd_report(args, config: dict) -> int:
     if args.metrics:
         payload["metrics"] = {}
         for path in args.metrics:
-            payload["metrics"][Path(path).name] = json.loads(
-                Path(path).read_text(encoding="utf-8"))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, payload)
+            payload["metrics"][path] = json.loads(Path(path).read_text(encoding="utf-8"))
+    _write_json(args.out, payload)
     print(f"bitrate {bps:.1f} bps")
     print(note)
     return 0
@@ -446,45 +390,43 @@ def build_parser() -> _Parser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, help_text, defaults, func):
+    def add(name, help_text, defaults, func, out=None):
+        """A subcommand; out "DIR" or "FILE" registers its --out."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", metavar="FILE", help="flat JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key")
-        p.set_defaults(func=func, defaults=defaults)
+        if out is not None:
+            p.add_argument("--out", required=True, type=Path, metavar=out)
+        p.set_defaults(func=func, defaults=defaults, out_kind=out)
         return p
 
-    p = add("gen-data", "generate synthetic latent datasets",
-            GEN_DATA_DEFAULTS, cmd_gen_data)
-    p.add_argument("--out", required=True, metavar="DIR")
+    add("gen-data", "generate synthetic latent datasets",
+        GEN_DATA_DEFAULTS, cmd_gen_data, out="DIR")
 
     p = add("train-tokenizer", "train a tokenizer on a latent dataset",
-            TRAIN_TOKENIZER_DEFAULTS, cmd_train_tokenizer)
+            TRAIN_TOKENIZER_DEFAULTS, cmd_train_tokenizer, out="DIR")
     p.add_argument("--objective", required=True,
                    choices=[OBJECTIVE_FLOW, OBJECTIVE_MSE])
     p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("encode", "encode latents to discrete tokens and caption pairs",
-            SEED_DEFAULTS, cmd_encode)
+            SEED_DEFAULTS, cmd_encode, out="DIR")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("decode", "decode token files back to latents",
-            DECODE_DEFAULTS, cmd_decode)
+            DECODE_DEFAULTS, cmd_decode, out="DIR")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--tokens", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("train-lm", "train the fusion language model on token pairs",
-            TRAIN_LM_DEFAULTS, cmd_train_lm)
+            TRAIN_LM_DEFAULTS, cmd_train_lm, out="DIR")
     p.add_argument("--stage", required=True, choices=["pretrain", "finetune"])
     p.add_argument("--pairs", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="DIR")
 
     p = add("generate", "sample tokens from a trained fusion LM",
-            SEED_DEFAULTS, cmd_generate)
+            SEED_DEFAULTS, cmd_generate, out="FILE")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-new", type=int, default=64, metavar="N")
@@ -492,33 +434,21 @@ def build_parser() -> _Parser:
     p.add_argument("--top-k", type=int, default=None, metavar="K")
     p.add_argument("--unconstrained", action="store_true",
                    help="disable audio-span bracketing constraints")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    for name, help_text in (("eval-recon", "reconstruction error of a tokenizer on a dataset"),
-                            ("eval-fad", "distributional distance of reconstructions")):
-        p = add(name, help_text, DECODE_DEFAULTS, cmd_eval)
-        p.add_argument("--checkpoint", required=True, metavar="FILE")
-        p.add_argument("--data", required=True, metavar="FILE")
-        p.add_argument("--out", required=True, metavar="FILE")
-
-    p = add("compare", "side-by-side metrics for flow and MSE tokenizers",
-            DECODE_DEFAULTS, cmd_compare)
-    p.add_argument("--fm", required=True, metavar="FILE",
-                   help="flow-objective checkpoint")
-    p.add_argument("--mse", required=True, metavar="FILE",
-                   help="MSE-objective checkpoint")
-    p.add_argument("--data", required=True, action="append", metavar="NAME=PATH",
-                   help="named split (repeatable)")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p = add("eval", "reconstruction error and Frechet distance of tokenizers on splits",
+            DECODE_DEFAULTS, cmd_eval, out="DIR")
+    p.add_argument("--checkpoint", required=True, action="append", metavar="NAME=FILE",
+                   help="named tokenizer checkpoint (repeatable)")
+    p.add_argument("--data", required=True, action="append", metavar="NAME=FILE",
+                   help="named split; the name keys its noise stream (repeatable)")
 
     add("grad-check", "finite-difference check of every differentiable op",
         {}, cmd_grad_check)
 
     p = add("report", "bitrate accounting and metric aggregation",
-            REPORT_DEFAULTS, cmd_report)
+            REPORT_DEFAULTS, cmd_report, out="FILE")
     p.add_argument("--metrics", action="append", metavar="FILE", default=[],
-                   help="metrics JSON to embed (repeatable)")
-    p.add_argument("--out", required=True, metavar="FILE")
+                   help="metrics JSON to embed, keyed by its path (repeatable)")
 
     return parser
 
@@ -531,9 +461,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         config = _load_config(args.defaults, args.config, args.overrides)
+        if args.out_kind is not None:
+            out_dir = args.out if args.out_kind == "DIR" else args.out.parent
+            out_dir.mkdir(parents=True, exist_ok=True)
         code = args.func(args, config)
-        if hasattr(args, "out"):
-            _write_resolved(config, args)
+        if args.out_kind is not None:
+            _write_resolved(config, args, out_dir)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Reconstruction error, Fréchet distance over embedding statistics, and
-side-by-side tokenizer comparison reports. Every evaluation decodes a
-split with decode_split and scores it with split_metrics.
+the tokenizer comparison report behind `flowtok eval`: compare_tokenizers
+decodes every split with every model through decode_split and scores it
+with split_metrics, for one model or several.
 
 All statistics run in float64 regardless of model precision, and
 eigendecompositions use NumPy's symmetric solvers (LAPACK syevd).
@@ -21,6 +22,10 @@ import numpy as np
 from .data import LatentDataset
 from .pipeline import TokenizerModel, decode_tokens, encode_to_tokens
 from .tensor import ShapeError
+
+
+# Largest asymmetry matrix_sqrt_psd accepts, relative to the largest entry.
+SYMMETRY_TOL = 1e-8
 
 
 class ClampWarning(RuntimeWarning):
@@ -106,8 +111,7 @@ def gaussian_stats(embeddings: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, covariance=cov, count=n)
 
 
-def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None,
-                    sym_tol: float = 1e-8) -> np.ndarray:
+def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None) -> np.ndarray:
     """Symmetric square root of a PSD matrix via eigendecomposition.
 
     Slightly negative eigenvalues (round-off) are clamped to zero and
@@ -116,7 +120,7 @@ def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None,
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix_sqrt_psd expects a square matrix, got {m.shape}")
-    if np.abs(m - m.T).max() > sym_tol * max(1.0, np.abs(m).max()):
+    if np.abs(m - m.T).max() > SYMMETRY_TOL * max(1.0, np.abs(m).max()):
         raise ValueError("matrix_sqrt_psd: input not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(0.5 * (m + m.T))
     eigenvalues = _clamp(eigenvalues, clamp_log, "matrix_sqrt_psd")
@@ -212,17 +216,17 @@ def split_metrics(dataset: LatentDataset, decoded: np.ndarray,
             "frechet": frechet_distance(reference, candidate, clamp_log)}
 
 
-def compare_tokenizers(splits: dict[str, LatentDataset], model_fm: TokenizerModel,
-                       model_mse: TokenizerModel, seed: int = 0,
-                       n_steps: int | None = None) -> ComparisonReport:
-    """split_metrics for both models on every held-out split."""
+def compare_tokenizers(splits: dict[str, LatentDataset], models: dict[str, TokenizerModel],
+                       seed: int = 0, n_steps: int | None = None) -> ComparisonReport:
+    """split_metrics for every model on every split: splits in sorted
+    order, models in the order given."""
     report = ComparisonReport()
     clamps = ClampLog()
     for split_name in sorted(splits):
         dataset = splits[split_name]
         if len(dataset) == 0:
             raise ValueError(f"split {split_name!r} is empty")
-        for model_name, model in (("fm", model_fm), ("mse", model_mse)):
+        for model_name, model in models.items():
             decoded = decode_split(split_name, dataset, model, seed, n_steps)
             for metric, value in split_metrics(dataset, decoded, clamps).items():
                 report.add(split_name, model_name, metric, value)

@@ -239,22 +239,47 @@ def _span(vocab: Vocab, codes) -> np.ndarray:
     return np.concatenate(([vocab.soa], vocab.audio_ids(codes), [vocab.eoa]))
 
 
+def audio_segments(ids, vocab: Vocab) -> list[dict]:
+    """Parse a token stream into segments, in the order they start.
+
+    Text bytes outside a span form {"type": "text", "text"} runs. A span
+    soa ... eoa is {"type": "audio", "codes"}, with "unclosed": True when
+    the stream ends inside it. Inside a span only audio ids and eoa belong,
+    the set generate's constraint allows; any other token there, and an
+    audio id, eoa or out-of-range id outside one, is {"type": "marker", "id"}.
+    """
+    segments: list[dict] = []
+    span: dict | None = None
+    for token in np.asarray(ids, dtype=np.int64).tolist():
+        if span is not None and vocab.is_audio(token):
+            span["codes"].append(token - vocab.v_text)
+        elif span is not None and token == vocab.eoa:
+            span = None
+        elif span is None and token == vocab.soa:
+            span = {"type": "audio", "codes": []}
+            segments.append(span)
+        elif span is None and 0 <= token < vocab.v_text:
+            if segments and segments[-1]["type"] == "text":
+                segments[-1]["text"].append(token)
+            else:
+                segments.append({"type": "text", "text": [token]})
+        else:
+            segments.append({"type": "marker", "id": token})
+    if span is not None:
+        span["unclosed"] = True
+    for segment in segments:
+        if segment["type"] == "text":
+            segment["text"] = vocab.decode_text(segment["text"])
+    return segments
+
+
 def audio_spans_valid(ids, vocab: Vocab) -> tuple[bool, bool]:
-    """(well-formed so far, span open at end). Well-formed means no nested
-    soa, no stray eoa, and audio ids only between the markers."""
-    open_span = False
-    for token in np.asarray(ids, dtype=np.int64):
-        if token == vocab.soa:
-            if open_span:
-                return False, open_span
-            open_span = True
-        elif token == vocab.eoa:
-            if not open_span:
-                return False, open_span
-            open_span = False
-        elif vocab.is_audio(token) and not open_span:
-            return False, open_span
-    return True, open_span
+    """(well-formed, span open at end): well-formed means audio_segments
+    finds no marker, so audio ids sit only between soa and eoa, spans hold
+    nothing else, and no soa nests and no eoa strays."""
+    segments = audio_segments(ids, vocab)
+    return (all(s["type"] != "marker" for s in segments),
+            any("unclosed" in s for s in segments))
 
 
 def build_pretrain_example(caption: str, audio_codes, vocab: Vocab,

@@ -117,18 +117,20 @@ class Linear(Module):
         return matmul(x, self.weight) + self.bias
 
 
+LAYER_NORM_EPS = 1e-5
+
+
 class LayerNorm(Module):
     """Normalizes the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=DEFAULT_DTYPE)
         self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=DEFAULT_DTYPE)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         centered = x - tmean(x, axis=-1, keepdims=True)
         var = tmean(square(centered), axis=-1, keepdims=True)
-        normed = centered * power(var + self.eps, -0.5)
+        normed = centered * power(var + LAYER_NORM_EPS, -0.5)
         return normed * self.gamma + self.beta
 
 
@@ -297,13 +299,12 @@ class AdamW:
     params is a Module (its trainable parameters) or (name, tensor) pairs.
     """
 
-    def __init__(self, params, lr: float = 1e-4, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 1e-4, weight_decay: float = 0.0):
         self._params: list[tuple[str, Tensor]] = (
             list(params.named_parameters()) if isinstance(params, Module) else list(params))
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(t.data) for _, t in self._params]

@@ -22,7 +22,7 @@ class Codebook(Module):
     Fresh entries start with zero usage: they must earn assignments before
     the first maintenance pass or be re-seeded from batch vectors. Re-seeded
     entries restart with full usage credit so they get a grace period of
-    log(threshold)/log(decay) steps before becoming eligible again.
+    log(threshold)/log(USAGE_DECAY) steps before becoming eligible again.
     """
 
     def __init__(self, k: int, dim: int, rng: np.random.Generator):
@@ -92,9 +92,13 @@ def index_histogram(indices: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(np.asarray(indices).reshape(-1), minlength=k).astype(np.float64)
 
 
+# Per-step decay of the usage EMA.
+USAGE_DECAY = 0.99
+
+
 def codebook_maintenance(codebook: Codebook, batch_indices: np.ndarray,
                          batch_vectors: np.ndarray, rng: np.random.Generator,
-                         restart_threshold: float = 1e-3, decay: float = 0.99) -> np.ndarray:
+                         restart_threshold: float = 1e-3) -> np.ndarray:
     """Decay the usage EMA with this batch's assignment shares and re-seed
     dead entries from random batch vectors.
 
@@ -105,7 +109,7 @@ def codebook_maintenance(codebook: Codebook, batch_indices: np.ndarray,
     batch_vectors = np.asarray(batch_vectors).reshape(-1, codebook.dim)
     hist = index_histogram(batch_indices, codebook.k)
     share = hist / hist.sum() if hist.sum() > 0 else hist
-    usage = decay * codebook.usage.data.astype(np.float64) + (1.0 - decay) * share
+    usage = USAGE_DECAY * codebook.usage.data.astype(np.float64) + (1.0 - USAGE_DECAY) * share
     dead = np.flatnonzero((usage < restart_threshold) & (hist == 0))
     if dead.size:
         picks = rng.integers(0, batch_vectors.shape[0], size=dead.size)

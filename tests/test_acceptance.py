@@ -438,13 +438,13 @@ def test_12_determinism(verdict, tmp_path):
         run(["train-tokenizer", "--objective", objective,
              "--data", str(data / "train.msnl"),
              "--out", str(tmp_path / objective), *tiny])
-    compare = ["compare", "--fm", str(tmp_path / "fm" / "tokenizer.msnc"),
-               "--mse", str(tmp_path / "mse" / "tokenizer.msnc"),
-               "--data", f"val={data / 'val.msnl'}", "--set", "n_steps=2"]
-    run([*compare, "--out", str(tmp_path / "run_a")])
-    run([*compare, "--out", str(tmp_path / "run_b")])
-    csv_a = (tmp_path / "run_a" / "compare.csv").read_bytes()
-    csv_b = (tmp_path / "run_b" / "compare.csv").read_bytes()
+    evaluate = ["eval", "--checkpoint", f"fm={tmp_path / 'fm' / 'tokenizer.msnc'}",
+                "--checkpoint", f"mse={tmp_path / 'mse' / 'tokenizer.msnc'}",
+                "--data", f"val={data / 'val.msnl'}", "--set", "n_steps=2"]
+    run([*evaluate, "--out", str(tmp_path / "run_a")])
+    run([*evaluate, "--out", str(tmp_path / "run_b")])
+    csv_a = (tmp_path / "run_a" / "eval.csv").read_bytes()
+    csv_b = (tmp_path / "run_b" / "eval.csv").read_bytes()
     identical = csv_a == csv_b
     verdict("12 determinism", identical,
-            f"two compare runs, {len(csv_a)} CSV bytes, byte-identical {identical}")
+            f"two eval runs, {len(csv_a)} CSV bytes, byte-identical {identical}")

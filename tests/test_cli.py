@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from flowtok.cli import (
     TRAIN_TOKENIZER_DEFAULTS,
     _build,
     _flatten,
+    _load_config,
+    build_parser,
     main,
 )
 from flowtok.data import read_checkpoint
@@ -69,9 +73,9 @@ class TestExitCodes:
         assert main(["gen-data", "--out", str(tmp_path), "--set", "frames"]) == 1
 
     def test_missing_input_is_runtime_error(self, tmp_path):
-        code = main(["eval-recon", "--checkpoint", "/nonexistent.msnc",
-                     "--data", "/nonexistent.msnl",
-                     "--out", str(tmp_path / "r.json")])
+        code = main(["eval", "--checkpoint", "fm=/nonexistent.msnc",
+                     "--data", "val=/nonexistent.msnl",
+                     "--out", str(tmp_path / "r")])
         assert code == 2
 
     def test_unknown_command_is_usage_error(self):
@@ -167,6 +171,24 @@ class TestConfigPlumbing:
         assert resolved["bimodal_class"] is None
 
 
+class TestReadme:
+    def test_walkthrough_commands_parse(self):
+        """Every `flowtok` line of README's CLI walkthrough names commands,
+        flags and config keys the parser accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("flowtok ")]
+        assert len(commands) >= 10
+        for argv in commands:
+            try:
+                args = build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README walkthrough line does not parse: {shlex.join(argv)}")
+            _load_config(args.defaults, None, args.overrides)
+
+
 class TestArtifacts:
     def test_gen_data_writes_each_split(self, workspace):
         assert (workspace / "data" / "train.msnl").is_file()
@@ -219,62 +241,68 @@ class TestArtifacts:
         assert decoded.values.shape == (16, 8, 4)
 
     def test_eval_recon_json(self, workspace, tmp_path):
-        out = tmp_path / "recon.json"
-        code = main(["eval-recon", "--checkpoint",
-                     str(workspace / "fm" / "tokenizer.msnc"),
-                     "--data", str(workspace / "data" / "val.msnl"),
-                     "--out", str(out), "--set", "n_steps=2"])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["metric"] == "recon_mse"
-        assert payload["split"] == "val"
-        assert payload["value"] > 0
-
-    def test_eval_fad_counts_clamps(self, workspace, tmp_path):
-        out = tmp_path / "fad.json"
-        code = main(["eval-fad", "--checkpoint",
-                     str(workspace / "fm" / "tokenizer.msnc"),
-                     "--data", str(workspace / "data" / "val.msnl"),
-                     "--out", str(out), "--set", "n_steps=2"])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["metric"] == "frechet"
-        assert payload["clamp_events"] >= 0
-
-    def test_compare_csv_schema(self, workspace, tmp_path):
-        code = main(["compare", "--fm", str(workspace / "fm" / "tokenizer.msnc"),
-                     "--mse", str(workspace / "mse" / "tokenizer.msnc"),
+        code = main(["eval", "--checkpoint",
+                     f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
                      "--data", f"val={workspace / 'data' / 'val.msnl'}",
                      "--out", str(tmp_path), "--set", "n_steps=2"])
         assert code == 0
-        lines = (tmp_path / "compare.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / "eval.json").read_text())
+        [row] = [row for row in payload["rows"] if row["metric"] == "recon_mse"]
+        assert (row["split"], row["model"]) == ("val", "fm")
+        assert row["value"] > 0
+        assert payload["counts"] == {"val": 16}
+
+    def test_eval_fad_counts_clamps(self, workspace, tmp_path):
+        code = main(["eval", "--checkpoint",
+                     f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
+                     "--data", f"val={workspace / 'data' / 'val.msnl'}",
+                     "--out", str(tmp_path), "--set", "n_steps=2"])
+        assert code == 0
+        payload = json.loads((tmp_path / "eval.json").read_text())
+        assert [row["metric"] for row in payload["rows"]] == ["recon_mse", "frechet"]
+        assert payload["clamp_events"] >= 0
+
+    def test_compare_csv_schema(self, workspace, tmp_path):
+        code = main(["eval", "--checkpoint", f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
+                     "--checkpoint", f"mse={workspace / 'mse' / 'tokenizer.msnc'}",
+                     "--data", f"val={workspace / 'data' / 'val.msnl'}",
+                     "--out", str(tmp_path), "--set", "n_steps=2"])
+        assert code == 0
+        lines = (tmp_path / "eval.csv").read_text().splitlines()
         assert lines[0] == "split,model,metric,value"
         names = {line.split(",")[1] for line in lines[1:]}
         assert names == {"fm", "mse"}
 
     def test_eval_commands_equal_compare_rows(self, workspace, tmp_path):
-        """eval-recon and eval-fad report compare's values bit for bit."""
-        val = workspace / "data" / "val.msnl"
-        checkpoints = {name: str(workspace / name / "tokenizer.msnc") for name in ("fm", "mse")}
-        assert main(["compare", "--fm", checkpoints["fm"], "--mse", checkpoints["mse"],
-                     "--data", f"val={val}", "--out", str(tmp_path / "compare"),
-                     "--set", "n_steps=2"]) == 0
-        rows = json.loads((tmp_path / "compare" / "compare.json").read_text())["rows"]
+        """A one-checkpoint eval reports the matching rows of a
+        two-checkpoint eval bit for bit."""
+        data = f"val={workspace / 'data' / 'val.msnl'}"
+        checkpoints = {name: f"{name}={workspace / name / 'tokenizer.msnc'}"
+                       for name in ("fm", "mse")}
+        assert main(["eval", "--checkpoint", checkpoints["fm"],
+                     "--checkpoint", checkpoints["mse"], "--data", data,
+                     "--out", str(tmp_path / "both"), "--set", "n_steps=2"]) == 0
+        rows = json.loads((tmp_path / "both" / "eval.json").read_text())["rows"]
         for model, checkpoint in checkpoints.items():
-            for command, metric in (("eval-recon", "recon_mse"), ("eval-fad", "frechet")):
-                out = tmp_path / f"{model}-{command}.json"
-                assert main([command, "--checkpoint", checkpoint, "--data", str(val),
-                             "--out", str(out), "--set", "n_steps=2"]) == 0
-                [expected] = [row["value"] for row in rows
-                              if (row["split"], row["model"], row["metric"]) == ("val", model, metric)]
-                assert json.loads(out.read_text())["value"] == expected, (model, metric)
+            assert main(["eval", "--checkpoint", checkpoint, "--data", data,
+                         "--out", str(tmp_path / model), "--set", "n_steps=2"]) == 0
+            alone = json.loads((tmp_path / model / "eval.json").read_text())["rows"]
+            assert alone == [row for row in rows if row["model"] == model]
 
     def test_compare_rejects_unnamed_split(self, workspace, tmp_path):
-        code = main(["compare", "--fm", str(workspace / "fm" / "tokenizer.msnc"),
-                     "--mse", str(workspace / "mse" / "tokenizer.msnc"),
-                     "--data", str(workspace / "data" / "val.msnl"),
-                     "--out", str(tmp_path)])
-        assert code == 1
+        """A missing or repeated NAME, of a split or a checkpoint, is a usage
+        error raised before any file is read, never a silently dropped input."""
+        fm = workspace / "fm" / "tokenizer.msnc"
+        val = workspace / "data" / "val.msnl"
+        for flags in (["--checkpoint", f"fm={fm}", "--data", str(val)],
+                      ["--checkpoint", str(fm), "--data", f"val={val}"],
+                      ["--checkpoint", f"={fm}", "--data", f"val={val}"],
+                      ["--checkpoint", f"fm={fm}", "--data", f"val={val}",
+                       "--data", f"val={workspace / 'data' / 'train.msnl'}"],
+                      ["--checkpoint", f"a={fm}", "--checkpoint",
+                       f"a={workspace / 'mse' / 'tokenizer.msnc'}", "--data", f"val={val}"]):
+            assert main(["eval", *flags, "--out", str(tmp_path)]) == 1, flags
+            assert not (tmp_path / "eval.csv").exists()
 
 
 class TestLmCommands:
@@ -300,6 +328,13 @@ class TestLmCommands:
         payload = json.loads(out.read_text())
         assert len(payload["generated"]) == 8
         assert payload["segments"][0]["type"] == "text"
+
+    def test_generate_rejects_tokenizer_checkpoint(self, workspace, tmp_path, capsys):
+        code = main(["generate", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),
+                     "--prompt", "A gentle chime", "--out", str(tmp_path / "gen.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err and "not a fusion LM checkpoint (no audio_embed)" in err
 
     def test_finetune_stage(self, workspace, tmp_path):
         code = main(["train-lm", "--stage", "finetune",
@@ -394,7 +429,20 @@ class TestReport:
         out = tmp_path / "report.json"
         assert main(["report", "--out", str(out), "--metrics", str(extra)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["metrics"]["m.json"]["value"] == 1.5
+        assert payload["metrics"][str(extra)]["value"] == 1.5
+
+    def test_metric_files_sharing_a_basename_both_kept(self, tmp_path):
+        paths = []
+        for run, value in (("fm", 1.5), ("mse", 2.5)):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "metrics.json")
+            paths[-1].write_text(json.dumps({"value": value}))
+        out = tmp_path / "report.json"
+        assert main(["report", "--out", str(out), "--metrics", str(paths[0]),
+                     "--metrics", str(paths[1])]) == 0
+        embedded = json.loads(out.read_text())["metrics"]
+        assert {path: entry["value"] for path, entry in embedded.items()} == {
+            str(paths[0]): 1.5, str(paths[1]): 2.5}
 
     def test_records_metric_files(self, tmp_path):
         extra = tmp_path / "m.json"
@@ -416,8 +464,8 @@ class TestGradCheck:
 class TestDeterminism:
     def test_compare_runs_byte_identical(self, workspace, tmp_path):
         env = dict(os.environ, MSN_DETERMINISTIC="1")
-        argv = ["compare", "--fm", str(workspace / "fm" / "tokenizer.msnc"),
-                "--mse", str(workspace / "mse" / "tokenizer.msnc"),
+        argv = ["eval", "--checkpoint", f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
+                "--checkpoint", f"mse={workspace / 'mse' / 'tokenizer.msnc'}",
                 "--data", f"val={workspace / 'data' / 'val.msnl'}",
                 "--set", "n_steps=2"]
         for name in ("a", "b"):
@@ -426,6 +474,6 @@ class TestDeterminism:
                  "--out", str(tmp_path / name)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-        a = (tmp_path / "a" / "compare.csv").read_bytes()
-        b = (tmp_path / "b" / "compare.csv").read_bytes()
+        a = (tmp_path / "a" / "eval.csv").read_bytes()
+        b = (tmp_path / "b" / "eval.csv").read_bytes()
         assert a == b

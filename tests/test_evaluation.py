@@ -129,7 +129,7 @@ class TestMatrixSqrt:
             matrix_sqrt_psd(m)
 
     def test_symmetry_tolerance(self):
-        # round-off asymmetry below sym_tol (relative to the largest entry)
+        # round-off asymmetry below SYMMETRY_TOL (relative to the largest entry)
         # is accepted; anything above it is an error, however small the matrix
         within = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
         assert np.all(np.isfinite(matrix_sqrt_psd(within)))
@@ -283,7 +283,7 @@ class TestDecodeSplit:
 class TestCompareTokenizers:
     def test_row_per_split_model_metric(self):
         fm, mse = small_models()
-        report = compare_tokenizers(small_splits(), fm, mse, seed=0)
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0)
         keys = {(s, m, k) for s, m, k, _ in report.rows}
         expected = {(s, m, k)
                     for s in ("val", "test")
@@ -292,9 +292,15 @@ class TestCompareTokenizers:
         assert keys == expected
         assert len(report.rows) == len(expected)
 
+    def test_rows_follow_sorted_splits_and_given_model_order(self):
+        fm, mse = small_models()
+        report = compare_tokenizers(small_splits(), {"mse": mse, "fm": fm}, seed=0)
+        assert [(s, m) for s, m, _, _ in report.rows[::2]] == [
+            ("test", "mse"), ("test", "fm"), ("val", "mse"), ("val", "fm")]
+
     def test_same_model_both_slots_identical_columns(self):
         fm, _ = small_models()
-        report = compare_tokenizers(small_splits(), fm, fm, seed=3)
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": fm}, seed=3)
         for split in ("val", "test"):
             for metric in ("recon_mse", "frechet"):
                 assert report.value(split, "fm", metric) == report.value(split, "mse", metric)
@@ -304,27 +310,27 @@ class TestCompareTokenizers:
         empty = LatentDataset(np.zeros((0, 8, 4), dtype=np.float32),
                               np.zeros(0, dtype=np.uint16))
         with pytest.raises(ValueError, match="empty"):
-            compare_tokenizers({"val": empty}, fm, mse)
+            compare_tokenizers({"val": empty}, {"fm": fm, "mse": mse})
 
     def test_repeat_run_identical_csv_bytes(self, tmp_path):
         fm, mse = small_models()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        compare_tokenizers(small_splits(), fm, mse, seed=0).write_csv(a)
-        compare_tokenizers(small_splits(), fm, mse, seed=0).write_csv(b)
+        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(a)
+        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_flow_metrics(self):
         fm, mse = small_models()
         splits = small_splits()
-        r0 = compare_tokenizers(splits, fm, mse, seed=0)
-        r1 = compare_tokenizers(splits, fm, mse, seed=1)
+        r0 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, seed=0)
+        r1 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, seed=1)
         assert r0.value("val", "fm", "recon_mse") != r1.value("val", "fm", "recon_mse")
         assert r0.value("val", "mse", "recon_mse") == r1.value("val", "mse", "recon_mse")
 
     def test_csv_schema(self, tmp_path):
         fm, mse = small_models()
         path = tmp_path / "report.csv"
-        compare_tokenizers(small_splits(), fm, mse, seed=0).write_csv(path)
+        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "split,model,metric,value"
         assert len(lines) == 9
@@ -332,7 +338,7 @@ class TestCompareTokenizers:
     def test_json_mirror_carries_metadata(self, tmp_path):
         import json
         fm, mse = small_models()
-        report = compare_tokenizers(small_splits(), fm, mse, seed=0)
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0)
         path = tmp_path / "report.json"
         report.write_json(path, seed=0, config_digest="abc")
         payload = json.loads(path.read_text())

@@ -12,6 +12,7 @@ from flowtok.lm import (
     LmTrainConfig,
     LoraLinear,
     Vocab,
+    audio_segments,
     audio_spans_valid,
     build_finetune_example,
     build_pretrain_example,
@@ -274,6 +275,27 @@ class TestSpanScan:
         v = Vocab(v_text=4, n_audio=2)
         valid, open_span = audio_spans_valid([0, v.soa, 4], v)
         assert valid and open_span
+
+    def test_only_audio_ids_and_eoa_inside_a_span(self):
+        """Inside a span a text byte or a nested soa is a marker, not an
+        audio code; the span keeps its place in the stream order."""
+        v = Vocab(v_text=256, n_audio=4)
+        ids = [65, v.soa, 257, 66, v.soa, v.eoa, 67]
+        assert audio_segments(ids, v) == [
+            {"type": "text", "text": "A"}, {"type": "audio", "codes": [1]},
+            {"type": "marker", "id": 66}, {"type": "marker", "id": v.soa},
+            {"type": "text", "text": "C"}]
+        assert audio_spans_valid([65, v.soa, 257, 66, v.eoa], v)[0] is False
+
+    def test_segments_of_a_well_formed_stream(self):
+        v = Vocab(v_text=256, n_audio=4)
+        ids = [104, 105, v.soa, 256, 259, v.eoa, 33, v.eoa, v.soa, 258]
+        assert audio_segments(ids, v) == [
+            {"type": "text", "text": "hi"}, {"type": "audio", "codes": [0, 3]},
+            {"type": "text", "text": "!"}, {"type": "marker", "id": v.eoa},
+            {"type": "audio", "codes": [2], "unclosed": True}]
+        assert audio_spans_valid(ids, v) == (False, True)
+        assert audio_spans_valid(ids[:7] + ids[8:], v) == (True, True)
 
 
 class TestWeightedLoss:
