@@ -1,4 +1,6 @@
-"""Synthetic latent generation, binary formats, captions, and metric sinks.
+"""Synthetic latent generation, binary formats, captions, and the one
+metrics table (MetricsLog: training curves and `flowtok eval` rows alike,
+as CSV and as a JSON rows list).
 
 Formats (all little-endian):
 
@@ -46,7 +48,7 @@ class CheckpointError(RuntimeError):
 
 
 class DatasetFormatError(RuntimeError):
-    """Latent dataset file unreadable or malformed."""
+    """Latent dataset or caption/token pairs file unreadable or malformed."""
 
 
 # ----------------------------------------------------------------------
@@ -351,20 +353,34 @@ def save_pairs_jsonl(path, pairs: list[dict]) -> None:
 
 
 def load_pairs_jsonl(path) -> list[dict]:
+    """One JSON object per non-blank UTF-8 line: a string caption, a list
+    of int audio_tokens and, when present, a string instruction and answer.
+    Anything else raises DatasetFormatError naming path:line."""
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, 1):
+            where = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DatasetFormatError(f"{where}: not valid UTF-8") from e
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
+            except (json.JSONDecodeError, RecursionError) as e:
+                raise DatasetFormatError(f"{where}: invalid JSON") from e
             if not isinstance(obj, dict):
-                raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
+                raise DatasetFormatError(f"{where}: expected a JSON object")
             if "caption" not in obj or "audio_tokens" not in obj:
-                raise DatasetFormatError(f"{path}:{line_no}: missing caption or audio_tokens")
+                raise DatasetFormatError(f"{where}: missing caption or audio_tokens")
+            for key in ("caption", "instruction", "answer"):
+                if key in obj and not isinstance(obj[key], str):
+                    raise DatasetFormatError(f"{where}: {key} is not a string")
+            tokens = obj["audio_tokens"]
+            # JSON gives int, float or bool; bool is an int subclass.
+            if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+                raise DatasetFormatError(f"{where}: audio_tokens is not a list of ints")
             pairs.append(obj)
     return pairs
 
@@ -374,32 +390,37 @@ def load_pairs_jsonl(path) -> list[dict]:
 
 
 class MetricsLog:
-    """Rows of (step, split, metric, value) plus a JSON summary mirror.
+    """One table of rows under `columns`, the last column a float value:
+    (step, split, metric, value) for training curves, (split, model,
+    metric, value) for `flowtok eval`.
 
     The CSV carries no timestamps or environment data, so identical runs
     produce identical bytes; run metadata lives only in the JSON."""
 
-    def __init__(self):
-        self.rows: list[tuple[int, str, str, float]] = []
+    def __init__(self, columns: tuple[str, ...] = ("step", "split", "metric", "value")):
+        self.columns = columns
+        self.rows: list[tuple] = []
 
-    def add(self, step: int, split: str, metric: str, value: float) -> None:
-        self.rows.append((int(step), str(split), str(metric), float(value)))
+    def add(self, *row) -> None:
+        self.rows.append((*row[:-1], float(row[-1])))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["step", "split", "metric", "value"])
-            for step, split, metric, value in self.rows:
-                writer.writerow([step, split, metric, repr(value)])
+            writer.writerow(self.columns)
+            for *keys, value in self.rows:
+                writer.writerow([*keys, repr(value)])
 
     def write_json(self, path, **metadata) -> None:
-        finals: dict[str, float] = {}
-        for step, split, metric, value in self.rows:
-            finals[f"{split}/{metric}"] = value
-        payload = {"final": finals, "rows": len(self.rows), **metadata}
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        rows = [dict(zip(self.columns, row)) for row in self.rows]
+        write_json(path, {"rows": rows, **metadata})
+
+
+def write_json(path, payload: dict) -> None:
+    """payload as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def config_digest(config: dict) -> str:

@@ -1,7 +1,8 @@
 """Reconstruction error, Fréchet distance over embedding statistics, and
-the tokenizer comparison report behind `flowtok eval`: compare_tokenizers
-decodes every split with every model through decode_split and scores it
-with split_metrics, for one model or several.
+the tokenizer comparison behind `flowtok eval`: compare_tokenizers
+decodes every split with every model through decode_split, scores it
+with split_metrics, and returns the rows as a data.MetricsLog table with
+columns (split, model, metric, value), for one model or several.
 
 All statistics run in float64 regardless of model precision, and
 eigendecompositions use NumPy's symmetric solvers (LAPACK syevd).
@@ -11,15 +12,13 @@ uncollected clamp events raise a warning.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LatentDataset
+from .data import LatentDataset, MetricsLog
 from .pipeline import TokenizerModel, decode_tokens, encode_to_tokens
 from .tensor import ShapeError
 
@@ -161,41 +160,6 @@ def mean_pool_embeddings(values: np.ndarray) -> np.ndarray:
     return x.mean(axis=1)
 
 
-@dataclass
-class ComparisonReport:
-    rows: list[tuple[str, str, str, float]] = field(default_factory=list)
-    clamp_events: int = 0
-
-    def add(self, split: str, model: str, metric: str, value: float) -> None:
-        self.rows.append((split, model, metric, float(value)))
-
-    def value(self, split: str, model: str, metric: str) -> float:
-        for row_split, row_model, row_metric, value in self.rows:
-            if (row_split, row_model, row_metric) == (split, model, metric):
-                return value
-        raise KeyError((split, model, metric))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["split", "model", "metric", "value"])
-            for split, model, metric, value in self.rows:
-                writer.writerow([split, model, metric, repr(value)])
-
-    def write_json(self, path, **metadata) -> None:
-        payload = {
-            "rows": [
-                {"split": s, "model": m, "metric": k, "value": v}
-                for s, m, k, v in self.rows
-            ],
-            "clamp_events": self.clamp_events,
-            **metadata,
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-
 def decode_split(split_name: str, dataset: LatentDataset, model: TokenizerModel,
                  seed: int, n_steps: int | None) -> np.ndarray:
     """Encode and decode the whole split in one call each. The noise stream
@@ -217,18 +181,18 @@ def split_metrics(dataset: LatentDataset, decoded: np.ndarray,
 
 
 def compare_tokenizers(splits: dict[str, LatentDataset], models: dict[str, TokenizerModel],
-                       seed: int = 0, n_steps: int | None = None) -> ComparisonReport:
-    """split_metrics for every model on every split: splits in sorted
-    order, models in the order given."""
-    report = ComparisonReport()
-    clamps = ClampLog()
+                       clamp_log: ClampLog, seed: int = 0,
+                       n_steps: int | None = None) -> MetricsLog:
+    """split_metrics for every model on every split, as rows (split, model,
+    metric, value): splits in sorted order, models in the order given.
+    Eigenvalue clamps are counted into clamp_log."""
+    table = MetricsLog(("split", "model", "metric", "value"))
     for split_name in sorted(splits):
         dataset = splits[split_name]
         if len(dataset) == 0:
             raise ValueError(f"split {split_name!r} is empty")
         for model_name, model in models.items():
             decoded = decode_split(split_name, dataset, model, seed, n_steps)
-            for metric, value in split_metrics(dataset, decoded, clamps).items():
-                report.add(split_name, model_name, metric, value)
-    report.clamp_events = clamps.events
-    return report
+            for metric, value in split_metrics(dataset, decoded, clamp_log).items():
+                table.add(split_name, model_name, metric, value)
+    return table

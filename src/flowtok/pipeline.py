@@ -124,6 +124,9 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
     mode is a single deterministic pass.
     """
     indices = np.asarray(indices)
+    # bool would index as a mask, a float would not index at all.
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got dtype {indices.dtype}")
     k = model.codebook.k
     if indices.size and (indices.min() < 0 or indices.max() >= k):
         bad = int(indices.min()) if indices.min() < 0 else int(indices.max())

@@ -133,7 +133,6 @@ class TestConfigPlumbing:
         }
         assert REPORT_DEFAULTS == {
             "tokens_per_clip": 215, "clip_seconds": 10.0, "codebook_size": 8196,
-            "seed": 0,
         }
 
     @pytest.mark.parametrize("cfg", [
@@ -422,6 +421,19 @@ class TestReport:
         assert "0.23" in payload["note"]
         printed = capsys.readouterr().out
         assert "279.5" in printed and "0.23" in printed
+
+    @pytest.mark.parametrize("overrides, bps, relation", [
+        (["tokens_per_clip=100"], 130.0, "below"),
+        (["tokens_per_clip=23", "clip_seconds=1", "codebook_size=1024"], 230.0, "equal to"),
+    ])
+    def test_note_compares_the_computed_rate(self, tmp_path, overrides, bps, relation):
+        out = tmp_path / "report.json"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["report", "--out", str(out), *sets]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["bitrate_bps"] == pytest.approx(bps, abs=0.01)
+        assert f"This is {relation} the quoted headline figure of 0.23 kbps." in payload["note"]
+        assert "above" not in payload["note"]
 
     def test_embeds_metric_files(self, tmp_path):
         extra = tmp_path / "m.json"

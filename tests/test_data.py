@@ -436,6 +436,35 @@ class TestPairsJsonl:
         with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:2: expected a JSON object"):
             load_pairs_jsonl(path)
 
+    def test_invalid_utf8_line_numbered(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"caption": "ok", "audio_tokens": []}\n'
+                         b'{"caption": "\xff", "audio_tokens": [1]}\n')
+        with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:2: not valid UTF-8"):
+            load_pairs_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("caption", 5), ("caption", None), ("instruction", 7), ("answer", ["a"])])
+    def test_non_string_text_field_rejected(self, tmp_path, field, value):
+        pair = {"caption": "ok", "audio_tokens": [1, 2], field: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(pair) + "\n")
+        with pytest.raises(DatasetFormatError, match=rf"bad\.jsonl:1: {field} is not a string"):
+            load_pairs_jsonl(path)
+
+    @pytest.mark.parametrize("tokens", ["ab", [1.5, 2], [True, 2], [1, None], {"0": 1}, 3])
+    def test_audio_tokens_must_be_int_list(self, tmp_path, tokens):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"caption": "ok", "audio_tokens": tokens}) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:1: audio_tokens is not a list"):
+            load_pairs_jsonl(path)
+
+    def test_deeply_nested_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:1: invalid JSON"):
+            load_pairs_jsonl(path)
+
 
 class TestMetrics:
     def test_csv_layout(self, tmp_path):
@@ -466,17 +495,27 @@ class TestMetrics:
         cell = path.read_text().strip().splitlines()[1].split(",")[3]
         assert float(cell) == 0.1 + 0.2
 
-    def test_json_summary_keeps_last_value(self, tmp_path):
-        import json
+    def test_json_rows_equal_added_rows(self, tmp_path):
         log = MetricsLog()
         log.add(0, "train", "loss", 2.0)
         log.add(5, "train", "loss", 0.5)
         path = tmp_path / "summary.json"
         log.write_json(path, seed=7)
         payload = json.loads(path.read_text())
-        assert payload["final"]["train/loss"] == 0.5
+        assert payload["rows"] == [
+            {"step": 0, "split": "train", "metric": "loss", "value": 2.0},
+            {"step": 5, "split": "train", "metric": "loss", "value": 0.5}]
         assert payload["seed"] == 7
-        assert payload["rows"] == 2
+
+    def test_columns_name_the_csv_header_and_json_keys(self, tmp_path):
+        log = MetricsLog(("split", "model", "metric", "value"))
+        log.add("val", "fm", "recon_mse", 1)
+        log.write_csv(tmp_path / "eval.csv")
+        log.write_json(tmp_path / "eval.json")
+        assert (tmp_path / "eval.csv").read_text().splitlines() == [
+            "split,model,metric,value", "val,fm,recon_mse,1.0"]
+        assert json.loads((tmp_path / "eval.json").read_text())["rows"] == [
+            {"split": "val", "model": "fm", "metric": "recon_mse", "value": 1.0}]
 
 
 class TestConfigDigest:

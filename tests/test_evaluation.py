@@ -9,7 +9,6 @@ from flowtok.data import LatentDataset, SyntheticLatentSpec, gen_latent_dataset
 from flowtok.evaluation import (
     ClampLog,
     ClampWarning,
-    ComparisonReport,
     GaussianStats,
     compare_tokenizers,
     decode_split,
@@ -280,10 +279,16 @@ class TestDecodeSplit:
         assert decoded.tobytes() == expected.astype(np.float32).tobytes()
 
 
+def value(table, split, model, metric):
+    """The value of the one row keyed (split, model, metric)."""
+    [found] = [v for s, m, k, v in table.rows if (s, m, k) == (split, model, metric)]
+    return found
+
+
 class TestCompareTokenizers:
     def test_row_per_split_model_metric(self):
         fm, mse = small_models()
-        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0)
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, ClampLog(), seed=0)
         keys = {(s, m, k) for s, m, k, _ in report.rows}
         expected = {(s, m, k)
                     for s in ("val", "test")
@@ -294,43 +299,44 @@ class TestCompareTokenizers:
 
     def test_rows_follow_sorted_splits_and_given_model_order(self):
         fm, mse = small_models()
-        report = compare_tokenizers(small_splits(), {"mse": mse, "fm": fm}, seed=0)
+        report = compare_tokenizers(small_splits(), {"mse": mse, "fm": fm}, ClampLog(), seed=0)
         assert [(s, m) for s, m, _, _ in report.rows[::2]] == [
             ("test", "mse"), ("test", "fm"), ("val", "mse"), ("val", "fm")]
 
     def test_same_model_both_slots_identical_columns(self):
         fm, _ = small_models()
-        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": fm}, seed=3)
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": fm}, ClampLog(), seed=3)
         for split in ("val", "test"):
             for metric in ("recon_mse", "frechet"):
-                assert report.value(split, "fm", metric) == report.value(split, "mse", metric)
+                assert value(report, split, "fm", metric) == value(report, split, "mse", metric)
 
     def test_empty_split_rejected(self):
         fm, mse = small_models()
         empty = LatentDataset(np.zeros((0, 8, 4), dtype=np.float32),
                               np.zeros(0, dtype=np.uint16))
         with pytest.raises(ValueError, match="empty"):
-            compare_tokenizers({"val": empty}, {"fm": fm, "mse": mse})
+            compare_tokenizers({"val": empty}, {"fm": fm, "mse": mse}, ClampLog())
 
     def test_repeat_run_identical_csv_bytes(self, tmp_path):
         fm, mse = small_models()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(a)
-        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(b)
+        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, ClampLog(), seed=0).write_csv(a)
+        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, ClampLog(), seed=0).write_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_flow_metrics(self):
         fm, mse = small_models()
         splits = small_splits()
-        r0 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, seed=0)
-        r1 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, seed=1)
-        assert r0.value("val", "fm", "recon_mse") != r1.value("val", "fm", "recon_mse")
-        assert r0.value("val", "mse", "recon_mse") == r1.value("val", "mse", "recon_mse")
+        r0 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, ClampLog(), seed=0)
+        r1 = compare_tokenizers(splits, {"fm": fm, "mse": mse}, ClampLog(), seed=1)
+        assert value(r0, "val", "fm", "recon_mse") != value(r1, "val", "fm", "recon_mse")
+        assert value(r0, "val", "mse", "recon_mse") == value(r1, "val", "mse", "recon_mse")
 
     def test_csv_schema(self, tmp_path):
         fm, mse = small_models()
         path = tmp_path / "report.csv"
-        compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0).write_csv(path)
+        table = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, ClampLog(), seed=0)
+        table.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "split,model,metric,value"
         assert len(lines) == 9
@@ -338,11 +344,12 @@ class TestCompareTokenizers:
     def test_json_mirror_carries_metadata(self, tmp_path):
         import json
         fm, mse = small_models()
-        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, seed=0)
+        clamps = ClampLog()
+        report = compare_tokenizers(small_splits(), {"fm": fm, "mse": mse}, clamps, seed=0)
         path = tmp_path / "report.json"
-        report.write_json(path, seed=0, config_digest="abc")
+        report.write_json(path, seed=0, config_digest="abc", clamp_events=clamps.events)
         payload = json.loads(path.read_text())
         assert payload["seed"] == 0
         assert payload["config_digest"] == "abc"
         assert len(payload["rows"]) == 8
-        assert "clamp_events" in payload
+        assert payload["clamp_events"] == clamps.events

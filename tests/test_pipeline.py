@@ -193,6 +193,14 @@ class TestDecode:
         with pytest.raises(IndexError, match="-1"):
             decode_tokens(np.array([-1, 0]), model)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_non_integer_tokens_rejected(self, dtype):
+        """A float array cannot index and a bool one would index as a mask;
+        both are refused with the dtype named."""
+        model = TokenizerModel(tiny_config())
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            decode_tokens(np.zeros(16, dtype=dtype), model)
+
     def test_round_trip_shape(self):
         for objective in ("fm", "mse"):
             cfg = tiny_config(objective)
