@@ -12,6 +12,7 @@ configs and seeds give byte-identical artifacts.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -87,15 +88,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-GEN_DATA_DEFAULTS = {
-    "n_classes": 4, "frames": 32, "dim": 16, "noise_std": 0.05,
-    "bimodal_class": -1, "n_per_class": 16, "splits": "train,val", "seed": 0,
-}
+# gen-data takes SyntheticLatentSpec.create's parameters, plus the clips
+# per class and the splits to write.
+_SPEC_PARAMS = inspect.signature(SyntheticLatentSpec.create).parameters
+GEN_DATA_DEFAULTS = {**{name: p.default for name, p in _SPEC_PARAMS.items()},
+                     "n_per_class": 16, "splits": "train,val"}
 
 # Keys train-tokenizer takes from its data and --objective, not from config.
 _TOKENIZER_INPUTS = {"frames", "data_dim", "objective"} | {
     f"{tower}.{name}" for tower in ("encoder", "decoder")
-    for name in ("causal", "max_len", "mlp_ratio")}
+    for name in ("causal", "max_len")}
 
 TRAIN_TOKENIZER_DEFAULTS = {key: value for key, value in _flatten(TokenizerConfig()).items()
                             if key not in _TOKENIZER_INPUTS}
@@ -125,8 +127,15 @@ def _parse_value(text: str):
         return text
 
 
+# The JSON value types a key takes, by the type of its default. null passes,
+# and keys whose default is None are not checked.
+_ACCEPTED_TYPES = {int: (int,), float: (int, float)}
+
+
 def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
-    """Defaults <- flat JSON file <- --set overrides, with key validation."""
+    """Defaults <- flat JSON file <- --set overrides, with key and type
+    validation: an int key refuses a bool, a float or a string, and a
+    float key a bool or a string."""
     config = dict(defaults)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -144,6 +153,11 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
         if key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
         config[key] = _parse_value(raw)
+    for key, value in config.items():
+        accepted = _ACCEPTED_TYPES.get(type(defaults[key]))
+        if accepted and value is not None and type(value) not in accepted:
+            raise UsageError(f"config key {key!r} takes {type(defaults[key]).__name__}, "
+                             f"got {value!r}")
     return config
 
 
@@ -195,10 +209,7 @@ def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
 # subcommands
 
 def cmd_gen_data(args, config: dict) -> int:
-    spec = SyntheticLatentSpec.create(
-        n_classes=config["n_classes"], frames=config["frames"], dim=config["dim"],
-        noise_std=config["noise_std"], seed=config["seed"],
-        bimodal_class=config["bimodal_class"])
+    spec = SyntheticLatentSpec.create(**{key: config[key] for key in _SPEC_PARAMS})
     splits = [s for s in str(config["splits"]).split(",") if s]
     if not splits:
         raise UsageError("splits must name at least one split")

@@ -8,7 +8,7 @@ Formats (all little-endian):
                   count*T*D float32 values, then count u16 class labels.
 
   checkpoint      magic "MSNC", u32 version=2, u32 header length, a UTF-8
-                  JSON header (the source's cfg as sorted flat dotted keys,
+                  JSON header (the model's cfg as sorted flat dotted keys,
                   {} without one), then one record per tensor: u16 name
                   length, UTF-8 name, u8 ndim, u32 per dim, float32
                   payload; a trailing u32 CRC-32 covers every byte between
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .nn import Module
-from .tensor import Tensor
 
 LATENT_MAGIC = b"MSNL"
 CHECKPOINT_MAGIC = b"MSNC"
@@ -207,27 +206,19 @@ def _build(cls, flat: dict, prefix: str = "", default=None):
     return replace(default, **changes)
 
 
-def _named_tensors(source) -> list[tuple[str, np.ndarray]]:
-    if isinstance(source, Module):
-        return [(name, t.data) for name, t in source.named_tensors()]
-    if isinstance(source, dict):
-        return [(k, v.data if isinstance(v, Tensor) else np.asarray(v)) for k, v in source.items()]
-    raise TypeError(f"cannot checkpoint a {type(source).__name__}")
-
-
-def save_checkpoint(path, source) -> None:
-    """Write source's config header and tensors to path atomically: the
+def save_checkpoint(path, model: Module) -> None:
+    """Write model's config header and tensors to path atomically: the
     bytes go to a sibling temp file, are fsynced, then renamed over path,
     so a crash or error at any point leaves the previous file whole and no
     temp file behind."""
-    cfg = getattr(source, "cfg", None)
+    cfg = getattr(model, "cfg", None)
     header = json.dumps({} if cfg is None else _flatten(cfg), sort_keys=True).encode("utf-8")
     chunks: list[bytes] = [struct.pack("<I", len(header)), header]
-    for name, arr in _named_tensors(source):
+    for name, t in model.named_tensors():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:40]}...")
-        arr = np.asarray(arr, dtype="<f4", order="C")
+        arr = np.asarray(t.data, dtype="<f4", order="C")
         if arr.ndim > 0xFF:
             raise CheckpointError(f"{name}: ndim {arr.ndim} exceeds format limit")
         chunks.append(struct.pack("<H", len(encoded)))
@@ -354,7 +345,8 @@ def save_pairs_jsonl(path, pairs: list[dict]) -> None:
 
 def load_pairs_jsonl(path) -> list[dict]:
     """One JSON object per non-blank UTF-8 line: a string caption, a list
-    of int audio_tokens and, when present, a string instruction and answer.
+    of int audio_tokens and, when present, a string instruction and answer,
+    each string encodable as UTF-8 (a lone surrogate escape is not).
     Anything else raises DatasetFormatError naming path:line."""
     pairs = []
     with open(path, "rb") as f:
@@ -375,8 +367,14 @@ def load_pairs_jsonl(path) -> list[dict]:
             if "caption" not in obj or "audio_tokens" not in obj:
                 raise DatasetFormatError(f"{where}: missing caption or audio_tokens")
             for key in ("caption", "instruction", "answer"):
-                if key in obj and not isinstance(obj[key], str):
+                if key not in obj:
+                    continue
+                if not isinstance(obj[key], str):
                     raise DatasetFormatError(f"{where}: {key} is not a string")
+                try:
+                    obj[key].encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise DatasetFormatError(f"{where}: {key} is not valid Unicode") from e
             tokens = obj["audio_tokens"]
             # JSON gives int, float or bool; bool is an int subclass.
             if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):

@@ -6,13 +6,12 @@ columns (split, model, metric, value), for one model or several.
 
 All statistics run in float64 regardless of model precision, and
 eigendecompositions use NumPy's symmetric solvers (LAPACK syevd).
-Eigenvalue clamping is never silent; every clamp is counted, and
-uncollected clamp events raise a warning.
+Eigenvalue clamping is never silent: every routine that clamps takes a
+ClampLog, and every clamp is counted into it.
 """
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -25,10 +24,6 @@ from .tensor import ShapeError
 
 # Largest asymmetry matrix_sqrt_psd accepts, relative to the largest entry.
 SYMMETRY_TOL = 1e-8
-
-
-class ClampWarning(RuntimeWarning):
-    """Negative eigenvalues were clamped with no ClampLog to record them."""
 
 
 @dataclass
@@ -46,18 +41,6 @@ class ClampLog:
             self.events += int(negative.sum())
             self.worst = min(self.worst, float(values[negative].min()))
         return np.where(negative, 0.0, values)
-
-
-def _clamp(values: np.ndarray, log: ClampLog | None, context: str) -> np.ndarray:
-    if log is not None:
-        return log.record(values)
-    scratch = ClampLog()
-    out = scratch.record(values)
-    if scratch.events:
-        warnings.warn(
-            f"{context}: clamped {scratch.events} negative value(s), "
-            f"worst {scratch.worst:.3e}", ClampWarning, stacklevel=3)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +93,7 @@ def gaussian_stats(embeddings: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, covariance=cov, count=n)
 
 
-def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None) -> np.ndarray:
+def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog) -> np.ndarray:
     """Symmetric square root of a PSD matrix via eigendecomposition.
 
     Slightly negative eigenvalues (round-off) are clamped to zero and
@@ -122,13 +105,12 @@ def matrix_sqrt_psd(matrix: np.ndarray, clamp_log: ClampLog | None = None) -> np
     if np.abs(m - m.T).max() > SYMMETRY_TOL * max(1.0, np.abs(m).max()):
         raise ValueError("matrix_sqrt_psd: input not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(0.5 * (m + m.T))
-    eigenvalues = _clamp(eigenvalues, clamp_log, "matrix_sqrt_psd")
+    eigenvalues = clamp_log.record(eigenvalues)
     root = (vectors * np.sqrt(eigenvalues)) @ vectors.T
     return 0.5 * (root + root.T)
 
 
-def frechet_distance(s1: GaussianStats, s2: GaussianStats,
-                     clamp_log: ClampLog | None = None) -> float:
+def frechet_distance(s1: GaussianStats, s2: GaussianStats, clamp_log: ClampLog) -> float:
     """Squared Fréchet distance between two Gaussians.
 
     The cross term uses the symmetric product S1^(1/2) S2 S1^(1/2), whose
@@ -140,12 +122,11 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats,
     root1 = matrix_sqrt_psd(s1.covariance, clamp_log)
     inner = root1 @ s2.covariance @ root1
     inner = 0.5 * (inner + inner.T)
-    eigenvalues = np.linalg.eigvalsh(inner)
-    eigenvalues = _clamp(eigenvalues, clamp_log, "frechet_distance")
+    eigenvalues = clamp_log.record(np.linalg.eigvalsh(inner))
     cross = 2.0 * float(np.sqrt(eigenvalues).sum())
     mean_gap = float(((s1.mean - s2.mean) ** 2).sum())
     total = mean_gap + float(np.trace(s1.covariance) + np.trace(s2.covariance)) - cross
-    return float(_clamp(np.array([total]), clamp_log, "frechet_distance")[0])
+    return float(clamp_log.record(np.array([total]))[0])
 
 
 # ----------------------------------------------------------------------

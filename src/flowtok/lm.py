@@ -75,12 +75,6 @@ class Vocab:
             raise ValueError(f"audio code outside [0, {self.n_audio})")
         return codes + self.v_text
 
-    def codes_of(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if not np.all(self.is_audio(ids)):
-            raise ValueError("codes_of: non-audio id present")
-        return ids - self.v_text
-
     def is_audio(self, ids) -> np.ndarray:
         ids = np.asarray(ids)
         return (ids >= self.v_text) & (ids < self.v_text + self.n_audio)
@@ -132,7 +126,6 @@ class FusionConfig:
     n_blocks: int = 4
     hidden_dim: int = 128
     head_dim: int = 32
-    mlp_ratio: int = 4
     max_len: int = 512
     lora_rank: int = 8
     lora_alpha: float = 16.0
@@ -144,8 +137,7 @@ class FusionConfig:
     def transformer(self) -> TransformerConfig:
         """The causal block stack this configuration describes."""
         return TransformerConfig(n_blocks=self.n_blocks, hidden_dim=self.hidden_dim,
-                                 head_dim=self.head_dim, causal=True, max_len=self.max_len,
-                                 mlp_ratio=self.mlp_ratio)
+                                 head_dim=self.head_dim, causal=True, max_len=self.max_len)
 
 
 class FusionLM(Module):
@@ -301,8 +293,8 @@ def build_pretrain_example(caption: str, audio_codes, vocab: Vocab,
                           weights=np.concatenate([span_weights, text_weights]))
 
 
-def build_finetune_example(instruction: str, audio_codes, answer: str, vocab: Vocab,
-                           answer_audio_codes=None) -> FusionSequence:
+def build_finetune_example(instruction: str, audio_codes, answer: str,
+                           vocab: Vocab) -> FusionSequence:
     """Instruction-following layout:
 
         USER: <soa>audio<eoa> {instruction} ASSISTANT: {answer}
@@ -317,13 +309,12 @@ def build_finetune_example(instruction: str, audio_codes, answer: str, vocab: Vo
     codes = np.asarray(audio_codes, dtype=np.int64)
     if codes.size == 0:
         raise ValueError("build_finetune_example: empty audio")
-    prompt = [vocab.encode_text("USER: "), _span(vocab, codes),
-              vocab.encode_text(" " + instruction + " ASSISTANT: ")]
-    parts = [(part, 0.0) for part in prompt] + [(vocab.encode_text(answer), TEXT_WEIGHT)]
-    if answer_audio_codes is not None:
-        parts.append((_span(vocab, answer_audio_codes), AUDIO_WEIGHT))
-    return FusionSequence(ids=np.concatenate([part for part, _ in parts]),
-                          weights=np.concatenate([np.full(part.size, w) for part, w in parts]))
+    prompt = np.concatenate([vocab.encode_text("USER: "), _span(vocab, codes),
+                             vocab.encode_text(" " + instruction + " ASSISTANT: ")])
+    reply = vocab.encode_text(answer)
+    return FusionSequence(ids=np.concatenate([prompt, reply]),
+                          weights=np.concatenate([np.zeros(prompt.size),
+                                                  np.full(reply.size, TEXT_WEIGHT)]))
 
 
 # ----------------------------------------------------------------------

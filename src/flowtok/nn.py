@@ -1,12 +1,12 @@
 """Transformer building blocks, the AdamW optimizer and the training loop.
 
-All blocks are pre-norm (norm, sublayer, residual) with a 4x GELU MLP,
-assembled from the autodiff primitives in `tensor`; the stack owns the
-learned absolute position table and the length check. Modules build in
-DEFAULT_DTYPE; `Module.double` recasts one to float64 for finite-difference
-checks. Causal masking uses a finite -1e9 additive constant: exp underflows
-to +0.0 for masked scores, which keeps prefix outputs bit-identical whether
-or not later positions are present.
+All blocks are pre-norm (norm, sublayer, residual) with a GELU MLP
+MLP_RATIO times the model width, assembled from the autodiff primitives in
+`tensor`; the stack owns the learned absolute position table and the length
+check. Modules build in DEFAULT_DTYPE; `Module.double` recasts one to
+float64 for finite-difference checks. Causal masking uses a finite -1e9
+additive constant: exp underflows to +0.0 for masked scores, which keeps
+prefix outputs bit-identical whether or not later positions are present.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class Module:
             if t.requires_grad:
                 yield name, t
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
     def zero_grad(self) -> None:
         for _, t in self.named_tensors():
             t.grad = None
@@ -79,6 +76,10 @@ class Module:
         return self
 
 
+# Width of the MLP's hidden layer, in multiples of the model width.
+MLP_RATIO = 4
+
+
 @dataclass
 class TransformerConfig:
     """Shape of a block stack. hidden_dim must be a multiple of head_dim."""
@@ -88,7 +89,6 @@ class TransformerConfig:
     head_dim: int = 32
     causal: bool = False
     max_len: int = 512
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.hidden_dim % self.head_dim != 0:
@@ -190,8 +190,8 @@ class AttentionLayer(Module):
 class Mlp(Module):
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
         h = cfg.hidden_dim
-        self.fc1 = linear(h, cfg.mlp_ratio * h, rng)
-        self.fc2 = linear(cfg.mlp_ratio * h, h, rng)
+        self.fc1 = linear(h, MLP_RATIO * h, rng)
+        self.fc2 = linear(MLP_RATIO * h, h, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
@@ -292,18 +292,16 @@ class TimestepEmbedding(Module):
 
 
 class AdamW:
-    """Adam with bias-corrected moments and decoupled weight decay.
+    """Adam with bias-corrected moments and decoupled weight decay, over
+    the trainable parameters of model:
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
-
-    params is a Module (its trainable parameters) or (name, tensor) pairs.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 1e-4, weight_decay: float = 0.0):
-        self._params: list[tuple[str, Tensor]] = (
-            list(params.named_parameters()) if isinstance(params, Module) else list(params))
+    def __init__(self, model: Module, lr: float = 1e-4, weight_decay: float = 0.0):
+        self._params: list[tuple[str, Tensor]] = list(model.named_parameters())
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -419,7 +417,7 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
 # composite finite-difference checks (feed the grad-check suite)
 
 
-def block_gradient_checks(eps: float = 1e-5) -> dict[str, float]:
+def block_gradient_checks() -> dict[str, float]:
     """Finite-difference verification of the composite blocks in float64."""
     rng = np.random.default_rng(31)
     cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=False, max_len=16)
@@ -430,26 +428,25 @@ def block_gradient_checks(eps: float = 1e-5) -> dict[str, float]:
     # probe with a random linear functional; sum of squares of a normalized
     # vector is nearly input-invariant, which starves the gradient
     probe = Tensor(rng.normal(size=(2, 3, 8)))
-    results["layer_norm"] = grad_check(lambda t: (ln(t) * probe).sum(), [x], eps=eps)
+    results["layer_norm"] = grad_check(lambda t: (ln(t) * probe).sum(), [x])
 
     def attn_target(q, k, v):
         return square(attention(q, k, v, n_heads=2, causal=False)).sum()
 
     qkv = [rng.normal(size=(1, 4, 8)) for _ in range(3)]
-    results["attention"] = grad_check(attn_target, qkv, eps=eps)
+    results["attention"] = grad_check(attn_target, qkv)
 
     def causal_target(q, k, v):
         return square(attention(q, k, v, n_heads=2, causal=True)).sum()
 
-    results["attention_causal"] = grad_check(causal_target, qkv, eps=eps)
+    results["attention_causal"] = grad_check(causal_target, qkv)
 
     mlp = Mlp(cfg, rng).double()
-    results["mlp"] = grad_check(lambda t: square(mlp(t)).sum(), [rng.normal(size=(2, 3, 8))], eps=eps)
+    results["mlp"] = grad_check(lambda t: square(mlp(t)).sum(), [rng.normal(size=(2, 3, 8))])
 
     block = TransformerBlock(cfg, rng).double()
-    results["transformer_block"] = grad_check(
-        lambda t: square(block(t)).sum(), [rng.normal(size=(1, 4, 8))], eps=eps
-    )
+    results["transformer_block"] = grad_check(lambda t: square(block(t)).sum(),
+                                              [rng.normal(size=(1, 4, 8))])
 
     temb = TimestepEmbedding(8, rng).double()
 
@@ -461,5 +458,5 @@ def block_gradient_checks(eps: float = 1e-5) -> dict[str, float]:
         finally:
             temb.fc1.weight = saved
 
-    results["timestep_mlp"] = grad_check(temb_target, [temb.fc1.weight.data.copy()], eps=eps)
+    results["timestep_mlp"] = grad_check(temb_target, [temb.fc1.weight.data.copy()])
     return results

@@ -651,9 +651,9 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     return cases
 
 
-def run_gradient_suite(eps: float = 1e-5) -> dict[str, float]:
+def run_gradient_suite() -> dict[str, float]:
     """Finite-difference check of every registered differentiable op.
 
     Returns op name -> worst relative error (float64 throughout).
     """
-    return {name: grad_check(fn, arrays, eps=eps) for name, fn, arrays in _suite_cases()}
+    return {name: grad_check(fn, arrays) for name, fn, arrays in _suite_cases()}

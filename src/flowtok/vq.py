@@ -22,7 +22,8 @@ class Codebook(Module):
     Fresh entries start with zero usage: they must earn assignments before
     the first maintenance pass or be re-seeded from batch vectors. Re-seeded
     entries restart with full usage credit so they get a grace period of
-    log(threshold)/log(USAGE_DECAY) steps before becoming eligible again.
+    log(RESTART_THRESHOLD)/log(USAGE_DECAY) steps before becoming eligible
+    again.
     """
 
     def __init__(self, k: int, dim: int, rng: np.random.Generator):
@@ -94,23 +95,24 @@ def index_histogram(indices: np.ndarray, k: int) -> np.ndarray:
 
 # Per-step decay of the usage EMA.
 USAGE_DECAY = 0.99
+# An entry whose usage EMA falls below this, unassigned in the batch, is dead.
+RESTART_THRESHOLD = 1e-3
 
 
 def codebook_maintenance(codebook: Codebook, batch_indices: np.ndarray,
-                         batch_vectors: np.ndarray, rng: np.random.Generator,
-                         restart_threshold: float = 1e-3) -> np.ndarray:
+                         batch_vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Decay the usage EMA with this batch's assignment shares and re-seed
-    dead entries from random batch vectors.
+    dead entries (usage below RESTART_THRESHOLD) from random batch vectors.
 
-    Returns the re-seeded entry ids (possibly empty). restart_threshold = 0
-    disables restarts entirely. Entries assigned in the current batch are
-    alive by definition and exempt, whatever their EMA says.
+    Returns the re-seeded entry ids (possibly empty). Entries assigned in
+    the current batch are alive by definition and exempt, whatever their
+    EMA says.
     """
     batch_vectors = np.asarray(batch_vectors).reshape(-1, codebook.dim)
     hist = index_histogram(batch_indices, codebook.k)
     share = hist / hist.sum() if hist.sum() > 0 else hist
     usage = USAGE_DECAY * codebook.usage.data.astype(np.float64) + (1.0 - USAGE_DECAY) * share
-    dead = np.flatnonzero((usage < restart_threshold) & (hist == 0))
+    dead = np.flatnonzero((usage < RESTART_THRESHOLD) & (hist == 0))
     if dead.size:
         picks = rng.integers(0, batch_vectors.shape[0], size=dead.size)
         codebook.entries.data[dead] = batch_vectors[picks].astype(codebook.entries.dtype)

@@ -290,7 +290,7 @@ def test_07_frechet_math(verdict):
 
     uni_a = GaussianStats(mean=np.array([0.0]), covariance=np.array([[1.0]]), count=10)
     uni_b = GaussianStats(mean=np.array([1.0]), covariance=np.array([[4.0]]), count=10)
-    univariate = frechet_distance(uni_a, uni_b)
+    univariate = frechet_distance(uni_a, uni_b, clamp_log=clamps)
 
     base = rng.normal(size=(6, 6))
     psd = base @ base.T

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from flowtok.cli import (
+    GEN_DATA_DEFAULTS,
     REPORT_DEFAULTS,
     TRAIN_LM_DEFAULTS,
     TRAIN_TOKENIZER_DEFAULTS,
@@ -127,18 +128,22 @@ class TestConfigPlumbing:
         }
         assert TRAIN_LM_DEFAULTS == {
             "v_text": 256, "n_blocks": 4, "hidden_dim": 128, "head_dim": 32,
-            "mlp_ratio": 4, "max_len": 512, "lora_rank": 8, "lora_alpha": 16.0,
+            "max_len": 512, "lora_rank": 8, "lora_alpha": 16.0,
             "n_audio": 256, "lr": 1e-3, "weight_decay": 0.01, "epochs": 10,
             "batch_size": 8, "z_coeff": 1e-4, "seed": 0, "checkpoint": None,
         }
         assert REPORT_DEFAULTS == {
             "tokens_per_clip": 215, "clip_seconds": 10.0, "codebook_size": 8196,
         }
+        assert GEN_DATA_DEFAULTS == {
+            "n_classes": 4, "frames": 32, "dim": 16, "noise_std": 0.05,
+            "bimodal_class": -1, "n_per_class": 16, "splits": "train,val", "seed": 0,
+        }
 
     @pytest.mark.parametrize("cfg", [
         TokenizerConfig.paper(),
-        FusionConfig(v_text=128, n_blocks=2, hidden_dim=64, head_dim=16, mlp_ratio=2,
-                     max_len=64, lora_rank=4, lora_alpha=8.0),
+        FusionConfig(v_text=128, n_blocks=2, hidden_dim=64, head_dim=16, max_len=64,
+                     lora_rank=4, lora_alpha=8.0),
         LmTrainConfig(lr=3e-4, weight_decay=0.0, epochs=3, batch_size=2, z_coeff=0.0,
                       seed=7),
     ], ids=["tokenizer-paper", "fusion", "lm-train"])
@@ -160,6 +165,30 @@ class TestConfigPlumbing:
                   "train-tokenizer": ["--objective", "fm", "--data", "missing"],
                   "train-lm": ["--stage", "pretrain", "--pairs", "missing"]}[command]
         assert main([command, *inputs, "--out", "unused", "--set", f"{key}=1"]) == 1
+
+    @pytest.mark.parametrize("source, key, raw, code", [
+        ("set", "epochs", "true", 1),
+        ("set", "epochs", "2.5", 1),
+        ("set", "epochs", '"3"', 1),
+        ("set", "lr", '"abc"', 1),
+        ("set", "lr", "false", 1),
+        ("config", "epochs", "2.5", 1),
+        ("config", "lr", '"abc"', 1),
+        # An int is a float; it passes and the missing data exits 2.
+        ("set", "lr", "1", 2),
+    ])
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, source, key, raw, code):
+        """Exit 1 naming the key before any input is read."""
+        if source == "set":
+            given = ["--set", f"{key}={raw}"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(f'{{"{key}": {raw}}}')
+            given = ["--config", str(path)]
+        assert main(["train-tokenizer", "--objective", "fm", "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "out"), *given]) == code
+        if code == 1:
+            assert repr(key) in capsys.readouterr().err
 
     def test_set_parses_json_values(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--set", "noise_std=0.0",

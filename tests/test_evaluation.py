@@ -8,7 +8,6 @@ import pytest
 from flowtok.data import LatentDataset, SyntheticLatentSpec, gen_latent_dataset
 from flowtok.evaluation import (
     ClampLog,
-    ClampWarning,
     GaussianStats,
     compare_tokenizers,
     decode_split,
@@ -90,50 +89,50 @@ class TestGaussianStats:
 
 class TestMatrixSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4), ClampLog()), np.eye(4), atol=1e-12)
 
     def test_diagonal_case(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])),
+        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([4.0, 9.0]), ClampLog()),
                                    np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_diagonal_matrix(self):
         # unsorted entries: the eigensolver returns them in ascending order,
         # so the root is right only if values and vectors stay paired
-        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([9.0, 1.0, 4.0])),
+        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([9.0, 1.0, 4.0]), ClampLog()),
                                    np.diag([3.0, 1.0, 2.0]), atol=1e-12)
 
     def test_squares_back(self):
         m = random_psd(5, 12)
-        root = matrix_sqrt_psd(m)
+        root = matrix_sqrt_psd(m, ClampLog())
         assert np.abs(root @ root - m).max() < 1e-6
 
     def test_reconstructs_input(self):
         m = random_psd(6, 9)
-        root = matrix_sqrt_psd(m)
+        root = matrix_sqrt_psd(m, ClampLog())
         assert np.array_equal(root, root.T)
         assert np.linalg.eigvalsh(root).min() > 0.0
         np.testing.assert_allclose(root @ root, m, atol=1e-9)
 
     def test_moderate_dimension(self):
         m = random_psd(48, 11)
-        root = matrix_sqrt_psd(m)
+        root = matrix_sqrt_psd(m, ClampLog())
         assert np.abs(root @ root - m).max() < 1e-6
 
     def test_one_by_one(self):
-        assert matrix_sqrt_psd(np.array([[4.0]]))[0, 0] == 2.0
+        assert matrix_sqrt_psd(np.array([[4.0]]), ClampLog())[0, 0] == 2.0
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.2], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            matrix_sqrt_psd(m)
+            matrix_sqrt_psd(m, ClampLog())
 
     def test_symmetry_tolerance(self):
         # round-off asymmetry below SYMMETRY_TOL (relative to the largest entry)
         # is accepted; anything above it is an error, however small the matrix
         within = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
-        assert np.all(np.isfinite(matrix_sqrt_psd(within)))
+        assert np.all(np.isfinite(matrix_sqrt_psd(within, ClampLog())))
         with pytest.raises(ValueError, match="symmetric"):
-            matrix_sqrt_psd(np.array([[1.0, 2.0], [0.5, 1.0]]))
+            matrix_sqrt_psd(np.array([[1.0, 2.0], [0.5, 1.0]]), ClampLog())
 
     def test_clamping_counted(self):
         rng = np.random.default_rng(13)
@@ -146,19 +145,10 @@ class TestMatrixSqrt:
         assert log.worst < 0.0
         assert np.all(np.isfinite(root))
 
-    def test_uncollected_clamp_warns(self):
-        rng = np.random.default_rng(13)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        m = (q * np.array([1.0, 0.5, -1e-9])) @ q.T
-        m = 0.5 * (m + m.T)
-        with pytest.warns(ClampWarning):
-            matrix_sqrt_psd(m)
-
     def test_no_warning_when_psd(self):
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error", ClampWarning)
-            matrix_sqrt_psd(random_psd(4, 14, jitter=0.1))
+        log = ClampLog()
+        matrix_sqrt_psd(random_psd(4, 14, jitter=0.1), log)
+        assert log.events == 0
 
 
 class TestFrechetDistance:
@@ -172,21 +162,23 @@ class TestFrechetDistance:
     def test_univariate_closed_form(self):
         a = GaussianStats(mean=np.array([0.0]), covariance=np.array([[1.0]]), count=10)
         b = GaussianStats(mean=np.array([1.0]), covariance=np.array([[4.0]]), count=10)
-        assert frechet_distance(a, b) == pytest.approx(2.0, abs=1e-9)
+        assert frechet_distance(a, b, ClampLog()) == pytest.approx(2.0, abs=1e-9)
 
     def test_symmetric_in_arguments(self):
         for seed in range(3):
             a = GaussianStats(mean=np.zeros(4), covariance=random_psd(4, seed, 0.1), count=9)
             b = GaussianStats(mean=np.ones(4), covariance=random_psd(4, seed + 50, 0.1), count=9)
-            assert frechet_distance(a, b) == pytest.approx(frechet_distance(b, a), abs=1e-6)
+            assert frechet_distance(a, b, ClampLog()) == pytest.approx(
+                frechet_distance(b, a, ClampLog()), abs=1e-6)
 
     def test_translation_invariant(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((30, 3))
         y = rng.standard_normal((30, 3)) * 1.5 + 0.3
         shift = np.array([5.0, -2.0, 7.0])
-        base = frechet_distance(gaussian_stats(x), gaussian_stats(y))
-        moved = frechet_distance(gaussian_stats(x + shift), gaussian_stats(y + shift))
+        base = frechet_distance(gaussian_stats(x), gaussian_stats(y), ClampLog())
+        moved = frechet_distance(gaussian_stats(x + shift), gaussian_stats(y + shift),
+                                 ClampLog())
         assert base == pytest.approx(moved, abs=1e-8)
 
     def test_nonnegative(self):
@@ -194,19 +186,19 @@ class TestFrechetDistance:
         for seed in range(5):
             a = gaussian_stats(rng.standard_normal((20, 4)))
             b = gaussian_stats(rng.standard_normal((20, 4)))
-            assert frechet_distance(a, b) >= 0.0
+            assert frechet_distance(a, b, ClampLog()) >= 0.0
 
     def test_dim_mismatch_rejected(self):
         a = gaussian_stats(np.random.default_rng(0).standard_normal((5, 2)))
         b = gaussian_stats(np.random.default_rng(0).standard_normal((5, 3)))
         with pytest.raises(ShapeError, match="dims differ"):
-            frechet_distance(a, b)
+            frechet_distance(a, b, ClampLog())
 
     def test_mean_gap_only(self):
         cov = np.eye(2)
         a = GaussianStats(mean=np.array([0.0, 0.0]), covariance=cov, count=5)
         b = GaussianStats(mean=np.array([3.0, 4.0]), covariance=cov, count=5)
-        assert frechet_distance(a, b) == pytest.approx(25.0, abs=1e-9)
+        assert frechet_distance(a, b, ClampLog()) == pytest.approx(25.0, abs=1e-9)
 
 
 class TestMeanPool:

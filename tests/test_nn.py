@@ -13,6 +13,7 @@ from flowtok.nn import (
     TransformerBlock,
     TransformerConfig,
     TransformerStack,
+    Module,
     attention,
     block_gradient_checks,
     fit,
@@ -24,6 +25,13 @@ from flowtok.tensor import ShapeError, Tensor, no_grad, square
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _holder(**tensors) -> Module:
+    """A module whose state is exactly the given tensors, in order."""
+    holder = Module()
+    holder.__dict__.update(tensors)
+    return holder
 
 
 class TestAttention:
@@ -142,20 +150,20 @@ class TestAdamW:
         """One step at lr=0.1 with unit gradient moves p by almost exactly lr."""
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([1.0], dtype=p.dtype)
-        opt = AdamW([("p", p)], lr=0.1)
+        opt = AdamW(_holder(p=p), lr=0.1)
         opt.step()
         np.testing.assert_allclose(p.data, [0.9], atol=1e-7)
 
     def test_decoupled_weight_decay_with_zero_gradient(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2, dtype=p.dtype)
-        opt = AdamW([("p", p)], lr=0.1, weight_decay=0.1)
+        opt = AdamW(_holder(p=p), lr=0.1, weight_decay=0.1)
         opt.step()
         np.testing.assert_allclose(p.data, [0.99, -1.98], rtol=1e-6)
 
     def test_missing_gradient_is_an_error(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW([("p", p)], lr=0.1)
+        opt = AdamW(_holder(p=p), lr=0.1)
         with pytest.raises(ValueError, match="p"):
             opt.step()
 
@@ -163,7 +171,7 @@ class TestAdamW:
         rng = _rng(10)
         a = Tensor(rng.normal(size=(3,)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        opt = AdamW([("a", a), ("b", b)], lr=0.01)
+        opt = AdamW(_holder(a=a, b=b), lr=0.01)
         for _ in range(3):
             a.grad = np.ones(3, dtype=a.dtype)
             b.grad = -np.ones(3, dtype=b.dtype)

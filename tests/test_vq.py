@@ -135,7 +135,7 @@ class TestMaintenance:
         reseeded_ever = False
         for _ in range(100):
             indices = rng.choice([0, 1, 2], size=12)  # entry 3 never selected
-            dead = codebook_maintenance(cb, indices, batch, rng, restart_threshold=0.01)
+            dead = codebook_maintenance(cb, indices, batch, rng)
             reseeded_ever = reseeded_ever or 3 in dead
         assert reseeded_ever
         np.testing.assert_array_equal(cb.entries.data[:3], before[:3])
@@ -146,28 +146,15 @@ class TestMaintenance:
         cb = _book(rng.normal(size=(4, 2)).astype(np.float32))
         before = cb.entries.data.copy()
         batch = rng.normal(size=(8, 2)).astype(np.float32)
-        dead = codebook_maintenance(cb, np.array([0, 1, 2, 3, 0, 1, 2, 3]), batch, rng,
-                                    restart_threshold=0.01)
+        dead = codebook_maintenance(cb, np.array([0, 1, 2, 3, 0, 1, 2, 3]), batch, rng)
         assert dead.size == 0
-        np.testing.assert_array_equal(cb.entries.data, before)
-
-    def test_zero_threshold_never_restarts(self):
-        rng = np.random.default_rng(9)
-        cb = _book(rng.normal(size=(4, 2)).astype(np.float32))
-        before = cb.entries.data.copy()
-        batch = rng.normal(size=(8, 2)).astype(np.float32)
-        for _ in range(50):
-            dead = codebook_maintenance(cb, np.zeros(8, dtype=int), batch, rng,
-                                        restart_threshold=0.0)
-            assert dead.size == 0
         np.testing.assert_array_equal(cb.entries.data, before)
 
     def test_reseeded_entry_comes_from_batch(self):
         rng = np.random.default_rng(10)
         cb = _book(rng.normal(size=(4, 2)).astype(np.float32))
         batch = rng.normal(size=(16, 2)).astype(np.float32)
-        dead = codebook_maintenance(cb, np.zeros(16, dtype=int), batch, rng,
-                                    restart_threshold=0.01)
+        dead = codebook_maintenance(cb, np.zeros(16, dtype=int), batch, rng)
         assert dead.size > 0
         for idx in dead:
             assert any(np.array_equal(cb.entries.data[idx], row) for row in batch)
