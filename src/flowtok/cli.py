@@ -3,12 +3,12 @@
 Outputs are files under --out, which main creates (the directory, or a
 file's parent) before the command runs; every run then drops a
 resolved-config JSON (seed and every parsed argument included) there so
-it can be replayed exactly. A checkpoint carries its model's config in
-its header, so commands that read one need no other file. `eval` scores
-any number of named tokenizers on any number of named splits in one
-table. Exit codes: 0 success, 1 usage error, 2 runtime failure. With
-MSN_DETERMINISTIC=1 the package pins BLAS to a single thread, so equal
-configs and seeds give byte-identical artifacts.
+any artifact can be traced to the settings that produced it. A checkpoint
+carries its model's config in its header, so commands that read one need
+no other file. `eval` scores any number of named tokenizers on any number
+of named splits in one table. Exit codes: 0 success, 1 usage error, 2
+runtime failure. With MSN_DETERMINISTIC=1 the package pins BLAS to a
+single thread, so equal configs and seeds give byte-identical artifacts.
 """
 
 import argparse
@@ -16,17 +16,20 @@ import inspect
 import json
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import __version__
 from .data import (
+    EVENT_NOUNS,
     INSTRUCTIONS,
     CheckpointError,
     LatentDataset,
     MetricsLog,
     SyntheticLatentSpec,
     _build,
+    _fields,
     _flatten,
     config_digest,
     gen_caption,
@@ -90,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
 
 # gen-data takes SyntheticLatentSpec.create's parameters, plus the clips
 # per class and the splits to write.
-_SPEC_PARAMS = inspect.signature(SyntheticLatentSpec.create).parameters
+_SPEC_PARAMS = inspect.signature(SyntheticLatentSpec.create, eval_str=True).parameters
 GEN_DATA_DEFAULTS = {**{name: p.default for name, p in _SPEC_PARAMS.items()},
                      "n_per_class": 16, "splits": "train,val"}
 
@@ -119,6 +122,17 @@ REPORT_DEFAULTS = {
     "codebook_size": TokenizerConfig.paper().codebook_size,
 }
 
+# The type each key takes, from the annotation that declares it: a config
+# dataclass field or a SyntheticLatentSpec.create parameter. The keys only
+# the command line has state theirs here. A key has one type on every command.
+_KEY_TYPES = {
+    **{key: hint for cfg in (TokenizerConfig(), FusionConfig(), LmTrainConfig())
+       for key, hint, _ in _fields(cfg)},
+    **{name: p.annotation for name, p in _SPEC_PARAMS.items()},
+    "n_per_class": int, "splits": str, "n_steps": int | None, "n_audio": int,
+    "checkpoint": str | None, "tokens_per_clip": int, "clip_seconds": float,
+}
+
 
 def _parse_value(text: str):
     try:
@@ -127,15 +141,10 @@ def _parse_value(text: str):
         return text
 
 
-# The JSON value types a key takes, by the type of its default. null passes,
-# and keys whose default is None are not checked.
-_ACCEPTED_TYPES = {int: (int,), float: (int, float)}
-
-
 def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     """Defaults <- flat JSON file <- --set overrides, with key and type
-    validation: an int key refuses a bool, a float or a string, and a
-    float key a bool or a string."""
+    validation against _KEY_TYPES: null fits only an optional key, a bool
+    never fits an int, and an int fits a float."""
     config = dict(defaults)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -154,9 +163,10 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
             raise UsageError(f"unknown config key {key!r}")
         config[key] = _parse_value(raw)
     for key, value in config.items():
-        accepted = _ACCEPTED_TYPES.get(type(defaults[key]))
-        if accepted and value is not None and type(value) not in accepted:
-            raise UsageError(f"config key {key!r} takes {type(defaults[key]).__name__}, "
+        hint = _KEY_TYPES[key]
+        kinds = get_args(hint) or (hint,)
+        if type(value) not in kinds and not (type(value) is int and float in kinds):
+            raise UsageError(f"config key {key!r} takes {inspect.formatannotation(hint)}, "
                              f"got {value!r}")
     return config
 
@@ -209,8 +219,12 @@ def _load_lm(checkpoint_path) -> tuple[FusionLM, Vocab]:
 # subcommands
 
 def cmd_gen_data(args, config: dict) -> int:
+    if config["n_classes"] > len(EVENT_NOUNS):
+        # encode's captions name each class by its own event noun.
+        raise UsageError(f"n_classes {config['n_classes']} exceeds the "
+                         f"{len(EVENT_NOUNS)} classes that captions can name")
     spec = SyntheticLatentSpec.create(**{key: config[key] for key in _SPEC_PARAMS})
-    splits = [s for s in str(config["splits"]).split(",") if s]
+    splits = [s for s in config["splits"].split(",") if s]
     if not splits:
         raise UsageError("splits must name at least one split")
     for split in splits:

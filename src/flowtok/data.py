@@ -30,7 +30,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -177,16 +179,25 @@ def load_latents(path) -> LatentDataset:
 # checkpoints
 
 
-def _flatten(cfg, prefix: str = "") -> dict:
-    """A config dataclass as flat dotted keys, e.g. `encoder.n_blocks`."""
-    flat = {}
+# Resolving string annotations costs far more than the walk; once per class.
+_type_hints = cache(get_type_hints)
+
+
+def _fields(cfg, prefix: str = ""):
+    """(dotted key, declared type, value) of every leaf field of a config
+    dataclass, e.g. `encoder.n_blocks`."""
+    hints = _type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
-            flat.update(_flatten(value, f"{prefix}{f.name}."))
+            yield from _fields(value, f"{prefix}{f.name}.")
         else:
-            flat[prefix + f.name] = value
-    return flat
+            yield prefix + f.name, hints[f.name], value
+
+
+def _flatten(cfg) -> dict:
+    """A config dataclass as flat dotted keys, e.g. `encoder.n_blocks`."""
+    return {key: value for key, _, value in _fields(cfg)}
 
 
 def _build(cls, flat: dict, prefix: str = "", default=None):

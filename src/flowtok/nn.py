@@ -11,6 +11,7 @@ prefix outputs bit-identical whether or not later positions are present.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -52,9 +53,7 @@ class Module:
                 yield from value.named_tensors(f"{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
-                    if isinstance(item, Tensor):
-                        yield f"{name}.{i}", item
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         yield from item.named_tensors(f"{name}.{i}.")
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
@@ -135,15 +134,13 @@ class LayerNorm(Module):
 
 
 _MASK_FILL = -1e9
-_mask_cache: dict[tuple[int, str], np.ndarray] = {}
 
 
+# Generation asks for every length up to its last; only the recent ones stay.
+@functools.lru_cache(maxsize=16)
 def causal_mask(t: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    key = (t, np.dtype(dtype).name)
-    m = _mask_cache.get(key)
-    if m is None:
-        m = np.where(np.arange(t)[None, :] > np.arange(t)[:, None], _MASK_FILL, 0.0).astype(dtype)
-        _mask_cache[key] = m
+    m = np.where(np.arange(t)[None, :] > np.arange(t)[:, None], _MASK_FILL, 0.0).astype(dtype)
+    m.flags.writeable = False  # every caller shares the cached array
     return m
 
 
@@ -388,6 +385,7 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
                 np.copyto(last_good[name], t.data)
             opt.zero_grad()
             loss.backward()
+            del loss  # frees this step's graph before the next forward
             opt.step()
             if after_update is not None:
                 after_update(aux)

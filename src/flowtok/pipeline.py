@@ -1,11 +1,11 @@
 """Causal tokenizer: encoder, quantizer, and generative decoder as one model.
 
 The encoder reads latent clips left to right under a causal mask, so the
-token at frame t never depends on later frames and a stream can be
-tokenized incrementally. The decoder reconstructs clips from the quantized
-codes, either as a velocity field integrated from noise ("flow") or as a
-single deterministic regression pass ("mse"). Both variants share the
-architecture and parameter count, differing only in loss and decode rule.
+token at frame t depends only on frames up to t. The decoder reconstructs
+clips from the quantized codes, either as a velocity field integrated from
+noise ("flow") or as a single deterministic regression pass ("mse"). Both
+variants share the architecture and parameter count, differing only in
+loss and decode rule.
 """
 
 from __future__ import annotations

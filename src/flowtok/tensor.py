@@ -120,10 +120,11 @@ class Tensor:
 
     # ------------------------------------------------------------------
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad of every requires_grad ancestor.
+        """Accumulate d(self)/d(leaf) into .grad of every requires_grad leaf.
 
-        Repeated calls keep accumulating; zero_grad resets. The root must
-        hold exactly one element.
+        Only leaves get .grad; intermediate results keep none. Repeated
+        calls keep accumulating; zero_grad resets. The root must hold
+        exactly one element.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -148,9 +149,8 @@ class Tensor:
             g = flowing.pop(id(t), None)
             if g is None:
                 continue
-            if t.requires_grad:
-                t.grad = g.copy() if t.grad is None else t.grad + g
             if t._vjp is None:
+                t.grad = g.copy() if t.grad is None else t.grad + g
                 continue
             for parent, pg in zip(t._parents, t._vjp(g)):
                 if pg is None or not parent.requires_grad:

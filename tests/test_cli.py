@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from flowtok.cli import (
+    DECODE_DEFAULTS,
     GEN_DATA_DEFAULTS,
     REPORT_DEFAULTS,
+    SEED_DEFAULTS,
     TRAIN_LM_DEFAULTS,
     TRAIN_TOKENIZER_DEFAULTS,
     _build,
@@ -21,7 +23,7 @@ from flowtok.cli import (
     build_parser,
     main,
 )
-from flowtok.data import read_checkpoint
+from flowtok.data import gen_caption, load_latents, read_checkpoint
 from flowtok.lm import FusionConfig, LmTrainConfig
 from flowtok.pipeline import TokenizerConfig
 
@@ -189,6 +191,49 @@ class TestConfigPlumbing:
                      "--out", str(tmp_path / "out"), *given]) == code
         if code == 1:
             assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, raw, code", [
+        ("gen-data", "n_classes", "null", 1),
+        ("gen-data", "splits", "5", 1),
+        ("train-tokenizer", "epochs", "null", 1),
+        ("decode", "n_steps", "true", 1),
+        ("decode", "n_steps", "2.5", 1),
+        ("train-lm", "checkpoint", "5", 1),
+        # null fits an optional key and an int a float; gen-data then runs,
+        # and the other commands exit 2 on their missing input.
+        ("gen-data", "bimodal_class", "null", 0),
+        ("decode", "n_steps", "null", 2),
+        ("train-tokenizer", "flow.sigma_min", "0", 2),
+    ])
+    def test_value_outside_declared_type_rejected(self, tmp_path, capsys, command, key, raw,
+                                                  code):
+        """A key's type is its declaration's annotation: exit 1 naming the
+        key before any input is read."""
+        missing = str(tmp_path / "missing")
+        inputs = {"gen-data": [],
+                  "train-tokenizer": ["--objective", "fm", "--data", missing],
+                  "decode": ["--checkpoint", missing, "--tokens", missing],
+                  "train-lm": ["--stage", "pretrain", "--pairs", missing]}[command]
+        assert main([command, *inputs, "--out", str(tmp_path / "out"),
+                     "--set", f"{key}={raw}"]) == code
+        if code == 1:
+            assert repr(key) in capsys.readouterr().err
+
+    def test_every_default_fits_its_declared_type(self):
+        for defaults in (GEN_DATA_DEFAULTS, TRAIN_TOKENIZER_DEFAULTS, SEED_DEFAULTS,
+                         DECODE_DEFAULTS, TRAIN_LM_DEFAULTS, REPORT_DEFAULTS):
+            assert _load_config(defaults, None, []) == defaults
+
+    def test_gen_data_refuses_classes_captions_cannot_name(self, tmp_path, capsys):
+        """encode captions each class with its own event noun; there are 10."""
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--set", "n_classes=11"]) == 1
+        assert "10 classes" in capsys.readouterr().err
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--set", "n_classes=10",
+                     "--set", "n_per_class=1", "--set", "splits=train"]) == 0
+        labels = load_latents(tmp_path / "d" / "train.msnl").labels
+        assert sorted(labels.tolist()) == list(range(10))
+        for label in labels.tolist():
+            gen_caption(label, np.random.default_rng(0))
 
     def test_set_parses_json_values(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--set", "noise_std=0.0",

@@ -1,5 +1,7 @@
 """Transformer blocks, timestep embeddings, AdamW, the training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from flowtok.nn import (
     Module,
     attention,
     block_gradient_checks,
+    causal_mask,
     fit,
     timestep_features,
 )
@@ -78,6 +81,13 @@ class TestAttention:
             full = stack(Tensor(x)).data
             short = stack(Tensor(x[:, :4])).data
         np.testing.assert_allclose(full[:, :4], short, rtol=1e-4, atol=1e-6)
+
+    def test_mask_cache_is_bounded(self):
+        """One mask per length a long generation visits would pile up."""
+        for t in range(1, 301):
+            causal_mask(t)
+        info = causal_mask.cache_info()
+        assert info.currsize <= info.maxsize < 300
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -206,6 +216,23 @@ class TestFit:
         assert len(report.step_losses) == 4 and len(saves) == 2
         assert [(step, metric) for step, _, metric, _ in log.rows] == [(3, "loss"), (4, "loss")]
         assert report.final["loss"] == report.step_losses[-1]
+
+    def test_previous_step_graph_freed_before_next_forward(self):
+        """fit holds one step's graph at a time: when loss_fn runs, the loss
+        it returned for the previous step is gone, its data with it."""
+        layer = Linear(3, 2, _rng(5)).double()
+        x = _rng(6).normal(size=(10, 3))
+        returned = []
+
+        def loss_fn(rows):
+            assert not returned or returned[-1]() is None
+            loss = square(layer(Tensor(x[rows]))).mean()
+            returned.append(weakref.ref(loss.data))
+            return loss, {"loss": float(loss.data)}, None
+
+        report = fit(layer, 10, loss_fn, rng=_rng(7), epochs=2, batch_size=4, lr=1e-2,
+                     weight_decay=0.0)
+        assert report.steps_run == len(returned) == 6
 
     def test_rollback_to_last_finite_state_before_checkpoint(self):
         seen, saved = [], []

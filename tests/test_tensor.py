@@ -79,6 +79,15 @@ class TestBackward:
         assert c.grad is None
         assert x.grad is not None
 
+    def test_only_leaves_keep_gradients(self):
+        """y = 2x is an intermediate: backward gives it no .grad, and the
+        leaf gets d(sum y*y)/dx = 8x exactly."""
+        x = Tensor([1.0, -2.0, 3.5], requires_grad=True)
+        y = x * 2
+        (y * y).sum().backward()
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, np.array([8.0, -16.0, 28.0], dtype=np.float32))
+
     def test_two_backward_calls_accumulate(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         y = square(x).sum()
