@@ -133,6 +133,11 @@ _KEY_TYPES = {
     "checkpoint": str | None, "tokens_per_clip": int, "clip_seconds": float,
 }
 
+# Every int key but a seed or a class index counts something (epochs,
+# blocks, clips, steps) and must be at least 1.
+_COUNT_KEYS = {key for key, hint in _KEY_TYPES.items()
+               if int in (get_args(hint) or (hint,)) and key not in ("seed", "bimodal_class")}
+
 
 def _parse_value(text: str):
     try:
@@ -144,7 +149,7 @@ def _parse_value(text: str):
 def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     """Defaults <- flat JSON file <- --set overrides, with key and type
     validation against _KEY_TYPES: null fits only an optional key, a bool
-    never fits an int, and an int fits a float."""
+    never fits an int, and an int fits a float. A count below 1 is refused."""
     config = dict(defaults)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -168,6 +173,9 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
         if type(value) not in kinds and not (type(value) is int and float in kinds):
             raise UsageError(f"config key {key!r} takes {inspect.formatannotation(hint)}, "
                              f"got {value!r}")
+        if key in _COUNT_KEYS and value is not None and value < 1:
+            raise UsageError(f"config key {key!r} is a count and must be at least 1, "
+                             f"got {value}")
     return config
 
 
@@ -332,6 +340,8 @@ def cmd_train_lm(args, config: dict) -> int:
 
 
 def cmd_generate(args, config: dict) -> int:
+    if args.max_new < 0:
+        raise UsageError(f"--max-new must be at least 0, got {args.max_new}")
     model, vocab = _load_lm(args.checkpoint)
     prompt = vocab.encode_text(args.prompt)
     result = generate(model, prompt, args.max_new,

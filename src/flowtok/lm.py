@@ -11,6 +11,9 @@ the exact same arithmetic before and after vocabulary extension.
 Audio tokens appear only inside bracketed spans: soa, audio ids, eoa.
 Loss weighting is 10x on the whole span (markers included), 1x on text,
 0 on instruction-prompt regions during fine-tuning.
+
+generate runs the prompt through the model once, keeping every block's
+keys and values in a KVCache, then feeds one position per new token.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from functools import partial
 
 import numpy as np
 
-from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
+from .nn import (
+    KVCache,
+    Linear,
+    Module,
+    TrainReport,
+    TransformerConfig,
+    TransformerStack,
+    fit,
+)
 from .tensor import (
     DEFAULT_DTYPE,
     ShapeError,
@@ -166,14 +177,16 @@ class FusionLM(Module):
     def vocab_size(self) -> int:
         return self.vocab.size if self.vocab is not None else self.cfg.v_text
 
-    def __call__(self, ids) -> Tensor:
+    def __call__(self, ids, cache: KVCache | None = None) -> Tensor:
+        """Logits for ids; with a cache, ids are the positions after the
+        cached ones and the cache grows by them."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)
-        x = self.stack(take_rows(table, ids))
+        x = self.stack(take_rows(table, ids), cache)
         logits = matmul(x, self.out_base)
         if self.out_ext is not None:
             logits = concat([logits, matmul(x, self.out_ext)], axis=-1)
@@ -449,10 +462,15 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
              top_k: int | None = None, constrain_audio: bool = True) -> GenerationResult:
     """Autoregressive sampling with optional audio-span masking.
 
-    Inside an open span only audio ids and eoa can be sampled; outside,
-    audio ids and eoa are masked off. temperature 0 decodes greedily.
-    Hitting the length limit inside a span sets unclosed_audio.
+    The prompt runs through the model once and fills a KVCache; each later
+    model call feeds only the newest token, so a call per new token costs
+    one position however long the context. Inside an open span only audio
+    ids and eoa can be sampled; outside, audio ids and eoa are masked off.
+    temperature 0 decodes greedily. Hitting the length limit inside a span
+    sets unclosed_audio.
     """
+    if max_new_tokens < 0:
+        raise ValueError(f"generate: max_new_tokens must be >= 0, got {max_new_tokens}")
     if model.vocab is None:
         raise ValueError("generate: extend_vocab must run first")
     vocab = model.vocab
@@ -471,11 +489,13 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     in_span = np.append(np.arange(vocab.v_text, vocab.v_text + vocab.n_audio), vocab.eoa)
     outside = np.append(np.arange(vocab.v_text), vocab.soa)
     out = list(ids)
+    cache = KVCache(model.cfg.n_blocks)
+    feed = ids
     with no_grad():
         for _ in range(max_new_tokens):
             if len(out) >= model.cfg.max_len:
                 break
-            logits = model(np.asarray(out, dtype=np.int64)).data[-1].astype(np.float64)
+            logits = model(feed, cache).data[-1].astype(np.float64)
             if constrain_audio:
                 masked = np.full_like(logits, -np.inf)
                 allowed = in_span if open_span else outside
@@ -495,6 +515,7 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
                 probs /= probs.sum()
                 token = int(rng.choice(probs.size, p=probs))
             out.append(token)
+            feed = np.array([token], dtype=np.int64)
             if token == vocab.soa:
                 open_span = True
             elif token == vocab.eoa:

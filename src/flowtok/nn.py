@@ -5,8 +5,11 @@ MLP_RATIO times the model width, assembled from the autodiff primitives in
 `tensor`; the stack owns the learned absolute position table and the length
 check. Modules build in DEFAULT_DTYPE; `Module.double` recasts one to
 float64 for finite-difference checks. Causal masking uses a finite -1e9
-additive constant: exp underflows to +0.0 for masked scores, which keeps
-prefix outputs bit-identical whether or not later positions are present.
+additive constant: exp underflows to +0.0 for masked scores, so changing
+later positions leaves a prefix's outputs bit-identical at the same
+length. Dropping later positions, or feeding them one at a time through a
+KVCache, changes the reduction shapes, so a prefix's outputs then agree
+only up to rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .tensor import (
     NumericFault,
     ShapeError,
     Tensor,
+    concat,
     gelu,
     grad_check,
     matmul,
@@ -136,7 +140,7 @@ class LayerNorm(Module):
 _MASK_FILL = -1e9
 
 
-# Generation asks for every length up to its last; only the recent ones stay.
+# Each batch width and prompt length needs its own; only the recent ones stay.
 @functools.lru_cache(maxsize=16)
 def causal_mask(t: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
     m = np.where(np.arange(t)[None, :] > np.arange(t)[:, None], _MASK_FILL, 0.0).astype(dtype)
@@ -147,25 +151,30 @@ def causal_mask(t: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Tensor:
     """Scaled dot-product attention over already-projected q/k/v.
 
-    Inputs are (B, T, H) with H split into n_heads. Scores are scaled by
-    1/sqrt(head_dim) and softmaxed per query row.
+    Inputs are (B, T, H) with H split into n_heads; k and v may hold more
+    positions than q, whose rows are then the last of k's. Scores are
+    scaled by 1/sqrt(head_dim) and softmaxed per query row.
     """
-    if not (q.shape == k.shape == v.shape):
-        raise ShapeError(f"attention: q/k/v shapes differ, {q.shape} {k.shape} {v.shape}")
-    if q.ndim != 3:
-        raise ShapeError(f"attention expects (B, T, H) inputs, got {q.shape}")
+    if k.shape != v.shape:
+        raise ShapeError(f"attention: k/v shapes differ, {k.shape} {v.shape}")
+    if q.ndim != 3 or k.ndim != 3:
+        raise ShapeError(f"attention expects (B, T, H) inputs, got {q.shape} {k.shape}")
     b, t, h = q.shape
+    tk = k.shape[1]
+    if (k.shape[0], k.shape[2]) != (b, h) or tk < t:
+        raise ShapeError(f"attention: keys {k.shape} do not cover queries {q.shape}")
     if h % n_heads != 0:
         raise ShapeError(f"width {h} not divisible by {n_heads} heads")
     dh = h // n_heads
 
     def split(x: Tensor) -> Tensor:
-        return swapaxes(x.reshape(b, t, n_heads, dh), 1, 2)
+        return swapaxes(x.reshape(b, x.shape[1], n_heads, dh), 1, 2)
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = scale(matmul(qh, swapaxes(kh, -1, -2)), dh**-0.5)
-    if causal:
-        scores = scores + Tensor(causal_mask(t, q.dtype))
+    # The last query row of a causal mask is all zeros, so one query needs none.
+    if causal and t > 1:
+        scores = scores + Tensor(causal_mask(tk, q.dtype)[tk - t:])
     out = matmul(softmax(scores), vh)
     return swapaxes(out, 1, 2).reshape(b, t, h)
 
@@ -180,8 +189,13 @@ class AttentionLayer(Module):
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), self.n_heads, self.causal))
+    def __call__(self, x: Tensor, cache: KVEntry | None = None) -> Tensor:
+        # q before k and v: backward runs in reverse creation order, so this
+        # order fixes how the input's gradient sums.
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        if cache is not None:
+            k, v = cache.extend(k, v)
+        return self.wo(attention(q, k, v, self.n_heads, self.causal))
 
 
 class Mlp(Module):
@@ -207,16 +221,50 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(cfg.hidden_dim)
         self.mlp = Mlp(cfg, rng, linear=linear)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
+    def __call__(self, x: Tensor, cache: KVEntry | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache)
         return x + self.mlp(self.ln2(x))
+
+
+class KVEntry:
+    """One attention layer's keys and values for every position fed so far,
+    (B, T, H) each."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[1]
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append this call's positions; returns the keys and values of all."""
+        if self.k is not None:
+            k, v = concat([self.k, k], axis=1), concat([self.v, v], axis=1)
+        self.k, self.v = k, v
+        return k, v
+
+
+class KVCache:
+    """Per-block keys and values of a causal stack's earlier positions. A
+    stack call with a cache attends over them, feeds only the new
+    positions and appends them, so incremental decoding costs one position
+    per new token."""
+
+    def __init__(self, n_blocks: int):
+        self.entries = [KVEntry() for _ in range(n_blocks)]
+
+    def __len__(self) -> int:
+        return len(self.entries[0])
 
 
 class TransformerStack(Module):
     """Learned absolute positions, cfg.n_blocks blocks, then a final LayerNorm.
 
-    Takes (T, H) or (B, T, H) with T <= cfg.max_len and returns the input's
-    shape; an unbatched input runs as a batch of one.
+    Takes (T, H) or (B, T, H) and returns the input's shape; an unbatched
+    input runs as a batch of one. With a KVCache the input holds the
+    positions after the cached ones, and cached plus new stay within
+    cfg.max_len.
     """
 
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
@@ -225,18 +273,20 @@ class TransformerStack(Module):
         self.blocks = [TransformerBlock(cfg, rng, linear=linear) for _ in range(cfg.n_blocks)]
         self.ln_f = LayerNorm(cfg.hidden_dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
         if x.ndim not in (2, 3):
             raise ShapeError(f"transformer stack expects (T, H) or (B, T, H), got {x.shape}")
-        tlen = x.shape[-2]
+        start = 0 if cache is None else len(cache)
+        tlen = start + x.shape[-2]
         if tlen > self.pos.shape[0]:
             raise ShapeError(f"sequence length {tlen} exceeds max_len {self.pos.shape[0]}")
         unbatched = x.ndim == 2
         if unbatched:
             x = x.reshape(1, *x.shape)
-        x = x + take_rows(self.pos, np.arange(tlen))
-        for block in self.blocks:
-            x = block(x)
+        x = x + take_rows(self.pos, np.arange(start, tlen))
+        entries = [None] * len(self.blocks) if cache is None else cache.entries
+        for block, entry in zip(self.blocks, entries, strict=True):
+            x = block(x, entry)
         x = self.ln_f(x)
         return x.reshape(x.shape[1:]) if unbatched else x
 

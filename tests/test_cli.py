@@ -199,16 +199,26 @@ class TestConfigPlumbing:
         ("decode", "n_steps", "true", 1),
         ("decode", "n_steps", "2.5", 1),
         ("train-lm", "checkpoint", "5", 1),
-        # null fits an optional key and an int a float; gen-data then runs,
-        # and the other commands exit 2 on their missing input.
+        # Every int key but a seed or a class index is a count of at least 1.
+        ("train-tokenizer", "epochs", "0", 1),
+        ("train-tokenizer", "batch_size", "0", 1),
+        ("train-lm", "epochs", "0", 1),
+        ("train-lm", "lora_rank", "-2", 1),
+        ("gen-data", "n_per_class", "-1", 1),
+        ("decode", "n_steps", "0", 1),
+        # null fits an optional key, an int a float, and a seed or class
+        # index any int; gen-data then runs, and the other commands exit 2
+        # on their missing input.
         ("gen-data", "bimodal_class", "null", 0),
+        ("gen-data", "bimodal_class", "-2", 0),
+        ("gen-data", "seed", "0", 0),
         ("decode", "n_steps", "null", 2),
         ("train-tokenizer", "flow.sigma_min", "0", 2),
     ])
     def test_value_outside_declared_type_rejected(self, tmp_path, capsys, command, key, raw,
                                                   code):
-        """A key's type is its declaration's annotation: exit 1 naming the
-        key before any input is read."""
+        """A key's type is its declaration's annotation and a count is at
+        least 1: exit 1 naming the key before any input is read."""
         missing = str(tmp_path / "missing")
         inputs = {"gen-data": [],
                   "train-tokenizer": ["--objective", "fm", "--data", missing],
@@ -401,6 +411,14 @@ class TestLmCommands:
         payload = json.loads(out.read_text())
         assert len(payload["generated"]) == 8
         assert payload["segments"][0]["type"] == "text"
+
+    def test_generate_refuses_negative_token_count(self, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        code = main(["generate", "--checkpoint", str(tmp_path / "missing"),
+                     "--prompt", "A gentle chime", "--max-new", "-1", "--out", str(out)])
+        assert code == 1
+        assert "--max-new" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_rejects_tokenizer_checkpoint(self, workspace, tmp_path, capsys):
         code = main(["generate", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),

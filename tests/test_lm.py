@@ -514,6 +514,102 @@ class TestGeneration:
         assert result.tokens.size <= model.cfg.max_len
 
 
+class _FullRecompute:
+    """The oracle for generate's cache: stands in for the model and answers
+    each call by running every position seen so far through the model
+    again, with no cache."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab = model.vocab
+        self.cfg = model.cfg
+        self.seen = np.zeros(0, dtype=np.int64)
+        self.last_rows = []
+
+    def __call__(self, ids, cache=None):
+        self.seen = np.concatenate([self.seen, ids])
+        logits = self.model(self.seen).data[-len(ids):]
+        self.last_rows.append(logits[-1])
+        return Tensor(logits)
+
+
+class _Spy:
+    """Records the ids of every FusionLM call and each call's last logits row."""
+
+    def __init__(self, monkeypatch):
+        self.fed = []
+        self.last_rows = []
+        original = FusionLM.__call__
+
+        def spy(model, ids, cache=None):
+            self.fed.append(np.asarray(ids))
+            logits = original(model, ids, cache)
+            self.last_rows.append(logits.data[-1])
+            return logits
+
+        monkeypatch.setattr(FusionLM, "__call__", spy)
+
+
+@pytest.fixture(scope="module")
+def drum_model():
+    """A model trained until greedy decoding of "A drum" opens, fills and
+    closes an audio span, then goes on in text."""
+    model, vocab = extended_model(n_audio=8, seed=9)
+    example = build_pretrain_example("A drum", [2, 5, 1], vocab, _FixedRandom(0.0))
+    train_lm([example], model, LmTrainConfig(epochs=250, batch_size=1, lr=3e-3, seed=9))
+    return model, vocab
+
+
+class TestCachedGeneration:
+    def test_logits_and_greedy_tokens_match_full_recompute(self, drum_model, monkeypatch):
+        model, vocab = drum_model
+        prompt = vocab.encode_text("A drum")
+        oracle = _FullRecompute(model)
+        expected = generate(oracle, prompt, 12, temperature=0.0)
+        spy = _Spy(monkeypatch)
+        result = generate(model, prompt, 12, temperature=0.0)
+        np.testing.assert_array_equal(result.tokens, expected.tokens)
+        # The constraint switched both ways: the span opened and closed.
+        segments = audio_segments(result.generated, vocab)
+        assert [s["type"] for s in segments[:2]] == ["audio", "text"]
+        assert segments[0]["codes"] == [2, 5, 1] and "unclosed" not in segments[0]
+        assert len(spy.last_rows) == len(oracle.last_rows) == 12
+        for cached, full in zip(spy.last_rows, oracle.last_rows):
+            assert np.max(np.abs(cached - full)) <= 1e-6 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_tokens_match_full_recompute(self, drum_model, seed):
+        model, vocab = drum_model
+        prompt = vocab.encode_text("A ")
+        result = generate(model, prompt, 16, rng=np.random.default_rng(seed), temperature=1.0)
+        expected = generate(_FullRecompute(model), prompt, 16,
+                            rng=np.random.default_rng(seed), temperature=1.0)
+        np.testing.assert_array_equal(result.tokens, expected.tokens)
+
+    def test_one_call_and_one_position_per_new_token(self, monkeypatch):
+        model, vocab = extended_model(seed=4)
+        prompt = vocab.encode_text("twelve bytes")
+        spy = _Spy(monkeypatch)
+        result = generate(model, prompt, 10, temperature=0.0)
+        assert result.generated.size == 10
+        assert len(spy.fed) == 10
+        assert sum(ids.size for ids in spy.fed) == prompt.size + 10 - 1
+        np.testing.assert_array_equal(spy.fed[0], prompt)
+
+    def test_prompt_one_short_of_max_len_stops_cleanly(self):
+        model, vocab = extended_model(seed=3)
+        prompt = vocab.encode_text("a" * (model.cfg.max_len - 1))
+        result = generate(model, prompt, 5, temperature=0.0)
+        expected = generate(_FullRecompute(model), prompt, 5, temperature=0.0)
+        assert result.tokens.size == model.cfg.max_len
+        np.testing.assert_array_equal(result.tokens, expected.tokens)
+
+    def test_negative_token_count_rejected(self):
+        model, vocab = extended_model()
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            generate(model, vocab.encode_text("a"), -1)
+
+
 class TestMemorization:
     def test_overfit_single_pair_greedy_reproduction(self):
         """One pretraining pair, trained to memorization: greedy decoding

@@ -9,6 +9,7 @@ from flowtok.nn import (
     AdamW,
     AttentionLayer,
     DivergenceError,
+    KVCache,
     LayerNorm,
     Linear,
     TimestepEmbedding,
@@ -82,8 +83,32 @@ class TestAttention:
             short = stack(Tensor(x[:, :4])).data
         np.testing.assert_allclose(full[:, :4], short, rtol=1e-4, atol=1e-6)
 
+    def test_cached_chunks_match_full_sequence(self):
+        """Feeding a causal stack through a KVCache in chunks, single
+        positions included, matches one full forward up to rounding."""
+        rng = _rng(4)
+        cfg = TransformerConfig(n_blocks=2, hidden_dim=16, head_dim=8, causal=True)
+        stack = TransformerStack(cfg, rng)
+        x = rng.normal(size=(2, 9, 16)).astype(np.float32)
+        cache = KVCache(cfg.n_blocks)
+        with no_grad():
+            full = stack(Tensor(x)).data
+            parts = [stack(Tensor(x[:, a:b]), cache).data
+                     for a, b in ((0, 4), (4, 5), (5, 6), (6, 9))]
+        assert len(cache) == 9
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-4, atol=1e-6)
+
+    def test_cached_length_counts_toward_max_len(self):
+        cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
+        stack = TransformerStack(cfg, _rng(5))
+        cache = KVCache(cfg.n_blocks)
+        with no_grad():
+            stack(Tensor(np.zeros((6, 8))), cache)
+            with pytest.raises(ShapeError, match="length 9 exceeds max_len 8"):
+                stack(Tensor(np.zeros((3, 8))), cache)
+
     def test_mask_cache_is_bounded(self):
-        """One mask per length a long generation visits would pile up."""
+        """One mask per length its callers ask for would pile up."""
         for t in range(1, 301):
             causal_mask(t)
         info = causal_mask.cache_info()
