@@ -6,15 +6,17 @@ resolved-config JSON (seed and every parsed argument included) there so
 any artifact can be traced to the settings that produced it. A checkpoint
 carries its model's config in its header, so commands that read one need
 no other file. `eval` scores any number of named tokenizers on any number
-of named splits in one table. Exit codes: 0 success, 1 usage error, 2
-runtime failure. With MSN_DETERMINISTIC=1 the package pins BLAS to a
-single thread, so equal configs and seeds give byte-identical artifacts.
+of named splits in one table. Exit codes: 0 success, 1 usage error (a
+setting the library refuses included), 2 runtime failure. With
+MSN_DETERMINISTIC=1 the package pins BLAS to a single thread, so equal
+configs and seeds give byte-identical artifacts.
 """
 
 import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import get_args
 
@@ -38,7 +40,6 @@ from .data import (
     load_pairs_jsonl,
     load_tensors,
     read_checkpoint,
-    save_checkpoint,
     save_latents,
     save_pairs_jsonl,
     write_json,
@@ -179,6 +180,16 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     return config
 
 
+@contextmanager
+def _from_settings():
+    """Config objects, and models, built from the settings: a ValueError
+    raised here names a setting the library refuses, a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"invalid setting: {exc}") from exc
+
+
 def _write_resolved(config: dict, args, out_dir: Path) -> None:
     """The run record: the resolved config plus every parsed argument but
     the plumbing, in the output directory."""
@@ -231,7 +242,8 @@ def cmd_gen_data(args, config: dict) -> int:
         # encode's captions name each class by its own event noun.
         raise UsageError(f"n_classes {config['n_classes']} exceeds the "
                          f"{len(EVENT_NOUNS)} classes that captions can name")
-    spec = SyntheticLatentSpec.create(**{key: config[key] for key in _SPEC_PARAMS})
+    with _from_settings():
+        spec = SyntheticLatentSpec.create(**{key: config[key] for key in _SPEC_PARAMS})
     splits = [s for s in config["splits"].split(",") if s]
     if not splits:
         raise UsageError("splits must name at least one split")
@@ -246,11 +258,12 @@ def cmd_gen_data(args, config: dict) -> int:
 def cmd_train_tokenizer(args, config: dict) -> int:
     dataset = load_latents(args.data)
     _, frames, data_dim = dataset.values.shape
-    # Both towers span the clip.
-    cfg = _build(TokenizerConfig, {**config, "frames": frames, "data_dim": data_dim,
-                                   "objective": args.objective,
-                                   "encoder.max_len": frames, "decoder.max_len": frames})
-    model = TokenizerModel(cfg)
+    with _from_settings():
+        # Both towers span the clip.
+        cfg = _build(TokenizerConfig, {**config, "frames": frames, "data_dim": data_dim,
+                                       "objective": args.objective,
+                                       "encoder.max_len": frames, "decoder.max_len": frames})
+        model = TokenizerModel(cfg)
     checkpoint = args.out / "tokenizer.msnc"
     metrics = MetricsLog()
     # train_tokenizer writes the checkpoint after every epoch.
@@ -297,12 +310,14 @@ def cmd_decode(args, config: dict) -> int:
 
 
 def cmd_train_lm(args, config: dict) -> int:
+    with _from_settings():
+        cfg = _build(FusionConfig, config)
+        train_cfg = _build(LmTrainConfig, config)
+        model = FusionLM(cfg, np.random.default_rng(config["seed"]))
+        vocab = extend_vocab(model, config["n_audio"], np.random.default_rng(config["seed"] + 1))
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise ValueError(f"no caption/token pairs in {args.pairs}")
-    cfg = _build(FusionConfig, config)
-    model = FusionLM(cfg, np.random.default_rng(config["seed"]))
-    vocab = extend_vocab(model, config["n_audio"], np.random.default_rng(config["seed"] + 1))
     if config["checkpoint"] is not None:
         path = Path(config["checkpoint"])
         header, tensors = read_checkpoint(path)
@@ -324,10 +339,10 @@ def cmd_train_lm(args, config: dict) -> int:
             instruction = pair.get("instruction", INSTRUCTIONS[i % len(INSTRUCTIONS)])
             answer = pair.get("answer", pair["caption"])
             examples.append(build_finetune_example(instruction, codes, answer, vocab))
-    metrics = MetricsLog()
-    report = train_lm(examples, model, _build(LmTrainConfig, config), metrics=metrics)
     checkpoint = args.out / "lm.msnc"
-    save_checkpoint(checkpoint, model)
+    metrics = MetricsLog()
+    # train_lm writes the checkpoint after every epoch.
+    report = train_lm(examples, model, train_cfg, metrics=metrics, checkpoint_path=checkpoint)
     metrics.write_csv(args.out / "metrics.csv")
     accuracy = next_token_accuracy(model, examples)
     metrics.write_json(args.out / "metrics.json", command="train-lm", stage=args.stage,
@@ -342,6 +357,10 @@ def cmd_train_lm(args, config: dict) -> int:
 def cmd_generate(args, config: dict) -> int:
     if args.max_new < 0:
         raise UsageError(f"--max-new must be at least 0, got {args.max_new}")
+    if args.top_k is not None and args.top_k < 1:
+        raise UsageError(f"--top-k must be at least 1, got {args.top_k}")
+    if not args.temperature >= 0.0:
+        raise UsageError(f"--temperature must be at least 0, got {args.temperature}")
     model, vocab = _load_lm(args.checkpoint)
     prompt = vocab.encode_text(args.prompt)
     result = generate(model, prompt, args.max_new,
@@ -396,7 +415,8 @@ def cmd_report(args, config: dict) -> int:
     tokens = config["tokens_per_clip"]
     seconds = config["clip_seconds"]
     codebook = config["codebook_size"]
-    bps = bitrate(tokens, seconds, codebook)
+    with _from_settings():
+        bps = bitrate(tokens, seconds, codebook)
     relation = "above" if bps > HEADLINE_BPS else "below" if bps < HEADLINE_BPS else "equal to"
     note = (f"{tokens} tokens per {seconds:g} s clip with a {codebook}-entry "
             f"codebook is {bps:.1f} bps ({bps / 1000:.2f} kbps). This is {relation} "

@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from .data import save_checkpoint
 from .nn import (
     KVCache,
     Linear,
@@ -410,9 +411,12 @@ def collate(examples: list[FusionSequence]):
 
 
 def train_lm(examples: list[FusionSequence], model: FusionLM, cfg: LmTrainConfig,
-             metrics=None, max_steps: int | None = None) -> TrainReport:
-    """Adapter and new-row training; a non-finite loss rolls the model back
-    to its last finite state and raises DivergenceError."""
+             metrics=None, max_steps: int | None = None,
+             checkpoint_path=None) -> TrainReport:
+    """Adapter and new-row training. The model is written to
+    checkpoint_path, when given, after every epoch. A non-finite loss rolls
+    the model back to its last finite state, writes that state to
+    checkpoint_path, and raises DivergenceError."""
     if not examples:
         raise ValueError("train_lm: no examples")
     if model.vocab is None:
@@ -425,9 +429,12 @@ def train_lm(examples: list[FusionSequence], model: FusionLM, cfg: LmTrainConfig
         terms = {"ce": float(loss.data), "zloss": float(zloss.data), "loss": float(total.data)}
         return total, terms, None
 
+    checkpoint = None if checkpoint_path is None else (
+        lambda: save_checkpoint(checkpoint_path, model))
     return fit(model, len(examples), loss_fn, rng=np.random.default_rng(cfg.seed),
                epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-               weight_decay=cfg.weight_decay, metrics=metrics, max_steps=max_steps)
+               weight_decay=cfg.weight_decay, metrics=metrics, max_steps=max_steps,
+               checkpoint=checkpoint)
 
 
 def next_token_accuracy(model: FusionLM, examples: list[FusionSequence]) -> float:
@@ -466,11 +473,16 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     model call feeds only the newest token, so a call per new token costs
     one position however long the context. Inside an open span only audio
     ids and eoa can be sampled; outside, audio ids and eoa are masked off.
-    temperature 0 decodes greedily. Hitting the length limit inside a span
-    sets unclosed_audio.
+    temperature 0 decodes greedily; top_k, when given, samples among the k
+    likeliest ids. Hitting the length limit inside a span sets
+    unclosed_audio.
     """
     if max_new_tokens < 0:
         raise ValueError(f"generate: max_new_tokens must be >= 0, got {max_new_tokens}")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"generate: top_k must be >= 1, got {top_k}")
+    if not temperature >= 0.0:
+        raise ValueError(f"generate: temperature must be >= 0, got {temperature}")
     if model.vocab is None:
         raise ValueError("generate: extend_vocab must run first")
     vocab = model.vocab
@@ -501,11 +513,11 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
                 allowed = in_span if open_span else outside
                 masked[allowed] = logits[allowed]
                 logits = masked
-            if temperature <= 0.0:
+            if temperature == 0.0:
                 token = int(np.argmax(logits))
             else:
                 scores = logits / temperature
-                if top_k is not None and top_k >= 1:
+                if top_k is not None:
                     keep = np.argsort(scores)[-top_k:]
                     pruned = np.full_like(scores, -np.inf)
                     pruned[keep] = scores[keep]

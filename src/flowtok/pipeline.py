@@ -220,5 +220,6 @@ def train_tokenizer(dataset: LatentDataset, model: TokenizerModel, cfg: Tokenize
 def bitrate(tokens_per_clip: int, clip_seconds: float, codebook_size: int) -> float:
     """Bits per second of the token stream: tokens * log2(K) / seconds."""
     if tokens_per_clip <= 0 or clip_seconds <= 0 or codebook_size < 1:
-        raise ValueError("bitrate arguments must be positive")
+        raise ValueError(f"bitrate needs a positive tokens_per_clip, clip_seconds and "
+                         f"codebook_size, got {tokens_per_clip}, {clip_seconds:g}, {codebook_size}")
     return tokens_per_clip * math.log2(codebook_size) / clip_seconds

@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 NumPy arrays provide storage and arithmetic; this module adds the
-gradient tape. Every differentiable operation records its parents and a
-backward closure on its output tensor, and every tensor carries a
-creation index, so reverse creation order is a valid topological order
-for the chain rule (an operation's inputs always exist before its
-output).
+gradient tape. Every differentiable operation records on its output one
+edge per input that requires a gradient: the input and that input's
+vector-Jacobian product. An input that needs no gradient gets no edge, so
+its VJP never runs. A tensor with edges requires a gradient; a leaf is a
+tensor with no edges. Every tensor carries a creation index, so reverse
+creation order is a valid topological order for the chain rule (an
+operation's inputs always exist before its output).
 
 float32 is the working precision for training. Verification code builds
 its tensors as float64 so finite-difference comparisons stay tight.
@@ -69,7 +71,7 @@ _creation_counter = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp", "_order")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_edges", "_order")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -81,8 +83,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._edges: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]] = ()
         self._order = next(_creation_counter)
 
     # ------------------------------------------------------------------
@@ -122,9 +123,11 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every requires_grad leaf.
 
-        Only leaves get .grad; intermediate results keep none. Repeated
-        calls keep accumulating; zero_grad resets. The root must hold
-        exactly one element.
+        The walk follows edges only, and each edge's VJP runs once, so no
+        gradient is formed for an input that needs none. Only leaves, the
+        tensors with no edges, get .grad; intermediate results keep none.
+        Repeated calls keep accumulating; zero_grad resets. The root must
+        hold exactly one element.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -139,22 +142,22 @@ class Tensor:
                 continue
             seen.add(id(t))
             nodes.append(t)
-            stack.extend(t._parents)
+            for parent, _ in t._edges:
+                stack.append(parent)
         nodes.sort(key=lambda t: t._order, reverse=True)
 
         # Per-call flow accumulator, kept apart from .grad so that a second
         # backward() doubles leaf gradients instead of compounding stale flow.
+        # Every node was reached along an edge from a later one, so flow has
+        # reached it by the time its turn comes.
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for t in nodes:
-            g = flowing.pop(id(t), None)
-            if g is None:
-                continue
-            if t._vjp is None:
+            g = flowing.pop(id(t))
+            if not t._edges:
                 t.grad = g.copy() if t.grad is None else t.grad + g
                 continue
-            for parent, pg in zip(t._parents, t._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
+            for parent, vjp in t._edges:
+                pg = vjp(g)
                 if pg.shape != parent.data.shape:
                     raise ShapeError(
                         f"{t.op}: backward produced shape {pg.shape} for parent of shape {parent.data.shape}"
@@ -211,7 +214,9 @@ class Tensor:
         return swapaxes(self, a, b)
 
 
-def _record(op: str, out: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _record(op: str, out: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """The output of op, keeping the (input, vjp) edges whose input
+    requires a gradient; it requires one itself exactly when it keeps any."""
     if _nan_checks and not np.all(np.isfinite(out)):
         raise NumericFault(f"{op} produced non-finite values")
     t = Tensor.__new__(Tensor)
@@ -219,14 +224,8 @@ def _record(op: str, out: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tenso
     t.grad = None
     t.op = op
     t._order = next(_creation_counter)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = parents
-        t._vjp = vjp
-    else:
-        t.requires_grad = False
-        t._parents = ()
-        t._vjp = None
+    t._edges = [e for e in edges if e[0].requires_grad] if _grad_enabled else ()
+    t.requires_grad = bool(t._edges)
     return t
 
 
@@ -261,114 +260,66 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     _check_broadcast(a, b, "add")
-    out = a.data + b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-
-    return _record("add", out, (a, b), vjp)
+    return _record("add", a.data + b.data,
+                   (a, lambda g: _reduce_to(g, a.data.shape)),
+                   (b, lambda g: _reduce_to(g, b.data.shape)))
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     _check_broadcast(a, b, "sub")
-    out = a.data - b.data
-
-    def vjp(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-
-    return _record("sub", out, (a, b), vjp)
+    return _record("sub", a.data - b.data,
+                   (a, lambda g: _reduce_to(g, a.data.shape)),
+                   (b, lambda g: _reduce_to(-g, b.data.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     _check_broadcast(a, b, "mul")
-    out = a.data * b.data
-
-    def vjp(g):
-        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
-
-    return _record("mul", out, (a, b), vjp)
+    return _record("mul", a.data * b.data,
+                   (a, lambda g: _reduce_to(g * b.data, a.data.shape)),
+                   (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     _check_broadcast(a, b, "div")
-    out = a.data / b.data
-
-    def vjp(g):
-        return (
-            _reduce_to(g / b.data, a.data.shape),
-            _reduce_to(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _record("div", out, (a, b), vjp)
+    return _record("div", a.data / b.data,
+                   (a, lambda g: _reduce_to(g / b.data, a.data.shape)),
+                   (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    out = -a.data
-
-    def vjp(g):
-        return (-g,)
-
-    return _record("neg", out, (a,), vjp)
+    return _record("neg", -a.data, (a, lambda g: -g))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a plain python scalar."""
     s = float(s)
-    out = a.data * s
-
-    def vjp(g):
-        return (g * s,)
-
-    return _record("scale", out, (a,), vjp)
+    return _record("scale", a.data * s, (a, lambda g: g * s))
 
 
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = a.data**p
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _record("power", out, (a,), vjp)
+    return _record("power", a.data**p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def square(a: Tensor) -> Tensor:
-    out = a.data * a.data
-
-    def vjp(g):
-        return (g * 2.0 * a.data,)
-
-    return _record("square", out, (a,), vjp)
+    return _record("square", a.data * a.data, (a, lambda g: g * 2.0 * a.data))
 
 
 def texp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _record("exp", out, (a,), vjp)
+    return _record("exp", out, (a, lambda g: g * out))
 
 
 def tlog(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _record("log", out, (a,), vjp)
+    return _record("log", np.log(a.data), (a, lambda g: g / a.data))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _record("tanh", out, (a,), vjp)
+    return _record("tanh", out, (a, lambda g: g * (1.0 - out * out)))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -384,9 +335,9 @@ def gelu(a: Tensor) -> Tensor:
 
     def vjp(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner),)
+        return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
 
-    return _record("gelu", out, (a,), vjp)
+    return _record("gelu", out, (a, vjp))
 
 
 # ----------------------------------------------------------------------
@@ -398,14 +349,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _reduce_to(ga, a.data.shape), _reduce_to(gb, b.data.shape)
-
-    return _record("matmul", out, (a, b), vjp)
+    return _record("matmul", a.data @ b.data,
+                   (a, lambda g: _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
+                   (b, lambda g: _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
 # ----------------------------------------------------------------------
@@ -416,12 +362,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, a.data.shape)
 
-    return _record("sum", np.asarray(out), (a,), vjp)
+    return _record("sum", np.asarray(out), (a, vjp))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -429,12 +373,10 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.data.size // np.asarray(out).size
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.data.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.data.shape),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg / n, a.data.shape)
 
-    return _record("mean", np.asarray(out), (a,), vjp)
+    return _record("mean", np.asarray(out), (a, vjp))
 
 
 # ----------------------------------------------------------------------
@@ -442,21 +384,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return _record("reshape", out, (a,), vjp)
+    return _record("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out = np.swapaxes(a.data, ax1, ax2)
-
-    def vjp(g):
-        return (np.swapaxes(g, ax1, ax2),)
-
-    return _record("swapaxes", out, (a,), vjp)
+    return _record("swapaxes", np.swapaxes(a.data, ax1, ax2),
+                   (a, lambda g: np.swapaxes(g, ax1, ax2)))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -465,11 +398,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         out = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot expand {a.shape} to {shape}") from None
-
-    def vjp(g):
-        return (_reduce_to(g, a.data.shape),)
-
-    return _record("broadcast_to", out, (a,), vjp)
+    return _record("broadcast_to", out, (a, lambda g: _reduce_to(g, a.data.shape)))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -477,13 +406,16 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, cuts, axis=axis))
-
-    return _record("concat", out, tuple(parts), vjp)
+    # Each part's edge copies its own span of g out, contiguous.
+    lead = (slice(None),) * (axis % out.ndim)
+    edges = []
+    start = 0
+    for p in parts:
+        stop = start + p.data.shape[axis]
+        span = lead + (slice(start, stop),)
+        edges.append((p, lambda g, span=span: np.ascontiguousarray(g[span])))
+        start = stop
+    return _record("concat", out, *edges)
 
 
 # ----------------------------------------------------------------------
@@ -504,14 +436,13 @@ def take_rows(table: Tensor, indices) -> Tensor:
             f"take_rows: index out of range [0, {table.shape[0]}), got extremes "
             f"({idx.min()}, {idx.max()})"
         )
-    out = table.data[idx]
 
     def vjp(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
-        return (gt,)
+        return gt
 
-    return _record("take_rows", out, (table,), vjp)
+    return _record("take_rows", table.data[idx], (table, vjp))
 
 
 def take_along_last(a: Tensor, indices) -> Tensor:
@@ -525,9 +456,9 @@ def take_along_last(a: Tensor, indices) -> Tensor:
     def vjp(g):
         ga = np.zeros_like(a.data)
         np.put_along_axis(ga, ii, np.expand_dims(g, -1), axis=-1)
-        return (ga,)
+        return ga
 
-    return _record("take_along_last", np.asarray(out), (a,), vjp)
+    return _record("take_along_last", np.asarray(out), (a, vjp))
 
 
 # ----------------------------------------------------------------------
@@ -540,11 +471,7 @@ def logsumexp(a: Tensor) -> Tensor:
     ex = np.exp(a.data - m)
     s = ex.sum(axis=-1, keepdims=True)
     out = (np.log(s) + m).squeeze(-1)
-
-    def vjp(g):
-        return (np.expand_dims(g, -1) * (ex / s),)
-
-    return _record("logsumexp", np.asarray(out), (a,), vjp)
+    return _record("logsumexp", np.asarray(out), (a, lambda g: np.expand_dims(g, -1) * (ex / s)))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -555,9 +482,9 @@ def softmax(a: Tensor) -> Tensor:
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
+        return (g - dot) * out
 
-    return _record("softmax", out, (a,), vjp)
+    return _record("softmax", out, (a, vjp))
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +539,8 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     idx_rows = np.array([0, 2, 1, 2])
     idx_last = rng.integers(0, 4, size=(3,))
     pick = Tensor(rng.normal(size=(3, 4)))
+    # A constant operand: its edge is dropped, so only the other one's VJP runs.
+    frozen = Tensor(b)
 
     cases: list[tuple[str, Callable[..., Tensor], list[np.ndarray]]] = []
 
@@ -622,6 +551,7 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     case("add_broadcast", lambda x, y: (x + y).sum(), a, row)
     case("sub", lambda x, y: (x - y).sum(), a, b)
     case("mul", lambda x, y: (x * y).sum(), a, b)
+    case("mul_const", lambda x: square(x * frozen).sum(), a)
     case("div", lambda x, y: (x / y).sum(), a, signed_away)
     case("neg", lambda x: neg(x).sum(), a)
     case("scale", lambda x: scale(x, -2.5).sum(), a)
@@ -638,12 +568,14 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
         rng.normal(size=(2, 3, 4)),
         rng.normal(size=(4, 2)),
     )
+    case("matmul_const_right", lambda x: square(x @ frozen.swapaxes(0, 1)).sum(), a)
     case("sum_axis", lambda x: square(tsum(x, axis=0)).sum(), a)
     case("mean_axis", lambda x: square(tmean(x, axis=-1, keepdims=True)).sum(), a)
     case("reshape", lambda x: square(x.reshape(2, 6)).sum(), a)
     case("swapaxes", lambda x: (x.swapaxes(0, 1) @ x).sum(), a)
     case("broadcast_to", lambda x: square(broadcast_to(x, (3, 4))).sum(), row)
     case("concat", lambda x, y: square(concat([x, y], axis=-1)).sum(), a, b)
+    case("concat_const_part", lambda x: square(concat([frozen, x], axis=0)).sum(), a)
     case("take_rows", lambda t: square(take_rows(t, idx_rows)).sum(), a)
     case("take_along_last", lambda x: square(take_along_last(x, idx_last)).sum(), a)
     case("logsumexp", lambda x: square(logsumexp(x)).sum(), a)

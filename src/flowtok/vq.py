@@ -78,15 +78,11 @@ def quantize(encoded: Tensor, codebook: Codebook) -> QuantizationResult:
 
 def straight_through(encoded: Tensor, quantized: Tensor) -> Tensor:
     """Forward is exactly the quantized values; backward is the identity to
-    the encoder. The quantized operand gets no gradient from this path."""
+    the encoder. The quantized operand gets no edge, so no gradient from
+    this path."""
     if encoded.shape != quantized.shape:
         raise ShapeError(f"straight_through: shapes differ, {encoded.shape} vs {quantized.shape}")
-    out = quantized.data.copy()
-
-    def vjp(g):
-        return (g, None)
-
-    return _record("straight_through", out, (encoded, quantized), vjp)
+    return _record("straight_through", quantized.data.copy(), (encoded, lambda g: g))
 
 
 def index_histogram(indices: np.ndarray, k: int) -> np.ndarray:

@@ -245,6 +245,38 @@ class TestConfigPlumbing:
         for label in labels.tolist():
             gen_caption(label, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("command, setting, problem, code", [
+        ("gen-data", "n_classes=1", "need at least 2 classes, got 1", 1),
+        ("gen-data", "noise_std=-1", "noise_std must be non-negative", 1),
+        ("report", "clip_seconds=0", "clip_seconds", 1),
+        ("report", "clip_seconds=-5", "clip_seconds", 1),
+        ("train-tokenizer", "encoder.head_dim=5", "head_dim 5", 1),
+        ("train-tokenizer", "flow.sigma_min=1.0", "sigma_min must be in [0, 1)", 1),
+        # Refused while the model is built, not its config.
+        ("train-tokenizer", "timestep_dim=3", "must be even, got 3", 1),
+        ("train-lm", "head_dim=5", "head_dim 5", 1),
+        # Edge values the library takes.
+        ("gen-data", "n_classes=2", None, 0),
+        ("train-tokenizer", "flow.sigma_min=0", None, 0),
+    ])
+    def test_setting_the_library_refuses_is_usage_error(self, workspace, tmp_path, capsys,
+                                                        command, setting, problem, code):
+        """A ValueError raised while a command builds its config objects or
+        its model exits 1 and names the problem."""
+        given = {"gen-data": ["--set", "n_per_class=1", "--set", "splits=train",
+                              "--set", "frames=8", "--set", "dim=4"],
+                 "report": [],
+                 "train-tokenizer": ["--objective", "fm",
+                                     "--data", str(workspace / "data" / "train.msnl"),
+                                     *TINY_TOKENIZER],
+                 "train-lm": ["--stage", "pretrain",
+                              "--pairs", str(workspace / "enc" / "pairs.jsonl")]}[command]
+        out = tmp_path / ("out.json" if command == "report" else "out")
+        assert main([command, *given, "--out", str(out), "--set", setting]) == code
+        if problem is not None:
+            err = capsys.readouterr().err
+            assert "invalid setting" in err and problem in err
+
     def test_set_parses_json_values(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--set", "noise_std=0.0",
                      "--set", "bimodal_class=null", "--set", "splits=train",
@@ -436,17 +468,34 @@ class TestLmCommands:
                      "--set", "n_blocks=1", "--set", "epochs=1"])
         assert code == 0
 
-    def test_divergence_is_runtime_error_without_checkpoint(self, workspace, tmp_path):
+    def test_divergence_leaves_rolled_back_checkpoint(self, workspace, tmp_path):
+        """A diverging run exits 2 and leaves the last finite state, as
+        train-tokenizer does."""
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train-lm", "--stage", "pretrain",
                          "--pairs", str(workspace / "enc" / "pairs.jsonl"),
                          "--out", str(tmp_path / "lm"),
                          "--set", "n_audio=16", "--set", "max_len=48",
                          "--set", "hidden_dim=32", "--set", "head_dim=16",
-                         "--set", "n_blocks=1", "--set", "epochs=2",
-                         "--set", "lr=1e38"])
+                         "--set", "n_blocks=1", "--set", "epochs=3",
+                         "--set", "batch_size=2", "--set", "lr=1e30"])
         assert code == 2
-        assert not (tmp_path / "lm" / "lm.msnc").exists()
+        _, tensors = read_checkpoint(tmp_path / "lm" / "lm.msnc")
+        assert tensors and all(np.all(np.isfinite(t)) for t in tensors.values())
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--top-k", "0", 1), ("--top-k", "-3", 1), ("--temperature", "-2", 1),
+        ("--temperature", "nan", 1),
+        # Edge values pass the check; the missing checkpoint then exits 2.
+        ("--top-k", "1", 2), ("--temperature", "0", 2),
+    ])
+    def test_generate_refuses_bad_sampling_settings(self, tmp_path, capsys, flag, value, code):
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--checkpoint", str(tmp_path / "missing"),
+                     "--prompt", "A gentle chime", flag, value, "--out", str(out)]) == code
+        if code == 1:
+            assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_finetune_warm_start(self, workspace, tmp_path):
         shape = ["--set", "n_audio=16", "--set", "max_len=96",

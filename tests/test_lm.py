@@ -24,6 +24,7 @@ from flowtok.lm import (
     train_lm,
     weighted_ce_zloss,
 )
+from flowtok.data import read_checkpoint
 from flowtok.nn import DivergenceError
 from flowtok.tensor import ShapeError, Tensor, no_grad
 
@@ -437,6 +438,28 @@ class TestTraining:
             assert np.all(np.isfinite(t.data)), name
             np.testing.assert_array_equal(t.data, before[name], err_msg=name)
 
+    def test_divergence_writes_rolled_back_state_to_checkpoint_path(self, tmp_path):
+        model, vocab = extended_model()
+        before = {name: t.data.copy() for name, t in model.named_tensors()}
+        path = tmp_path / "lm.msnc"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                train_lm(self.make_examples(vocab), model, LmTrainConfig(lr=1e38),
+                         checkpoint_path=path)
+        _, tensors = read_checkpoint(path)
+        assert tensors.keys() == before.keys()
+        for name, value in tensors.items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    def test_checkpoint_path_holds_the_trained_model(self, tmp_path):
+        model, vocab = extended_model()
+        path = tmp_path / "lm.msnc"
+        train_lm(self.make_examples(vocab), model, LmTrainConfig(epochs=2, batch_size=3),
+                 checkpoint_path=path)
+        _, tensors = read_checkpoint(path)
+        for name, t in model.named_tensors():
+            np.testing.assert_array_equal(tensors[name], t.data, err_msg=name)
+
     def test_requires_extension(self):
         model = FusionLM(small_config(), np.random.default_rng(0))
         seq = FusionSequence(ids=np.array([1, 2]), weights=np.array([1.0, 1.0]))
@@ -473,6 +496,23 @@ class TestGeneration:
         # At vanishing temperature one token dominates the softmax, so
         # sampling agrees with argmax.
         np.testing.assert_array_equal(a.tokens, b.tokens)
+
+    @pytest.mark.parametrize("setting, problem", [
+        ({"top_k": 0}, "top_k"), ({"top_k": -3}, "top_k"),
+        ({"temperature": -2.0}, "temperature"), ({"temperature": float("nan")}, "temperature"),
+    ])
+    def test_bad_sampling_settings_rejected(self, setting, problem):
+        model, vocab = extended_model()
+        with pytest.raises(ValueError, match=problem):
+            generate(model, vocab.encode_text("abc"), 4, **setting)
+
+    def test_top_k_one_samples_the_greedy_tokens(self):
+        model, vocab = extended_model(seed=6)
+        prompt = vocab.encode_text("abc")
+        greedy = generate(model, prompt, 8, temperature=0.0)
+        top_one = generate(model, prompt, 8, temperature=1.0, top_k=1,
+                           rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(top_one.tokens, greedy.tokens)
 
     def test_unclosed_span_flagged(self):
         model, vocab = extended_model()

@@ -1,4 +1,7 @@
-"""Autodiff engine: forward values, backward closures, finite-difference checks."""
+"""Autodiff engine: forward values, backward edges, finite-difference checks."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +134,54 @@ class TestBackward:
             return x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+
+class TestEdges:
+    def test_no_edge_and_no_vjp_call_for_an_input_needing_no_gradient(self):
+        calls = []
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        c = Tensor([3.0, 4.0])
+        out = T._record("probe", x.data * c.data,
+                        (x, lambda g: calls.append("x") or g * c.data),
+                        (c, lambda g: calls.append("c") or g * x.data))
+        assert out.requires_grad
+        assert [edge[0] is x for edge in out._edges] == [True]
+        tsum(out).backward()
+        assert calls == ["x"]
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        assert c.grad is None
+
+    def test_requires_grad_exactly_when_an_edge_is_kept(self):
+        x = Tensor([1.0], requires_grad=True)
+        c = Tensor([2.0])
+        assert (x * c)._edges and (x * c).requires_grad
+        assert not (c * c)._edges and not (c * c).requires_grad
+        with no_grad():
+            assert not (x * c)._edges and not (x * c).requires_grad
+
+
+def _recorded_op_names() -> set[str]:
+    """The op name of every _record call in tensor.py; each must be a literal."""
+    tree = ast.parse(Path(T.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_record"]
+    assert all(isinstance(c.args[0], ast.Constant) for c in calls), "op name not a literal"
+    return {c.args[0].value for c in calls}
+
+
+def test_every_tape_op_has_a_gradient_suite_case():
+    """A tape op cannot land without a finite-difference check: every op
+    tensor.py records appears on the tape of some run_gradient_suite case."""
+    covered = set()
+    for _, fn, arrays in T._suite_cases():
+        stack = [fn(*[Tensor(x, requires_grad=True) for x in arrays])]
+        while stack:
+            t = stack.pop()
+            covered.add(t.op)
+            stack.extend(parent for parent, _ in t._edges)
+    recorded = _recorded_op_names()
+    assert {"matmul", "concat", "softmax"} <= recorded
+    assert not recorded - covered, f"ops without a gradient suite case: {recorded - covered}"
 
 
 class TestBroadcasting:
