@@ -54,6 +54,7 @@ from .lm import (
     audio_segments,
     build_finetune_example,
     build_pretrain_example,
+    check_prompt,
     extend_vocab,
     generate,
     next_token_accuracy,
@@ -362,7 +363,11 @@ def cmd_generate(args, config: dict) -> int:
     if not args.temperature >= 0.0:
         raise UsageError(f"--temperature must be at least 0, got {args.temperature}")
     model, vocab = _load_lm(args.checkpoint)
-    prompt = vocab.encode_text(args.prompt)
+    try:
+        prompt = vocab.encode_text(args.prompt)
+        check_prompt(prompt, model.cfg.max_len)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = generate(model, prompt, args.max_new,
                       rng=np.random.default_rng(config["seed"]),
                       temperature=args.temperature, top_k=args.top_k,
@@ -389,10 +394,11 @@ def cmd_eval(args, config: dict) -> int:
                                n_steps=config["n_steps"])
     table.write_csv(args.out / "eval.csv")
     table.write_json(args.out / "eval.json", seed=config["seed"], clamp_events=clamps.events,
+                     clamp_worst=clamps.worst,
                      counts={name: len(dataset) for name, dataset in splits.items()})
     for split, model_name, metric, value in table.rows:
         print(f"{metric}[{split}, {model_name}] = {value:.6f}")
-    print(f"{clamps.events} eigenvalue clamps")
+    print(f"{clamps.events} eigenvalue clamps, worst {clamps.worst:.3g}")
     return 0
 
 

@@ -115,12 +115,6 @@ class LatentDataset:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def variance(self) -> float:
-        return float(self.values.astype(np.float64).var())
-
-    def subset(self, mask) -> "LatentDataset":
-        return LatentDataset(self.values[mask], self.labels[mask])
-
 
 def gen_latent_dataset(spec: SyntheticLatentSpec, n_per_class: int,
                        split: str = "train") -> LatentDataset:

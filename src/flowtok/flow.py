@@ -109,7 +109,6 @@ class DitDecoder(Module):
         self.stack = TransformerStack(cfg, rng)
         self.out_proj = Linear(cfg.hidden_dim, data_dim, rng)
         self.data_dim = data_dim
-        self.cond_dim = cond_dim
 
     def __call__(self, x_t, t, cond) -> Tensor:
         """x_t: (B, T, data_dim) or (T, data_dim); t: scalar or (B,);

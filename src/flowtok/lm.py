@@ -174,10 +174,6 @@ class FusionLM(Module):
         self.vocab: Vocab | None = None
         self.cfg = cfg
 
-    @property
-    def vocab_size(self) -> int:
-        return self.vocab.size if self.vocab is not None else self.cfg.v_text
-
     def __call__(self, ids, cache: KVCache | None = None) -> Tensor:
         """Logits for ids; with a cache, ids are the positions after the
         cached ones and the cache grows by them."""
@@ -464,6 +460,14 @@ class GenerationResult:
     unclosed_audio: bool
 
 
+def check_prompt(ids: np.ndarray, max_len: int) -> None:
+    """Refuse a prompt generate cannot extend: empty, not 1-D, or max_len long."""
+    if ids.ndim != 1 or ids.size == 0:
+        raise ShapeError("generate: prompt must be a nonempty 1-D id sequence")
+    if ids.size >= max_len:
+        raise ShapeError(f"generate: prompt of {ids.size} tokens fills max_len {max_len}")
+
+
 def generate(model: FusionLM, prompt, max_new_tokens: int,
              rng: np.random.Generator | None = None, temperature: float = 1.0,
              top_k: int | None = None, constrain_audio: bool = True) -> GenerationResult:
@@ -487,10 +491,7 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
         raise ValueError("generate: extend_vocab must run first")
     vocab = model.vocab
     ids = np.asarray(prompt, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ShapeError("generate: prompt must be a nonempty 1-D id sequence")
-    if ids.size >= model.cfg.max_len:
-        raise ShapeError(f"generate: prompt of {ids.size} tokens fills max_len {model.cfg.max_len}")
+    check_prompt(ids, model.cfg.max_len)
     if ids.min() < 0 or ids.max() >= vocab.size:
         raise ValueError(f"generate: prompt id outside [0, {vocab.size})")
     well_formed, open_span = audio_spans_valid(ids, vocab)

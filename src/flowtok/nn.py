@@ -65,13 +65,6 @@ class Module:
             if t.requires_grad:
                 yield name, t
 
-    def zero_grad(self) -> None:
-        for _, t in self.named_tensors():
-            t.grad = None
-
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
     def double(self) -> "Module":
         """Recast every tensor to float64 in place; returns self."""
         for _, t in self.named_tensors():

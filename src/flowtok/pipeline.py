@@ -17,8 +17,7 @@ import numpy as np
 
 from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
-# DivergenceError is re-exported for callers of train_tokenizer.
-from .nn import DivergenceError, Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
+from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
 from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale, square
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
 
@@ -85,7 +84,6 @@ class CausalEncoder(Module):
         self.stack = TransformerStack(cfg, rng)
         self.out_proj = Linear(cfg.hidden_dim, code_dim, rng)
         self.data_dim = data_dim
-        self.code_dim = code_dim
 
     def __call__(self, x) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
@@ -101,9 +99,6 @@ class TokenizerModel(Module):
         self.codebook = Codebook(cfg.codebook_size, cfg.code_dim, rng)
         self.decoder = DitDecoder(cfg.data_dim, cfg.code_dim, cfg.decoder, cfg.timestep_dim, rng)
         self.cfg = cfg
-        # One width runs end to end: encoder codes are codebook queries are
-        # decoder conditioning.
-        assert self.encoder.code_dim == self.codebook.dim == self.decoder.cond_dim
 
 
 def encode_to_tokens(z, model: TokenizerModel) -> np.ndarray:

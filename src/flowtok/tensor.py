@@ -5,9 +5,10 @@ gradient tape. Every differentiable operation records on its output one
 edge per input that requires a gradient: the input and that input's
 vector-Jacobian product. An input that needs no gradient gets no edge, so
 its VJP never runs. A tensor with edges requires a gradient; a leaf is a
-tensor with no edges. Every tensor carries a creation index, so reverse
-creation order is a valid topological order for the chain rule (an
-operation's inputs always exist before its output).
+tensor with no edges. Every tensor carries a creation index, and an
+operation's inputs always exist before its output, so reverse creation
+order is a valid topological order for the chain rule: backward pops
+nodes from a heap keyed on it.
 
 float32 is the working precision for training. Verification code builds
 its tensors as float64 so finite-difference comparisons stay tight.
@@ -15,8 +16,10 @@ its tensors as float64 so finite-difference comparisons stay tight.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,9 +115,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self.op!r}{flag})"
@@ -126,32 +126,21 @@ class Tensor:
         The walk follows edges only, and each edge's VJP runs once, so no
         gradient is formed for an input that needs none. Only leaves, the
         tensors with no edges, get .grad; intermediate results keep none.
-        Repeated calls keep accumulating; zero_grad resets. The root must
-        hold exactly one element.
+        Repeated calls keep accumulating. The root must hold exactly one
+        element.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             return
-        nodes: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[Tensor] = [self]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            nodes.append(t)
-            for parent, _ in t._edges:
-                stack.append(parent)
-        nodes.sort(key=lambda t: t._order, reverse=True)
-
         # Per-call flow accumulator, kept apart from .grad so that a second
         # backward() doubles leaf gradients instead of compounding stale flow.
-        # Every node was reached along an edge from a later one, so flow has
-        # reached it by the time its turn comes.
+        # A node enters the heap when flow first reaches it; every node that
+        # feeds it flow is newer, so it has all its flow when it is popped.
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for t in nodes:
+        heap = [(-self._order, self)]
+        while heap:
+            _, t = heapq.heappop(heap)
             g = flowing.pop(id(t))
             if not t._edges:
                 t.grad = g.copy() if t.grad is None else t.grad + g
@@ -164,6 +153,8 @@ class Tensor:
                     )
                 pid = id(parent)
                 acc = flowing.get(pid)
+                if acc is None:
+                    heapq.heappush(heap, (-parent._order, parent))
                 flowing[pid] = pg if acc is None else acc + pg
 
     # ------------------------------------------------------------------
@@ -246,9 +237,11 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _binary(op: str, a: Tensor, b, fn) -> tuple[Tensor, np.ndarray]:
+    """b as a Tensor, and fn(a.data, b.data) with a broadcast failure as a ShapeError."""
+    b = _wrap(b, a)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return b, fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -258,33 +251,29 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
-    _check_broadcast(a, b, "add")
-    return _record("add", a.data + b.data,
+    b, out = _binary("add", a, b, operator.add)
+    return _record("add", out,
                    (a, lambda g: _reduce_to(g, a.data.shape)),
                    (b, lambda g: _reduce_to(g, b.data.shape)))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
-    _check_broadcast(a, b, "sub")
-    return _record("sub", a.data - b.data,
+    b, out = _binary("sub", a, b, operator.sub)
+    return _record("sub", out,
                    (a, lambda g: _reduce_to(g, a.data.shape)),
                    (b, lambda g: _reduce_to(-g, b.data.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
-    _check_broadcast(a, b, "mul")
-    return _record("mul", a.data * b.data,
+    b, out = _binary("mul", a, b, operator.mul)
+    return _record("mul", out,
                    (a, lambda g: _reduce_to(g * b.data, a.data.shape)),
                    (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
 
 
 def div(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
-    _check_broadcast(a, b, "div")
-    return _record("div", a.data / b.data,
+    b, out = _binary("div", a, b, operator.truediv)
+    return _record("div", out,
                    (a, lambda g: _reduce_to(g / b.data, a.data.shape)),
                    (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)))
 

@@ -208,7 +208,7 @@ def test_05_tokenizer_overfit(verdict):
         decoded = decode_tokens(tokens, model, rng=np.random.default_rng(7))
         recon = float(np.mean((decoded.astype(np.float64)
                                - dataset.values.astype(np.float64)) ** 2))
-        bound = 0.1 * dataset.variance()
+        bound = 0.1 * dataset.values.astype(np.float64).var()
         ok &= ratio < 0.1 and recon < bound and elapsed < 300.0
         details.append(f"{objective}: loss ratio {ratio:.3f} < 0.1, recon "
                        f"{recon:.4f} < {bound:.4f}, {elapsed:.0f}s < 300s")
@@ -245,13 +245,13 @@ def test_06_mode_separation(verdict):
     spec = SyntheticLatentSpec.create(n_classes=2, frames=16, dim=8,
                                       noise_std=0.05, seed=0, bimodal_class=1)
     dataset = gen_latent_dataset(spec, 64, split="train")
-    bimodal = dataset.subset(dataset.labels == 1)
+    bimodal = dataset.values[dataset.labels == 1]
     mode = class_pattern(spec, 1)
     mode_norm = float(np.linalg.norm(mode))
     cond = np.zeros((len(bimodal), 16, 8), dtype=np.float32)
 
-    decoder_fm = _train_decoder("fm", bimodal.values, cond, steps=1200, seed=0)
-    decoder_mse = _train_decoder("mse", bimodal.values, cond, steps=1200, seed=0)
+    decoder_fm = _train_decoder("fm", bimodal, cond, steps=1200, seed=0)
+    decoder_mse = _train_decoder("mse", bimodal, cond, steps=1200, seed=0)
 
     with no_grad():
         mse_hat = mse_reconstruct(Tensor(cond), decoder_mse)
@@ -267,7 +267,7 @@ def test_06_mode_separation(verdict):
     to_minus = np.linalg.norm(flat + mode.reshape(1, -1), axis=1)
     near_fraction = float(np.mean(np.minimum(to_plus, to_minus) < 0.5 * mode_norm))
 
-    reference = gaussian_stats(mean_pool_embeddings(bimodal.values))
+    reference = gaussian_stats(mean_pool_embeddings(bimodal))
     clamps = ClampLog()
     fd_fm = frechet_distance(reference,
                              gaussian_stats(mean_pool_embeddings(fm_hat)),

@@ -56,6 +56,19 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def small_lm(workspace):
+    """A one-block fusion LM with 128 text ids and max_len 48, pretrained on
+    the workspace pairs (their captions are ASCII)."""
+    out = workspace / "lm48"
+    assert main(["train-lm", "--stage", "pretrain",
+                 "--pairs", str(workspace / "enc" / "pairs.jsonl"), "--out", str(out),
+                 "--set", "n_audio=16", "--set", "max_len=48", "--set", "v_text=128",
+                 "--set", "hidden_dim=32", "--set", "head_dim=16",
+                 "--set", "n_blocks=1", "--set", "epochs=1"]) == 0
+    return out / "lm.msnc"
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -367,7 +380,7 @@ class TestArtifacts:
         assert row["value"] > 0
         assert payload["counts"] == {"val": 16}
 
-    def test_eval_fad_counts_clamps(self, workspace, tmp_path):
+    def test_eval_fad_counts_clamps(self, workspace, tmp_path, capsys):
         code = main(["eval", "--checkpoint",
                      f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
                      "--data", f"val={workspace / 'data' / 'val.msnl'}",
@@ -376,6 +389,11 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "eval.json").read_text())
         assert [row["metric"] for row in payload["rows"]] == ["recon_mse", "frechet"]
         assert payload["clamp_events"] >= 0
+        # The most negative eigenvalue clamped to zero; 0 when none was.
+        assert payload["clamp_worst"] <= 0
+        assert (payload["clamp_worst"] < 0) == (payload["clamp_events"] > 0)
+        worst = f"{payload['clamp_events']} eigenvalue clamps, worst {payload['clamp_worst']:.3g}"
+        assert worst in capsys.readouterr().out
 
     def test_compare_csv_schema(self, workspace, tmp_path):
         code = main(["eval", "--checkpoint", f"fm={workspace / 'fm' / 'tokenizer.msnc'}",
@@ -451,6 +469,24 @@ class TestLmCommands:
         assert code == 1
         assert "--max-new" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("prompt, code, message", [
+        ("", 1, "generate: prompt must be a nonempty 1-D id sequence"),
+        ("x" * 60, 1, "generate: prompt of 60 tokens fills max_len 48"),
+        ("x" * 48, 1, "generate: prompt of 48 tokens fills max_len 48"),
+        ("x" * 47, 0, None),
+        ("caf\u00e9", 1, "byte value 195 outside text range [0, 128)"),
+    ], ids=["empty", "too_long", "max_len_long", "longest", "byte_outside_text"])
+    def test_generate_refuses_bad_prompt(self, small_lm, tmp_path, capsys, prompt, code,
+                                         message):
+        """The prompt is command-line input: a prompt generate cannot extend
+        is a usage error, exit 1, with the library's message."""
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--checkpoint", str(small_lm), "--prompt", prompt,
+                     "--max-new", "4", "--out", str(out)]) == code
+        if message is not None:
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert out.exists() == (code == 0)
 
     def test_generate_rejects_tokenizer_checkpoint(self, workspace, tmp_path, capsys):
         code = main(["generate", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),

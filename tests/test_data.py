@@ -125,9 +125,6 @@ class TestGeneration:
         spec = SyntheticLatentSpec.create(n_classes=2)
         ds = gen_latent_dataset(spec, n_per_class=3)
         assert len(ds) == 6
-        sub = ds.subset(ds.labels == 1)
-        assert len(sub) == 3
-        assert set(sub.labels.tolist()) == {1}
 
 
 class TestLatentFiles:

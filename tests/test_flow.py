@@ -248,7 +248,7 @@ class TestDistributionRecovery:
             smp = sample_path(x1, rng, cfg)
             pred = dec(smp.x_t, smp.t, cond)
             loss = cfm_loss(pred, smp.u_t)
-            dec.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
 

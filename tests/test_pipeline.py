@@ -11,10 +11,9 @@ from flowtok.data import (
     read_checkpoint,
 )
 from flowtok import pipeline
-from flowtok.nn import TransformerConfig
+from flowtok.nn import DivergenceError, TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
-    DivergenceError,
     TokenizerConfig,
     TokenizerModel,
     bitrate,
@@ -319,7 +318,8 @@ class TestStructuralInvariants:
     def test_parameter_count_identical_across_objectives(self):
         flow_model = TokenizerModel(tiny_config("fm"), np.random.default_rng(0))
         mse_model = TokenizerModel(tiny_config("mse"), np.random.default_rng(0))
-        assert flow_model.parameter_count() == mse_model.parameter_count()
+        assert ([(name, p.shape) for name, p in flow_model.named_parameters()]
+                == [(name, p.shape) for name, p in mse_model.named_parameters()])
 
     def test_causality_survives_training(self):
         cfg = tiny_config("fm", lr=1e-3, epochs=2, batch_size=8)
@@ -345,7 +345,7 @@ class TestOverfitRoundTrip:
             z_hat = decode_tokens(encode_to_tokens(z, model), model)
             errors.append(float(np.mean((z - z_hat) ** 2)))
         mse = float(np.mean(errors))
-        floor = 0.1 * ds.variance()
+        floor = 0.1 * ds.values.astype(np.float64).var()
         assert mse < floor, f"mse {mse:.4f} vs floor {floor:.4f}"
 
 

@@ -102,7 +102,7 @@ class TestBackward:
         x = Tensor([2.0], requires_grad=True)
         y = square(x).sum()
         y.backward()
-        x.zero_grad()
+        x.grad = None
         y.backward()
         np.testing.assert_array_equal(x.grad, [4.0])
 
@@ -197,10 +197,25 @@ class TestBroadcasting:
         broadcast_to(v, (5, 3)).sum().backward()
         np.testing.assert_array_equal(v.grad, [5.0, 5.0, 5.0])
 
-    def test_incompatible_shapes_error_names_both(self):
-        with pytest.raises(ShapeError) as e:
-            Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
+    @pytest.mark.parametrize("op, form", [
+        ("add", lambda x, y: x + y),
+        ("sub", lambda x, y: x - y),
+        ("mul", lambda x, y: x * y),
+        ("div", lambda x, y: x / y),
+        ("sub", lambda x, y: y.data.tolist() - x),
+        ("div", lambda x, y: y.data.tolist() / x),
+    ], ids=["add", "sub", "mul", "div", "reflected_sub", "reflected_div"])
+    def test_incompatible_shapes_error_names_both(self, op, form):
+        with pytest.raises(ShapeError, match=f"^{op}: shapes") as e:
+            form(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+
+    def test_reflected_scalar_forms(self):
+        x = Tensor([[1.0, 2.0, 4.0]], requires_grad=True)
+        np.testing.assert_array_equal((2.0 - x).data, [[1.0, 0.0, -2.0]])
+        np.testing.assert_array_equal((2.0 / x).data, [[2.0, 1.0, 0.5]])
+        (2.0 - x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[-1.0, -1.0, -1.0]])
 
     def test_matmul_inner_dim_mismatch_names_shapes(self):
         with pytest.raises(ShapeError) as e:
