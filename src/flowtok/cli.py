@@ -65,6 +65,7 @@ from .pipeline import (
     TokenizerConfig,
     TokenizerModel,
     bitrate,
+    check_tokens,
     decode_tokens,
     encode_to_tokens,
     train_tokenizer,
@@ -298,7 +299,13 @@ def cmd_encode(args, config: dict) -> int:
 
 def cmd_decode(args, config: dict) -> int:
     model = _load_tokenizer(args.checkpoint)
-    tokens = np.load(args.tokens)
+    try:
+        # .npy only: np.load would also open a pickle or an .npz archive.
+        with open(args.tokens, "rb") as f:
+            tokens = np.lib.format.read_array(f, allow_pickle=False)
+        check_tokens(tokens, model)
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"{args.tokens}: {exc}") from exc
     if tokens.ndim == 1:
         tokens = tokens[np.newaxis, :]
     rng = np.random.default_rng(config["seed"])

@@ -2,14 +2,16 @@
 
 All blocks are pre-norm (norm, sublayer, residual) with a GELU MLP
 MLP_RATIO times the model width, assembled from the autodiff primitives in
-`tensor`; the stack owns the learned absolute position table and the length
-check. Modules build in DEFAULT_DTYPE; `Module.double` recasts one to
-float64 for finite-difference checks. Causal masking uses a finite -1e9
-additive constant: exp underflows to +0.0 for masked scores, so changing
-later positions leaves a prefix's outputs bit-identical at the same
-length. Dropping later positions, or feeding them one at a time through a
-KVCache, changes the reduction shapes, so a prefix's outputs then agree
-only up to rounding.
+`tensor`: LayerNorm and attention each run as one fused tape op
+(`tensor.layer_norm`, `tensor.scaled_dot_product`) once this module has
+checked shapes and chosen the mask. The stack owns the learned absolute
+position table and the length check. Modules build in DEFAULT_DTYPE;
+`Module.double` recasts one to float64 for finite-difference checks.
+Causal masking uses a finite -1e9 additive constant: exp underflows to
++0.0 for masked scores, so changing later positions leaves a prefix's
+outputs bit-identical at the same length. Dropping later positions, or
+feeding them one at a time through a KVCache, changes the reduction
+shapes, so a prefix's outputs then agree only up to rounding.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ from .tensor import (
     concat,
     gelu,
     grad_check,
+    layer_norm,
     matmul,
-    power,
-    scale,
-    softmax,
+    scaled_dot_product,
     square,
-    swapaxes,
     take_rows,
-    tmean,
 )
 
 
@@ -124,10 +123,7 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=DEFAULT_DTYPE)
 
     def __call__(self, x: Tensor) -> Tensor:
-        centered = x - tmean(x, axis=-1, keepdims=True)
-        var = tmean(square(centered), axis=-1, keepdims=True)
-        normed = centered * power(var + LAYER_NORM_EPS, -0.5)
-        return normed * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
 _MASK_FILL = -1e9
@@ -158,18 +154,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Te
         raise ShapeError(f"attention: keys {k.shape} do not cover queries {q.shape}")
     if h % n_heads != 0:
         raise ShapeError(f"width {h} not divisible by {n_heads} heads")
-    dh = h // n_heads
-
-    def split(x: Tensor) -> Tensor:
-        return swapaxes(x.reshape(b, x.shape[1], n_heads, dh), 1, 2)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = scale(matmul(qh, swapaxes(kh, -1, -2)), dh**-0.5)
     # The last query row of a causal mask is all zeros, so one query needs none.
-    if causal and t > 1:
-        scores = scores + Tensor(causal_mask(tk, q.dtype)[tk - t:])
-    out = matmul(softmax(scores), vh)
-    return swapaxes(out, 1, 2).reshape(b, t, h)
+    mask = causal_mask(tk, q.dtype)[tk - t:] if causal and t > 1 else None
+    return scaled_dot_product(q, k, v, n_heads, mask)
 
 
 class AttentionLayer(Module):
@@ -269,6 +256,8 @@ class TransformerStack(Module):
     def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
         if x.ndim not in (2, 3):
             raise ShapeError(f"transformer stack expects (T, H) or (B, T, H), got {x.shape}")
+        if x.shape[-2] == 0:
+            raise ShapeError(f"transformer stack needs at least one position, got {x.shape}")
         start = 0 if cache is None else len(cache)
         tlen = start + x.shape[-2]
         if tlen > self.pos.shape[0]:

@@ -111,6 +111,24 @@ def encode_to_tokens(z, model: TokenizerModel) -> np.ndarray:
     return indices.reshape(z_arr.shape[:-1])
 
 
+def check_tokens(indices: np.ndarray, model: TokenizerModel) -> None:
+    """Refuse token ids decode_tokens cannot decode: not integers, not one
+    clip (T,) or a batch (B, T), T outside 1..decoder max_len, or an id
+    outside [0, K) (IndexError)."""
+    # bool would index as a mask, a float would not index at all.
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got dtype {indices.dtype}")
+    if indices.ndim not in (1, 2):
+        raise ShapeError(f"token ids must be (T,) or (B, T), got shape {indices.shape}")
+    max_len = model.cfg.decoder.max_len
+    if not 1 <= indices.shape[-1] <= max_len:
+        raise ShapeError(f"token ids hold {indices.shape[-1]} frames, need 1 to {max_len}")
+    k = model.codebook.k
+    if indices.size and (indices.min() < 0 or indices.max() >= k):
+        bad = int(indices.min()) if indices.min() < 0 else int(indices.max())
+        raise IndexError(f"token id {bad} outside codebook range [0, {k})")
+
+
 def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | None = None,
                   n_steps: int | None = None) -> np.ndarray:
     """Token indices back to a latent clip of the same length.
@@ -119,13 +137,7 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
     mode is a single deterministic pass.
     """
     indices = np.asarray(indices)
-    # bool would index as a mask, a float would not index at all.
-    if not np.issubdtype(indices.dtype, np.integer):
-        raise ValueError(f"token ids must be integers, got dtype {indices.dtype}")
-    k = model.codebook.k
-    if indices.size and (indices.min() < 0 or indices.max() >= k):
-        bad = int(indices.min()) if indices.min() < 0 else int(indices.max())
-        raise IndexError(f"token id {bad} outside codebook range [0, {k})")
+    check_tokens(indices, model)
     cond = model.codebook.entries.data[indices]
     cfg = model.cfg
     with no_grad():

@@ -10,6 +10,11 @@ operation's inputs always exist before its output, so reverse creation
 order is a valid topological order for the chain rule: backward pops
 nodes from a heap keyed on it.
 
+`layer_norm` and `scaled_dot_product` (multi-head attention) are fused:
+one tape node each, with closed-form VJPs, and forwards bit-identical to
+the composites of simpler ops they replace. `matmul` with a 2-D right
+operand (a dense layer) runs its forward and each VJP as one GEMM.
+
 float32 is the working precision for training. Verification code builds
 its tensors as float64 so finite-difference comparisons stay tight.
 """
@@ -316,15 +321,37 @@ _GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form (smooth everywhere)."""
+    """Gaussian error linear unit, tanh form (smooth everywhere):
+    0.5 * x * (1 + tanh(C * (x + K * x**3))). Forward and VJP compute in
+    place, in the operation order of the plain expressions."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * (x * x * x))
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    th = x * x
+    th *= x
+    th *= _GELU_K
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = th + 1.0
+    out *= x
+    out *= 0.5
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        return g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
+        # g * (0.5 * (1 + th) + 0.5 * x * (1 - th * th) * C * (1 + 3K * x * x)),
+        # in that expression's operation order.
+        d_inner = x * (3.0 * _GELU_K)
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        sech2 = th * th
+        np.subtract(1.0, sech2, out=sech2)
+        dx = x * 0.5
+        dx *= sech2
+        dx *= d_inner
+        np.add(th, 1.0, out=d_inner)
+        d_inner *= 0.5
+        dx += d_inner
+        dx *= g
+        return dx
 
     return _record("gelu", out, (a, vjp))
 
@@ -334,10 +361,18 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over the last two axes. A 2-D b (a dense layer's weight) folds
+    a's leading axes into rows, so the forward and each VJP are one GEMM."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        n = b.shape[-1]
+        return _record("matmul", (a2 @ b.data).reshape(a.shape[:-1] + (n,)),
+                       (a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.data.shape)),
+                       (b, lambda g: a2.T @ g.reshape(-1, n)))
     return _record("matmul", a.data @ b.data,
                    (a, lambda g: _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
                    (b, lambda g: _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
@@ -476,6 +511,79 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", out, (a, vjp))
 
 
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then
+    x_hat * gamma + beta, as one tape node (Ba et al., 2016).
+
+    The VJPs are the closed form: with d = g * gamma,
+    dx = rstd * (d - mean(d) - x_hat * mean(d * x_hat)).
+    """
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    rstd = (var + x.data.dtype.type(eps)) ** -0.5
+    xhat = centered * rstd
+    out = xhat * gamma.data + beta.data
+
+    def vjp_x(g):
+        d = g * gamma.data
+        dx = d - d.mean(axis=-1, keepdims=True)
+        dx -= xhat * (d * xhat).mean(axis=-1, keepdims=True)
+        dx *= rstd
+        return dx
+
+    return _record("layer_norm", out,
+                   (x, vjp_x),
+                   (gamma, lambda g: _reduce_to(g * xhat, gamma.data.shape)),
+                   (beta, lambda g: _reduce_to(g, beta.data.shape)))
+
+
+def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                       mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(head_dim) + mask) v per head, as one tape node.
+
+    q is (B, T, H) and k, v are (B, Tk, H), H split into n_heads; mask,
+    when given, is added to the (T, Tk) scores. The q and k VJPs share
+    dS = P * (dP - rowsum(dP * P)) * scale, formed once per incoming
+    gradient; the v VJP is P^T g.
+    """
+    b, _, h = q.shape
+    dh = h // n_heads
+    factor = dh**-0.5
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        return x.reshape(b, x.shape[1], n_heads, dh).swapaxes(1, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.swapaxes(1, 2).reshape(b, x.shape[2], h)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= factor
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+
+    memo: dict[str, np.ndarray] = {}
+
+    def d_scores(g: np.ndarray) -> np.ndarray:
+        if memo.get("g") is not g:
+            dp = heads(g) @ vh.swapaxes(-1, -2)
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= factor
+            memo["g"], memo["ds"] = g, dp
+        return memo["ds"]
+
+    return _record("scaled_dot_product", out,
+                   (q, lambda g: merge(d_scores(g) @ kh)),
+                   (k, lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh)),
+                   (v, lambda g: merge(p.swapaxes(-1, -2) @ heads(g))))
+
+
 # ----------------------------------------------------------------------
 # finite-difference verification
 
@@ -569,6 +677,13 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     case("take_along_last", lambda x: square(take_along_last(x, idx_last)).sum(), a)
     case("logsumexp", lambda x: square(logsumexp(x)).sum(), a)
     case("softmax", lambda x: (softmax(x) * pick).sum(), a)
+    case("layer_norm", lambda x, w, c: (layer_norm(x, w, c, 1e-5) * pick).sum(), a, row, b[0])
+    # Three queries over four keys under a causal mask: the rows a KV cache
+    # feeds, with the mask's last rows.
+    causal = np.triu(np.full((4, 4), -1e9), 1)[1:]
+    probe = Tensor(rng.normal(size=(1, 3, 4)))
+    case("attention", lambda q, k, v: (scaled_dot_product(q, k, v, 2, causal) * probe).sum(),
+         rng.normal(size=(1, 3, 4)), rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 4, 4)))
     return cases
 
 

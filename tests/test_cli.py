@@ -69,6 +69,11 @@ def small_lm(workspace):
     return out / "lm.msnc"
 
 
+def _write_npz(path):
+    with path.open("wb") as f:
+        np.savez(f, tokens=np.zeros((2, 8), int))
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -367,6 +372,31 @@ class TestArtifacts:
         from flowtok.data import load_latents
         decoded = load_latents(tmp_path / "decoded.msnl")
         assert decoded.values.shape == (16, 8, 4)
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda p: np.save(p, np.zeros((2, 8))), "token ids must be integers, got dtype float64"),
+        (lambda p: np.save(p, np.full((2, 8), 999)), "token id 999 outside codebook range [0, 16)"),
+        (lambda p: np.save(p, np.zeros((2, 9), int)), "token ids hold 9 frames, need 1 to 8"),
+        (lambda p: np.save(p, np.zeros((2, 2, 8), int)),
+         "token ids must be (T,) or (B, T), got shape (2, 2, 8)"),
+        (lambda p: np.save(p, np.zeros((2, 0), int)), "token ids hold 0 frames, need 1 to 8"),
+        (lambda p: np.save(p, np.array([1, "a"], dtype=object)),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda p: p.write_text("0 1 2 3\n"), "the magic string is not correct"),
+        (_write_npz, "the magic string is not correct"),
+        (lambda p: p.write_bytes(b""), "EOF: reading magic string"),
+    ], ids=["float", "id_999", "too_many_frames", "3d", "zero_frames", "object", "not_npy",
+            "npz", "empty"])
+    def test_decode_refuses_bad_tokens_file(self, workspace, tmp_path, capsys, write, message):
+        """The tokens file is outside input: one decode cannot read is a
+        usage error, exit 1, with the library's message and no output."""
+        tokens = tmp_path / "tokens.npy"
+        write(tokens)
+        out = tmp_path / "out"
+        assert main(["decode", "--checkpoint", str(workspace / "mse" / "tokenizer.msnc"),
+                     "--tokens", str(tokens), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tokens}: {message}")
+        assert not (out / "decoded.msnl").exists()
 
     def test_eval_recon_json(self, workspace, tmp_path):
         code = main(["eval", "--checkpoint",

@@ -486,6 +486,12 @@ class TestGeneration:
             valid, _ = audio_spans_valid(result.tokens, vocab)
             assert valid
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_zero_positions_rejected(self, shape):
+        model, _ = extended_model()
+        with pytest.raises(ShapeError, match="at least one position"):
+            model(np.zeros(shape, dtype=np.int64))
+
     def test_temperature_zero_is_greedy(self):
         model, vocab = extended_model(seed=6)
         prompt = vocab.encode_text("abc")

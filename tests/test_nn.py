@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowtok.nn import (
+    LAYER_NORM_EPS,
     AdamW,
     AttentionLayer,
     DivergenceError,
@@ -24,7 +25,19 @@ from flowtok.nn import (
     timestep_features,
 )
 from flowtok.data import MetricsLog
-from flowtok.tensor import ShapeError, Tensor, no_grad, square
+from flowtok.tensor import (
+    ShapeError,
+    Tensor,
+    layer_norm,
+    matmul,
+    no_grad,
+    power,
+    scale,
+    softmax,
+    square,
+    swapaxes,
+    tmean,
+)
 
 
 def _rng(seed=0):
@@ -290,6 +303,98 @@ class TestModuleRegistry:
         lin = Linear(4, 3, _rng(13))
         out = lin(Tensor(np.ones((5, 4), dtype=np.float32)))
         assert out.shape == (5, 3)
+
+
+def _composite_layer_norm(x, gamma, beta):
+    """LayerNorm as separate tape ops: the slow oracle for tensor.layer_norm."""
+    centered = x - tmean(x, axis=-1, keepdims=True)
+    var = tmean(square(centered), axis=-1, keepdims=True)
+    normed = centered * power(var + LAYER_NORM_EPS, -0.5)
+    return normed * gamma + beta
+
+
+def _composite_attention(q, k, v, n_heads, causal):
+    """Attention as separate tape ops: the slow oracle for nn.attention."""
+    b, t, h = q.shape
+    tk = k.shape[1]
+    dh = h // n_heads
+
+    def split(x):
+        return swapaxes(x.reshape(b, x.shape[1], n_heads, dh), 1, 2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = scale(matmul(qh, swapaxes(kh, -1, -2)), dh**-0.5)
+    if causal and t > 1:
+        scores = scores + Tensor(causal_mask(tk, q.dtype)[tk - t:])
+    out = matmul(softmax(scores), vh)
+    return swapaxes(out, 1, 2).reshape(b, t, h)
+
+
+def _grads(fn, arrays, probe):
+    """Gradients of sum(fn(*leaves) * probe) for float64 leaves."""
+    leaves = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    (fn(*leaves) * Tensor(probe)).sum().backward()
+    return [t.grad for t in leaves]
+
+
+def _assert_within(fused, oracle, tol=1e-5):
+    for a, b in zip(fused, oracle, strict=True):
+        err = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+        assert err.max() < tol
+
+
+class TestFusedAgainstComposites:
+    """The fused tape ops against the composites they replaced: the float32
+    forward is byte-equal, the float64 gradients agree within 1e-5."""
+
+    def test_layer_norm(self):
+        rng = _rng(40)
+        ln = LayerNorm(16)
+        ln.gamma.data = rng.normal(size=16).astype(np.float32)
+        ln.beta.data = rng.normal(size=16).astype(np.float32)
+        x = Tensor(rng.normal(1.0, 3.0, size=(3, 5, 16)).astype(np.float32))
+        fused = ln(x).data
+        assert fused.tobytes() == _composite_layer_norm(x, ln.gamma, ln.beta).data.tobytes()
+
+        arrays = [x.data, ln.gamma.data, ln.beta.data]
+        probe = rng.normal(size=(3, 5, 16))
+        _assert_within(_grads(lambda *t: layer_norm(*t, LAYER_NORM_EPS), arrays, probe),
+                       _grads(_composite_layer_norm, arrays, probe))
+
+    @pytest.mark.parametrize("t, tk, causal", [
+        (6, 6, False), (6, 6, True), (3, 7, True), (1, 5, True), (1, 1, False),
+    ], ids=["full", "causal", "causal_t_lt_tk", "causal_one_query", "one_position"])
+    def test_attention(self, t, tk, causal):
+        rng = _rng(41)
+        q = rng.normal(size=(2, t, 8)).astype(np.float32)
+        k, v = (rng.normal(size=(2, tk, 8)).astype(np.float32) for _ in range(2))
+        fused = attention(Tensor(q), Tensor(k), Tensor(v), n_heads=2, causal=causal).data
+        oracle = _composite_attention(Tensor(q), Tensor(k), Tensor(v), 2, causal).data
+        assert fused.tobytes() == oracle.tobytes()
+
+        probe = rng.normal(size=(2, t, 8))
+        _assert_within(
+            _grads(lambda *a: attention(*a, n_heads=2, causal=causal), [q, k, v], probe),
+            _grads(lambda *a: _composite_attention(*a, 2, causal), [q, k, v], probe))
+
+    def test_attention_second_backward(self):
+        """A second backward() from the same root doubles every leaf gradient;
+        a backward() from another root over the same output adds that
+        root's gradient, not a stale one."""
+        rng = _rng(42)
+        leaves = [Tensor(rng.normal(size=(1, 4, 8)), requires_grad=True) for _ in range(3)]
+        out = attention(*leaves, n_heads=2, causal=True)
+        probes = [Tensor(rng.normal(size=(1, 4, 8))) for _ in range(2)]
+        root = (out * probes[0]).sum()
+        root.backward()
+        once = [t.grad.copy() for t in leaves]
+        root.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+        (out * probes[1]).sum().backward()
+        expected = _grads(lambda *a: _composite_attention(*a, 2, True),
+                          [t.data for t in leaves], 2 * probes[0].data + probes[1].data)
+        _assert_within([t.grad for t in leaves], expected)
 
 
 class TestCompositeGradients:

@@ -11,6 +11,7 @@ from flowtok.data import (
     read_checkpoint,
 )
 from flowtok import pipeline
+from flowtok.flow import mse_reconstruct
 from flowtok.nn import DivergenceError, TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
@@ -199,6 +200,21 @@ class TestDecode:
         model = TokenizerModel(tiny_config())
         with pytest.raises(ValueError, match=np.dtype(dtype).name):
             decode_tokens(np.zeros(16, dtype=dtype), model)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (2, 17), (2, 2, 16)])
+    def test_token_shape_outside_decoder_range_rejected(self, shape):
+        model = TokenizerModel(tiny_config())
+        with pytest.raises(ShapeError, match="token ids"):
+            decode_tokens(np.zeros(shape, dtype=int), model)
+
+    def test_zero_frames_rejected_by_encoder_and_decoder(self):
+        """No positions is a shape error from the stack, in both towers."""
+        cfg = tiny_config("mse")
+        model = TokenizerModel(cfg)
+        with pytest.raises(ShapeError, match="at least one position"):
+            encode_to_tokens(np.zeros((2, 0, cfg.data_dim)), model)
+        with pytest.raises(ShapeError, match="at least one position"):
+            mse_reconstruct(np.zeros((2, 0, cfg.code_dim)), model.decoder)
 
     def test_round_trip_shape(self):
         for objective in ("fm", "mse"):

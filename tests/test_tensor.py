@@ -1,6 +1,7 @@
 """Autodiff engine: forward values, backward edges, finite-difference checks."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,42 @@ class TestForwardValues:
     def test_matmul_row_times_column(self):
         out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
         np.testing.assert_array_equal(out.data, [[11.0]])
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3d", "4d"])
+    def test_dense_matmul_folds_leading_axes(self, lead):
+        """A 2-D right operand runs as one GEMM over every row; values and
+        both gradients match NumPy's batched matmul and the per-item sum."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(*lead, 5, 4))
+        w = rng.normal(size=(4, 6))
+        g = rng.normal(size=(*lead, 5, 6))
+        x, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+        out = matmul(x, wt)
+        np.testing.assert_allclose(out.data, np.matmul(a, w), rtol=1e-12)
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(x.grad, g @ w.T, rtol=1e-12)
+        per_item = np.swapaxes(a, -1, -2) @ g
+        np.testing.assert_allclose(wt.grad, per_item.reshape(-1, 4, 6).sum(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_equals_the_plain_expression(self, dtype):
+        """The in-place forward and VJP keep the plain expressions' rounding,
+        bit for bit."""
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.normal(0.0, 3.0, size=4000),
+                            [0.0, -0.0, 1e-30, -1e-30, 50.0, -50.0, 1e20, -1e20]]).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        c, k = math.sqrt(2.0 / math.pi), 0.044715
+        with np.errstate(over="ignore", invalid="ignore"):
+            th = np.tanh(c * (x + k * (x * x * x)))
+            plain = 0.5 * x * (1.0 + th)
+            d_inner = c * (1.0 + 3.0 * k * x * x)
+            derivative = g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
+            t = Tensor(x, requires_grad=True)
+            out = gelu(t)
+            (out * Tensor(g)).sum().backward()
+        assert out.data.tobytes() == plain.tobytes()
+        assert t.grad.tobytes() == derivative.tobytes()
 
     def test_forward_identical_with_and_without_tape(self):
         """Recording gradients must not perturb forward values by a single bit."""
