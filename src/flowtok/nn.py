@@ -28,9 +28,9 @@ from .tensor import (
     NumericFault,
     ShapeError,
     Tensor,
-    concat,
     gelu,
     grad_check,
+    is_grad_enabled,
     layer_norm,
     matmul,
     scaled_dot_product,
@@ -47,17 +47,33 @@ class Module:
     deterministic. Trainable parameters are the subset with requires_grad.
     """
 
-    def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def _walk(self, prefix: str = "") -> Iterator[tuple[str, Tensor | Module]]:
+        """Every tensor and module below self as (name, value), in attribute
+        order; a module comes just before its own contents."""
         for key, value in self.__dict__.items():
             name = f"{prefix}{key}"
             if isinstance(value, Tensor):
                 yield name, value
             elif isinstance(value, Module):
-                yield from value.named_tensors(f"{name}.")
+                yield name, value
+                yield from value._walk(f"{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_tensors(f"{name}.{i}.")
+                        yield f"{name}.{i}", item
+                        yield from item._walk(f"{name}.{i}.")
+
+    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
+        for name, value in self._walk():
+            if isinstance(value, Tensor):
+                yield name, value
+
+    def modules(self) -> Iterator[Module]:
+        """self, then every module below it, in attribute order."""
+        yield self
+        for _, value in self._walk():
+            if isinstance(value, Module):
+                yield value
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for name, t in self.named_tensors():
@@ -207,32 +223,48 @@ class TransformerBlock(Module):
 
 
 class KVEntry:
-    """One attention layer's keys and values for every position fed so far,
-    (B, T, H) each."""
+    """One attention layer's keys and values for every position fed so far.
 
-    def __init__(self):
-        self.k: Tensor | None = None
-        self.v: Tensor | None = None
+    The first extend allocates a (B, max_len, H) key buffer and a value
+    buffer of the same shape; every extend writes its positions into them
+    in place, so a new token copies one position, not the whole context.
+    The tensors extend returns are views of the filled prefix with no tape
+    history, so a cache serves inference only.
+    """
+
+    def __init__(self, max_len: int):
+        self.max_len = max_len
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self.length = 0
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[1]
+        return self.length
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append this call's positions; returns the keys and values of all."""
-        if self.k is not None:
-            k, v = concat([self.k, k], axis=1), concat([self.v, v], axis=1)
-        self.k, self.v = k, v
-        return k, v
+        """Write this call's positions; returns the keys and values of all."""
+        if self.k is None:
+            self.k = np.empty((k.shape[0], self.max_len, k.shape[2]), dtype=k.dtype)
+            self.v = np.empty_like(self.k)
+        start, stop = self.length, self.length + k.shape[1]
+        if k.shape[::2] != self.k.shape[::2] or stop > self.max_len:
+            raise ShapeError(f"KVEntry: positions {start}..{stop} of shape {k.shape} do not "
+                             f"fit the {self.k.shape} buffer")
+        self.k[:, start:stop] = k.data
+        self.v[:, start:stop] = v.data
+        self.length = stop
+        return Tensor(self.k[:, :stop]), Tensor(self.v[:, :stop])
 
 
 class KVCache:
-    """Per-block keys and values of a causal stack's earlier positions. A
-    stack call with a cache attends over them, feeds only the new
-    positions and appends them, so incremental decoding costs one position
-    per new token."""
+    """Per-block keys and values of a causal stack's earlier positions, for
+    up to max_len positions. A stack call with a cache attends over them,
+    feeds only the new positions and writes them into the buffers, so
+    incremental decoding costs one position per new token. It is for
+    inference only: the stack refuses a cache while the tape records."""
 
-    def __init__(self, n_blocks: int):
-        self.entries = [KVEntry() for _ in range(n_blocks)]
+    def __init__(self, n_blocks: int, max_len: int):
+        self.entries = [KVEntry(max_len) for _ in range(n_blocks)]
 
     def __len__(self) -> int:
         return len(self.entries[0])
@@ -243,8 +275,8 @@ class TransformerStack(Module):
 
     Takes (T, H) or (B, T, H) and returns the input's shape; an unbatched
     input runs as a batch of one. With a KVCache the input holds the
-    positions after the cached ones, and cached plus new stay within
-    cfg.max_len.
+    positions after the cached ones, cached plus new stay within
+    cfg.max_len, and the call must run under no_grad.
     """
 
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
@@ -258,6 +290,10 @@ class TransformerStack(Module):
             raise ShapeError(f"transformer stack expects (T, H) or (B, T, H), got {x.shape}")
         if x.shape[-2] == 0:
             raise ShapeError(f"transformer stack needs at least one position, got {x.shape}")
+        if cache is not None and is_grad_enabled():
+            # Cached keys and values carry no tape edges: the gradient
+            # through earlier positions would be lost without a word.
+            raise ValueError("a KVCache serves inference only; run the cached call under no_grad")
         start = 0 if cache is None else len(cache)
         tlen = start + x.shape[-2]
         if tlen > self.pos.shape[0]:

@@ -75,6 +75,11 @@ class no_grad:
         return False
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops record on the tape, i.e. no no_grad block is active."""
+    return _grad_enabled
+
+
 _creation_counter = itertools.count()
 
 

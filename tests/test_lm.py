@@ -1,5 +1,7 @@
 """Fusion LM: vocabulary, adapters, example builders, loss, generation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from flowtok.lm import (
     train_lm,
     weighted_ce_zloss,
 )
-from flowtok.data import read_checkpoint
+from flowtok import tensor
+from flowtok.data import load_checkpoint, read_checkpoint, save_checkpoint
 from flowtok.nn import DivergenceError
 from flowtok.tensor import ShapeError, Tensor, no_grad
 
@@ -50,6 +53,10 @@ def extended_model(n_audio=8, seed=0, **cfg_overrides):
     model = FusionLM(small_config(**cfg_overrides), np.random.default_rng(seed))
     vocab = extend_vocab(model, n_audio, np.random.default_rng(seed + 1))
     return model, vocab
+
+
+def lora_layers(model):
+    return [m for m in model.modules() if isinstance(m, LoraLinear)]
 
 
 class TestVocab:
@@ -162,6 +169,14 @@ class TestExtendVocab:
             batch = model(ids[None]).data
         assert single.shape == (5, vocab.size)
         assert single.tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("ids", [np.array([1.5, 2.0]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_non_integer_ids_rejected(self, ids):
+        """A float id would truncate and a bool index as 0/1 without a word."""
+        model, _ = extended_model()
+        with pytest.raises(ValueError, match=f"dtype {ids.dtype}"):
+            model(ids)
 
     def test_sequence_longer_than_max_len_rejected(self):
         model, _ = extended_model()
@@ -492,6 +507,18 @@ class TestGeneration:
         with pytest.raises(ShapeError, match="at least one position"):
             model(np.zeros(shape, dtype=np.int64))
 
+    def test_empty_list_reaches_the_position_checks(self):
+        model, _ = extended_model()
+        with pytest.raises(ShapeError, match="at least one position"):
+            model([])
+        with pytest.raises(ShapeError, match="nonempty"):
+            generate(model, [], 4)
+
+    def test_non_integer_prompt_rejected(self):
+        model, vocab = extended_model()
+        with pytest.raises(ValueError, match="dtype float64"):
+            generate(model, vocab.encode_text("abc").astype(np.float64), 4)
+
     def test_temperature_zero_is_greedy(self):
         model, vocab = extended_model(seed=6)
         prompt = vocab.encode_text("abc")
@@ -579,15 +606,20 @@ class _FullRecompute:
 
 
 class _Spy:
-    """Records the ids of every FusionLM call and each call's last logits row."""
+    """Records the ids of every FusionLM call, each call's last logits row,
+    whether every adapter ran folded, and the model's tensor names."""
 
     def __init__(self, monkeypatch):
         self.fed = []
         self.last_rows = []
+        self.folded = []
+        self.names = []
         original = FusionLM.__call__
 
         def spy(model, ids, cache=None):
             self.fed.append(np.asarray(ids))
+            self.folded.append(all(layer.folded is not None for layer in lora_layers(model)))
+            self.names.append([name for name, _ in model.named_tensors()])
             logits = original(model, ids, cache)
             self.last_rows.append(logits.data[-1])
             return logits
@@ -619,6 +651,8 @@ class TestCachedGeneration:
         assert [s["type"] for s in segments[:2]] == ["audio", "text"]
         assert segments[0]["codes"] == [2, 5, 1] and "unclosed" not in segments[0]
         assert len(spy.last_rows) == len(oracle.last_rows) == 12
+        # Folded and cached against factored and recomputed.
+        assert all(spy.folded)
         for cached, full in zip(spy.last_rows, oracle.last_rows):
             assert np.max(np.abs(cached - full)) <= 1e-6 * np.max(np.abs(full))
 
@@ -653,6 +687,106 @@ class TestCachedGeneration:
         model, vocab = extended_model()
         with pytest.raises(ValueError, match="max_new_tokens"):
             generate(model, vocab.encode_text("a"), -1)
+
+
+class TestFoldedAdapters:
+    def test_state_unchanged_by_generate(self, drum_model, monkeypatch, tmp_path):
+        """The fold never joins the model's state: names, checkpoint bytes
+        and the frozen digest are the same before, during and after."""
+        model, vocab = drum_model
+        names = [name for name, _ in model.named_tensors()]
+        digest = frozen_digest(model)
+        save_checkpoint(tmp_path / "before.msnc", model)
+        spy = _Spy(monkeypatch)
+        generate(model, vocab.encode_text("A drum"), 6, temperature=0.0)
+        assert all(spy.folded) and spy.names == [names] * 6
+        assert [name for name, _ in model.named_tensors()] == names
+        assert frozen_digest(model) == digest
+        save_checkpoint(tmp_path / "after.msnc", model)
+        assert (tmp_path / "after.msnc").read_bytes() == (tmp_path / "before.msnc").read_bytes()
+        assert all(layer.folded is None for layer in lora_layers(model))
+
+    def test_exception_leaves_adapters_factored(self, monkeypatch):
+        model, vocab = extended_model(seed=2)
+        rng = np.random.default_rng(2)
+        for layer in lora_layers(model):
+            layer.lora_b.data[:] = rng.normal(0.0, 0.02, size=layer.lora_b.shape)
+        original = FusionLM.__call__
+        calls = []
+
+        def failing(m, ids, cache=None):
+            calls.append(ids)
+            if len(calls) == 3:
+                raise RuntimeError("third call fails")
+            return original(m, ids, cache)
+
+        monkeypatch.setattr(FusionLM, "__call__", failing)
+        with pytest.raises(RuntimeError, match="third call"):
+            generate(model, vocab.encode_text("abc"), 8, temperature=0.0)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert all(layer.folded is None for layer in lora_layers(model))
+        ids = vocab.encode_text("abcd")
+        _, _, total = weighted_ce_zloss(model(ids[:-1]), ids[1:], np.ones(3))
+        total.backward()
+        for layer in lora_layers(model):
+            assert np.linalg.norm(layer.lora_a.grad) > 0
+            assert np.linalg.norm(layer.lora_b.grad) > 0
+
+    def test_generate_after_more_training_uses_the_new_adapters(self, monkeypatch, tmp_path):
+        """Train, generate, train again, generate: the second generate
+        matches, bit for bit, a fresh model loaded from the retrained
+        checkpoint, and differs from the first."""
+        model, vocab = extended_model(seed=9)
+        examples = [build_pretrain_example(f"clip {i}", [i, 2, 5], vocab, _FixedRandom(0.0))
+                    for i in range(3)]
+        prompt = vocab.encode_text("clip ")
+        spy = _Spy(monkeypatch)  # training forwards pass through it too
+
+        def generated_rows(m):
+            start = len(spy.last_rows)
+            result = generate(m, prompt, 4, temperature=0.0)
+            assert all(spy.folded[start:]) and len(spy.last_rows) == start + 4
+            return result.tokens, spy.last_rows[start:]
+
+        train_lm(examples, model, LmTrainConfig(epochs=3, batch_size=3, lr=3e-3))
+        _, first = generated_rows(model)
+        path = tmp_path / "lm.msnc"
+        train_lm(examples, model, LmTrainConfig(epochs=3, batch_size=3, lr=3e-3),
+                 checkpoint_path=path)
+        tokens, retrained = generated_rows(model)
+        fresh, _ = extended_model(seed=9)
+        load_checkpoint(path, fresh)
+        fresh_tokens, reloaded = generated_rows(fresh)
+        np.testing.assert_array_equal(tokens, fresh_tokens)
+        for a, b in zip(retrained, reloaded):
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(first[0], retrained[0])
+
+    def test_one_token_call_records_one_gemm_per_dense_layer(self, monkeypatch):
+        """Node counts of a cached one-token call on the default model: a
+        factored adapter would add two GEMMs and a scale per dense layer,
+        and a K/V cache that concatenates two concats per block."""
+        model = FusionLM(FusionConfig(), np.random.default_rng(0))
+        vocab = extend_vocab(model, 8, np.random.default_rng(1))
+        ops = []
+        record, call = tensor._record, FusionLM.__call__
+
+        def counting_record(op, out, *edges):
+            ops[-1][op] += 1
+            return record(op, out, *edges)
+
+        def counting_call(m, ids, cache=None):
+            ops.append(Counter())
+            return call(m, ids, cache)
+
+        monkeypatch.setattr(tensor, "_record", counting_record)
+        monkeypatch.setattr(FusionLM, "__call__", counting_call)
+        generate(model, vocab.encode_text("A drum"), 2, temperature=0.0)
+        _, one_token = ops
+        assert one_token["matmul"] == 26  # 24 folded dense layers, 2 head GEMMs
+        assert one_token["scale"] == 0
+        assert one_token["concat"] <= 2  # the embedding table and the logits
 
 
 class TestMemorization:

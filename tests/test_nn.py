@@ -11,6 +11,7 @@ from flowtok.nn import (
     AttentionLayer,
     DivergenceError,
     KVCache,
+    KVEntry,
     LayerNorm,
     Linear,
     TimestepEmbedding,
@@ -103,7 +104,7 @@ class TestAttention:
         cfg = TransformerConfig(n_blocks=2, hidden_dim=16, head_dim=8, causal=True)
         stack = TransformerStack(cfg, rng)
         x = rng.normal(size=(2, 9, 16)).astype(np.float32)
-        cache = KVCache(cfg.n_blocks)
+        cache = KVCache(cfg.n_blocks, cfg.max_len)
         with no_grad():
             full = stack(Tensor(x)).data
             parts = [stack(Tensor(x[:, a:b]), cache).data
@@ -114,11 +115,56 @@ class TestAttention:
     def test_cached_length_counts_toward_max_len(self):
         cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = KVCache(cfg.n_blocks)
+        cache = KVCache(cfg.n_blocks, cfg.max_len)
         with no_grad():
             stack(Tensor(np.zeros((6, 8))), cache)
             with pytest.raises(ShapeError, match="length 9 exceeds max_len 8"):
                 stack(Tensor(np.zeros((3, 8))), cache)
+
+    def test_cache_fills_exactly_max_len(self):
+        cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
+        stack = TransformerStack(cfg, _rng(5))
+        x = _rng(6).normal(size=(8, 8)).astype(np.float32)
+        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        with no_grad():
+            full = stack(Tensor(x)).data
+            parts = [stack(Tensor(x[:6]), cache).data, stack(Tensor(x[6:]), cache).data]
+        assert len(cache) == 8
+        np.testing.assert_allclose(np.concatenate(parts), full, rtol=1e-4, atol=1e-6)
+
+    def test_earlier_views_survive_later_writes(self):
+        """extend writes in place after the filled prefix, so the keys and
+        values it returned before stay as they were."""
+        rng = _rng(7)
+        entry = KVEntry(max_len=5)
+        chunks = [(rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 4))) for n in (2, 1, 2)]
+        returned, kept = [], []
+        for k, v in chunks:
+            views = entry.extend(Tensor(k), Tensor(v))
+            returned.append(views)
+            kept.append([t.data.copy() for t in views])
+        assert len(entry) == 5
+        for views, copies in zip(returned, kept):
+            for t, c in zip(views, copies):
+                np.testing.assert_array_equal(t.data, c)
+        for i, t in enumerate(returned[-1]):
+            np.testing.assert_array_equal(
+                t.data, np.concatenate([chunk[i] for chunk in chunks], axis=1).astype(t.dtype))
+        with pytest.raises(ShapeError, match="do not fit"):
+            entry.extend(Tensor(chunks[1][0]), Tensor(chunks[1][1]))
+
+    def test_cache_refused_while_the_tape_records(self):
+        """Cached keys carry no tape edges, so a recorded cached call would
+        drop the gradient through earlier positions."""
+        cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
+        stack = TransformerStack(cfg, _rng(5))
+        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        with pytest.raises(ValueError, match="inference only"):
+            stack(Tensor(np.zeros((3, 8))), cache)
+        assert len(cache) == 0
+        with no_grad():
+            stack(Tensor(np.zeros((3, 8))), cache)
+        assert len(cache) == 3
 
     def test_mask_cache_is_bounded(self):
         """One mask per length its callers ask for would pile up."""
