@@ -88,7 +88,7 @@ class Vocab:
         return self.v_text + self.n_audio + 2
 
     def audio_ids(self, codes) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = as_ids(codes)
         if codes.size and (codes.min() < 0 or codes.max() >= self.n_audio):
             raise ValueError(f"audio code outside [0, {self.n_audio})")
         return codes + self.v_text
@@ -104,7 +104,7 @@ class Vocab:
         return raw
 
     def decode_text(self, ids) -> str:
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = as_ids(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.v_text):
             raise ValueError("decode_text: non-text id present")
         return bytes(ids.astype(np.uint8)).decode("utf-8", errors="replace")
@@ -297,7 +297,7 @@ def audio_segments(ids, vocab: Vocab) -> list[dict]:
     """
     segments: list[dict] = []
     span: dict | None = None
-    for token in np.asarray(ids, dtype=np.int64).tolist():
+    for token in as_ids(ids).tolist():
         if span is not None and vocab.is_audio(token):
             span["codes"].append(token - vocab.v_text)
         elif span is not None and token == vocab.eoa:
@@ -548,9 +548,9 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     in_span = np.append(np.arange(vocab.v_text, vocab.v_text + vocab.n_audio), vocab.eoa)
     outside = np.append(np.arange(vocab.v_text), vocab.soa)
     out = list(ids)
-    # Room for the prompt and every new token only: buffers of the whole
-    # max_len slowed the training that follows (about 4% on the lm-fusion
-    # benchmark) through heap churn, and bought nothing here.
+    # Room for the prompt and every new token, the most this call can
+    # write: buffers of the whole max_len would hold positions it never
+    # fills.
     cache = KVCache(model.cfg.n_blocks, min(model.cfg.max_len, ids.size + max_new_tokens))
     feed = ids
     with no_grad(), folded_adapters(model):

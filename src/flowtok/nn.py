@@ -12,10 +12,19 @@ Causal masking uses a finite -1e9 additive constant: exp underflows to
 outputs bit-identical at the same length. Dropping later positions, or
 feeding them one at a time through a KVCache, changes the reduction
 shapes, so a prefix's outputs then agree only up to rounding.
+
+`fit` keeps the memory a training step frees: where glibc's `mallopt`
+exists, its first call sets a mmap threshold of 32 MiB and then turns heap
+trimming off, for the whole process. The order matters: either call
+freezes glibc's dynamic thresholds, and trimming off alone would map every
+array over 128 KiB afresh. Each step then reuses what the last one freed
+instead of faulting it in again, and the resident set is not given back
+after training.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -397,6 +406,38 @@ class AdamW:
 # training loop
 
 
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold
+# 64-bit glibc accepts (DEFAULT_MMAP_THRESHOLD_MAX).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing freed heap memory back to the OS, once per
+    process.
+
+    glibc sets its trim threshold to twice the largest mmapped chunk freed
+    so far, so the tens of MB a training step frees at once are trimmed
+    away and faulted in again, zero-filled, by the next step. Any mallopt
+    call switches those dynamic thresholds off, so the order matters: the
+    mmap threshold goes to its maximum first, and only if glibc accepts
+    that is trimming turned off. Turning trimming off alone would freeze
+    the mmap threshold at 128 KiB and map every larger array afresh.
+    Where mallopt is missing (macOS, Windows) or refuses (musl returns 0),
+    nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to ask, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
+        mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 class DivergenceError(NumericFault):
     """Training loss went non-finite; the model holds the last good state."""
 
@@ -426,7 +467,15 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
     On a non-finite loss the model is rolled back to the most recent state
     that produced a finite loss, checkpoint() runs on that state, and
     DivergenceError is raised.
+
+    The first call in a process fixes glibc's allocator policy for the
+    whole process (_keep_freed_memory): a mmap threshold of 32 MiB first,
+    then trimming off, in that order because trimming off alone would map
+    every array over 128 KiB afresh. Freed step memory then stays in the
+    heap for the next step, and the resident set is not given back after
+    training. The arithmetic is unchanged.
     """
+    _keep_freed_memory()
     opt = AdamW(model, lr=lr, weight_decay=weight_decay)
     last_good = {name: t.data.copy() for name, t in model.named_tensors()}
     step_losses: list[float] = []

@@ -87,6 +87,18 @@ class TestVocab:
         v = Vocab(v_text=256, n_audio=4)
         assert v.decode_text(v.encode_text("A loud drum")) == "A loud drum"
 
+    def test_decode_text_refuses_float_ids(self):
+        v = Vocab(v_text=256, n_audio=4)
+        with pytest.raises(ValueError, match="dtype float64"):
+            v.decode_text(np.array([65.7, 66.2]))
+        assert v.decode_text([]) == ""
+
+    def test_audio_ids_refuses_float_codes(self):
+        v = Vocab(v_text=256, n_audio=4)
+        with pytest.raises(ValueError, match="dtype float64"):
+            v.audio_ids(np.array([1.8]))
+        assert v.audio_ids([]).size == 0
+
     def test_ranges_disjoint_and_cover(self):
         v = Vocab(v_text=10, n_audio=3)
         ids = np.arange(v.size)
@@ -294,6 +306,16 @@ class TestSpanScan:
             {"type": "marker", "id": 66}, {"type": "marker", "id": v.soa},
             {"type": "text", "text": "C"}]
         assert audio_spans_valid([65, v.soa, 257, 66, v.eoa], v)[0] is False
+
+    def test_segments_refuse_non_integer_ids(self):
+        """A float token would truncate and a bool read as 0/1 (here the
+        array is float, so True is 1.0); both are refused."""
+        v = Vocab(v_text=256, n_audio=4)
+        with pytest.raises(ValueError, match="dtype float64"):
+            audio_segments(np.array([65.9, True]), v)
+        with pytest.raises(ValueError, match="dtype bool"):
+            audio_segments(np.array([True, False]), v)
+        assert audio_segments([], v) == []
 
     def test_segments_of_a_well_formed_stream(self):
         v = Vocab(v_text=256, n_audio=4)

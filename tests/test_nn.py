@@ -1,9 +1,17 @@
 """Transformer blocks, timestep embeddings, AdamW, the training loop."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import flowtok
 
 from flowtok.nn import (
     LAYER_NORM_EPS,
@@ -19,6 +27,7 @@ from flowtok.nn import (
     TransformerConfig,
     TransformerStack,
     Module,
+    _keep_freed_memory,
     attention,
     block_gradient_checks,
     causal_mask,
@@ -327,6 +336,111 @@ class TestFit:
         assert not np.array_equal(seen[1], seen[2])
         np.testing.assert_array_equal(layer.weight.data, seen[1])
         np.testing.assert_array_equal(saved[-1], seen[1])
+
+
+class TestKeepFreedMemory:
+    """fit's allocator policy, against a stand-in C library."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """Puts a recording stand-in where nn loads the C library. `replies`
+        maps a mallopt parameter to its return value (1 when absent); with
+        `has_mallopt` False the library lacks the symbol. The cache is
+        cleared on both sides, so the next fit sets the real policy."""
+        calls, replies = [], {}
+        options = {"has_mallopt": True}
+
+        class Library:
+            def __init__(self, name):
+                calls.append(("load", name))
+                if options["has_mallopt"]:
+                    def mallopt(param, value):
+                        calls.append((param, value))
+                        return replies.get(param, 1)
+                    self.mallopt = mallopt
+
+        monkeypatch.setattr("flowtok.nn.ctypes.CDLL", Library)
+        _keep_freed_memory.cache_clear()
+        yield calls, replies, options
+        _keep_freed_memory.cache_clear()
+
+    def _fit(self):
+        layer = Linear(3, 2, _rng(5)).double()
+        before = layer.weight.data.copy()
+        x = _rng(6).normal(size=(8, 3))
+
+        def loss_fn(rows):
+            loss = square(layer(Tensor(x[rows]))).mean()
+            return loss, {"loss": float(loss.data)}, None
+
+        report = fit(layer, 8, loss_fn, rng=_rng(7), epochs=1, batch_size=4, lr=1e-2,
+                     weight_decay=0.0)
+        assert report.steps_run == 2 and not np.array_equal(layer.weight.data, before)
+
+    def test_mmap_threshold_before_trim_threshold(self, libc):
+        calls, _, _ = libc
+        self._fit()
+        assert calls == [("load", None), (-3, 32 * 1024 * 1024), (-1, -1)]
+
+    def test_refused_mmap_threshold_leaves_trimming_on(self, libc):
+        """Trimming off alone would freeze the mmap threshold at 128 KiB."""
+        calls, replies, _ = libc
+        replies[-3] = 0
+        self._fit()
+        assert calls == [("load", None), (-3, 32 * 1024 * 1024)]
+
+    def test_without_mallopt_fit_still_trains(self, libc):
+        calls, _, options = libc
+        options["has_mallopt"] = False
+        self._fit()
+        assert calls == [("load", None)]
+
+    def test_runs_once_per_process(self, libc):
+        calls, _, _ = libc
+        self._fit()
+        self._fit()
+        assert calls == [("load", None), (-3, 32 * 1024 * 1024), (-1, -1)]
+
+
+# Trains a small causal stack with fit in a fresh process, whose heap no
+# other test has shaped, and prints the minor page faults over the steps
+# after the first two.
+_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from flowtok.nn import TransformerConfig, TransformerStack, fit
+    from flowtok.tensor import Tensor, square
+
+    rng = np.random.default_rng(0)
+    cfg = TransformerConfig(n_blocks=2, hidden_dim=128, head_dim=32, causal=True, max_len=64)
+    stack = TransformerStack(cfg, rng)
+    x = rng.normal(size=(32, 64, 128)).astype(np.float32)
+    marks = []
+
+    def loss_fn(rows):
+        loss = square(stack(Tensor(x[rows]))).mean()
+        return loss, {"loss": float(loss.data)}, None
+
+    fit(stack, 32, loss_fn, rng=np.random.default_rng(1), epochs=2, batch_size=8, lr=1e-3,
+        weight_decay=0.0, after_update=lambda _: marks.append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    print(marks[-1] - marks[1])
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_training_steps_reuse_freed_memory():
+    """Six steps after two warm-up steps fault in 3,800 to 4,800 pages when
+    glibc trims each step's freed activations and about 80 with trimming
+    off; the bound is a tenth of the former."""
+    src = str(Path(flowtok.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults < 470, f"{faults} minor page faults over six warm training steps"
 
 
 class TestModuleRegistry:
