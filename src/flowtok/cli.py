@@ -15,6 +15,7 @@ configs and seeds give byte-identical artifacts.
 import argparse
 import inspect
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -152,7 +153,8 @@ def _parse_value(text: str):
 def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     """Defaults <- flat JSON file <- --set overrides, with key and type
     validation against _KEY_TYPES: null fits only an optional key, a bool
-    never fits an int, and an int fits a float. A count below 1 is refused."""
+    never fits an int, and an int fits a float. A non-finite float (JSON
+    NaN, Infinity, -Infinity) and a count below 1 are refused."""
     config = dict(defaults)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -176,6 +178,8 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
         if type(value) not in kinds and not (type(value) is int and float in kinds):
             raise UsageError(f"config key {key!r} takes {inspect.formatannotation(hint)}, "
                              f"got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise UsageError(f"config key {key!r} must be finite, got {value}")
         if key in _COUNT_KEYS and value is not None and value < 1:
             raise UsageError(f"config key {key!r} is a count and must be at least 1, "
                              f"got {value}")
@@ -275,7 +279,7 @@ def cmd_train_tokenizer(args, config: dict) -> int:
     metrics.write_json(args.out / "metrics.json", command="train-tokenizer",
                        objective=args.objective, seed=config["seed"])
     print(f"wrote {checkpoint}")
-    print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
+    print(f"trained {cfg.epochs} epochs ({report.steps_run} steps), "
           f"final loss {report.final['loss']:.6f}, "
           f"perplexity {report.final['perplexity']:.2f}")
     return 0
@@ -356,8 +360,8 @@ def cmd_train_lm(args, config: dict) -> int:
     metrics.write_json(args.out / "metrics.json", command="train-lm", stage=args.stage,
                        seed=config["seed"], next_token_accuracy=accuracy)
     print(f"wrote {checkpoint}")
-    print(f"trained {report.epochs_run} epochs ({report.steps_run} steps), "
-          f"final loss {report.step_losses[-1]:.4f}, "
+    print(f"trained {train_cfg.epochs} epochs ({report.steps_run} steps), "
+          f"final loss {report.final['loss']:.6f}, "
           f"next-token accuracy {accuracy:.3f}")
     return 0
 
@@ -367,8 +371,8 @@ def cmd_generate(args, config: dict) -> int:
         raise UsageError(f"--max-new must be at least 0, got {args.max_new}")
     if args.top_k is not None and args.top_k < 1:
         raise UsageError(f"--top-k must be at least 1, got {args.top_k}")
-    if not args.temperature >= 0.0:
-        raise UsageError(f"--temperature must be at least 0, got {args.temperature}")
+    if not 0.0 <= args.temperature < math.inf:
+        raise UsageError(f"--temperature must be finite and at least 0, got {args.temperature}")
     model, vocab = _load_lm(args.checkpoint)
     try:
         prompt = vocab.encode_text(args.prompt)

@@ -12,9 +12,10 @@ The path coefficient is written as (1 - t) + sigma_min * t rather than
 x_1 = sigma_min * x0 + x1 hold exactly in floating point, not just to
 rounding. Sampling integrates the learned field with fixed-step Euler.
 
-The deterministic regression baseline reuses the identical decoder with
-the timestep pinned to 0 and the state input pinned to zeros, so both
-objectives train exactly the same parameter set.
+The deterministic regression baseline is this objective on the path
+pinned at t = 0 from a zero state, where x_t = 0 and u_t = x1: the same
+decoder regresses the clip itself, so both objectives train exactly the
+same parameter set with the same loss.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ class OtCfmConfig:
 
 @dataclass
 class FlowSample:
-    """One training draw: time, endpoints, interpolant, and target velocity."""
+    """One training draw: time, interpolant, and target velocity."""
 
     t: np.ndarray | float
-    x0: np.ndarray
-    x1: np.ndarray
     x_t: np.ndarray
     u_t: np.ndarray
 
@@ -61,8 +60,9 @@ def sample_path(x1: np.ndarray, rng: np.random.Generator, cfg: OtCfmConfig,
     """Draw (t, x0) and build the interpolant and its target velocity.
 
     t defaults to U[0,1] (scalar for a single clip, one value per leading
-    item when x1 is batched); x0 defaults to a standard normal. Both may be
-    pinned for verification.
+    item when x1 is batched); x0 defaults to a standard normal. The
+    regression objective pins both (t = 0, x0 = 0), and then nothing is
+    drawn from rng.
     """
     x1 = np.asarray(x1)
     batched = x1.ndim == 3
@@ -79,7 +79,7 @@ def sample_path(x1: np.ndarray, rng: np.random.Generator, cfg: OtCfmConfig,
         coeff = coeff.reshape(t_arr.shape + (1,) * (x1.ndim - t_arr.ndim))
     x_t = coeff * x0 + t_arr.reshape(coeff.shape if t_arr.ndim else ()) * x1
     u_t = x1 - (1.0 - cfg.sigma_min) * x0
-    return FlowSample(t=t, x0=x0, x1=x1, x_t=x_t, u_t=u_t)
+    return FlowSample(t=t, x_t=x_t, u_t=u_t)
 
 
 def cfm_loss(predicted: Tensor, target) -> Tensor:

@@ -24,6 +24,7 @@ of the model's state.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -333,7 +334,7 @@ def build_pretrain_example(caption: str, audio_codes, vocab: Vocab,
                            rng: np.random.Generator) -> FusionSequence:
     """Caption and audio span in coin-flip order, text first on heads."""
     text = vocab.encode_text(caption)
-    codes = np.asarray(audio_codes, dtype=np.int64)
+    codes = as_ids(audio_codes)
     if text.size == 0:
         raise ValueError("build_pretrain_example: empty caption")
     if codes.size == 0:
@@ -361,7 +362,7 @@ def build_finetune_example(instruction: str, audio_codes, answer: str,
         raise ValueError("build_finetune_example: empty instruction")
     if not answer:
         raise ValueError("build_finetune_example: empty answer")
-    codes = np.asarray(audio_codes, dtype=np.int64)
+    codes = as_ids(audio_codes)
     if codes.size == 0:
         raise ValueError("build_finetune_example: empty audio")
     prompt = np.concatenate([vocab.encode_text("USER: "), _span(vocab, codes),
@@ -452,8 +453,7 @@ def collate(examples: list[FusionSequence]):
 
 
 def train_lm(examples: list[FusionSequence], model: FusionLM, cfg: LmTrainConfig,
-             metrics=None, max_steps: int | None = None,
-             checkpoint_path=None) -> TrainReport:
+             metrics=None, checkpoint_path=None) -> TrainReport:
     """Adapter and new-row training. The model is written to
     checkpoint_path, when given, after every epoch. A non-finite loss rolls
     the model back to its last finite state, writes that state to
@@ -474,7 +474,7 @@ def train_lm(examples: list[FusionSequence], model: FusionLM, cfg: LmTrainConfig
         lambda: save_checkpoint(checkpoint_path, model))
     return fit(model, len(examples), loss_fn, rng=np.random.default_rng(cfg.seed),
                epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-               weight_decay=cfg.weight_decay, metrics=metrics, max_steps=max_steps,
+               weight_decay=cfg.weight_decay, metrics=metrics,
                checkpoint=checkpoint)
 
 
@@ -531,8 +531,8 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
         raise ValueError(f"generate: max_new_tokens must be >= 0, got {max_new_tokens}")
     if top_k is not None and top_k < 1:
         raise ValueError(f"generate: top_k must be >= 1, got {top_k}")
-    if not temperature >= 0.0:
-        raise ValueError(f"generate: temperature must be >= 0, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"generate: temperature must be finite and >= 0, got {temperature}")
     if model.vocab is None:
         raise ValueError("generate: extend_vocab must run first")
     vocab = model.vocab

@@ -13,13 +13,7 @@ outputs bit-identical at the same length. Dropping later positions, or
 feeding them one at a time through a KVCache, changes the reduction
 shapes, so a prefix's outputs then agree only up to rounding.
 
-`fit` keeps the memory a training step frees: where glibc's `mallopt`
-exists, its first call sets a mmap threshold of 32 MiB and then turns heap
-trimming off, for the whole process. The order matters: either call
-freezes glibc's dynamic thresholds, and trimming off alone would map every
-array over 128 KiB afresh. Each step then reuses what the last one freed
-instead of faulting it in again, and the resident set is not given back
-after training.
+`fit` keeps the memory a training step frees (`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -444,7 +438,6 @@ class DivergenceError(NumericFault):
 
 @dataclass
 class TrainReport:
-    epochs_run: int
     steps_run: int
     step_losses: list[float]
     final: dict[str, float]
@@ -452,7 +445,7 @@ class TrainReport:
 
 def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Generator,
         epochs: int, batch_size: int, lr: float, weight_decay: float, metrics=None,
-        max_steps: int | None = None, after_update: Callable | None = None,
+        after_update: Callable | None = None,
         epoch_metrics: Callable[[], dict[str, float]] | None = None,
         checkpoint: Callable[[], None] | None = None) -> TrainReport:
     """Shuffled minibatch AdamW training; deterministic for a fixed rng.
@@ -460,20 +453,16 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
     Every epoch walks one permutation of range(n_items) drawn from rng in
     batches. loss_fn(rows) returns (loss, terms, aux): the scalar loss
     tensor, per-step floats that include "loss", and whatever
-    after_update(aux) needs once the optimizer has stepped. The epoch means
-    of the terms, followed by epoch_metrics() when given, become
-    report.final and go to metrics; checkpoint() runs after every epoch.
+    after_update(aux) needs once the optimizer has stepped. Each epoch's
+    means of the terms, followed by epoch_metrics() when given, go to
+    metrics, and the last epoch's become report.final; checkpoint() runs
+    after every epoch.
 
     On a non-finite loss the model is rolled back to the most recent state
     that produced a finite loss, checkpoint() runs on that state, and
     DivergenceError is raised.
 
-    The first call in a process fixes glibc's allocator policy for the
-    whole process (_keep_freed_memory): a mmap threshold of 32 MiB first,
-    then trimming off, in that order because trimming off alone would map
-    every array over 128 KiB afresh. Freed step memory then stays in the
-    heap for the next step, and the resident set is not given back after
-    training. The arithmetic is unchanged.
+    Freed step memory stays in the heap for the next step (_keep_freed_memory).
     """
     _keep_freed_memory()
     opt = AdamW(model, lr=lr, weight_decay=weight_decay)
@@ -481,8 +470,7 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
     step_losses: list[float] = []
     final: dict[str, float] = {}
     steps_run = 0
-    epochs_run = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(n_items)
         sums: dict[str, float] = {}
         n_batches = 0
@@ -511,21 +499,15 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
                 sums[key] = sums.get(key, 0.0) + value
             n_batches += 1
             steps_run += 1
-            if max_steps is not None and steps_run >= max_steps:
-                break
         final = {key: value / n_batches for key, value in sums.items()}
         if epoch_metrics is not None:
             final.update(epoch_metrics())
         if metrics is not None:
             for key, value in final.items():
                 metrics.add(steps_run, "train", key, value)
-        epochs_run = epoch + 1
         if checkpoint is not None:
             checkpoint()
-        if max_steps is not None and steps_run >= max_steps:
-            break
-    return TrainReport(epochs_run=epochs_run, steps_run=steps_run,
-                       step_losses=step_losses, final=final)
+    return TrainReport(steps_run=steps_run, step_losses=step_losses, final=final)
 
 
 # ----------------------------------------------------------------------

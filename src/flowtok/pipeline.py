@@ -4,8 +4,9 @@ The encoder reads latent clips left to right under a causal mask, so the
 token at frame t depends only on frames up to t. The decoder reconstructs
 clips from the quantized codes, either as a velocity field integrated from
 noise ("flow") or as a single deterministic regression pass ("mse"). Both
-variants share the architecture and parameter count, differing only in
-loss and decode rule.
+variants share the architecture, parameter count and decoder loss; the
+regression trains on the flow path pinned at t = 0 from a zero state, so
+only the path draw and the decode rule differ.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
 from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
-from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale, square
+from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
 
 
@@ -57,14 +58,13 @@ class TokenizerConfig:
                 raise ValueError(f"{cfg_name} max_len {cfg.max_len} < frames {self.frames}")
 
     @classmethod
-    def paper(cls, objective: str = OBJECTIVE_FLOW) -> "TokenizerConfig":
+    def paper(cls) -> "TokenizerConfig":
         """Full-scale configuration: 215x64 clips, 8196 codes, 12-block towers."""
         return cls(
             frames=215,
             data_dim=64,
             code_dim=64,
             codebook_size=8196,
-            objective=objective,
             encoder=TransformerConfig.paper_preset(causal=True, max_len=215),
             decoder=TransformerConfig.paper_preset(causal=False, max_len=215),
             epochs=75,
@@ -162,12 +162,11 @@ def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,
 
     if cfg.objective == OBJECTIVE_FLOW:
         fs = sample_path(batch, rng, cfg.flow)
-        predicted = model.decoder(fs.x_t, fs.t, tokens)
-        decoder_loss = cfm_loss(predicted, fs.u_t)
     else:
-        zero_state = np.zeros_like(batch)
-        predicted = model.decoder(zero_state, 0.0, tokens)
-        decoder_loss = square(predicted - Tensor(batch)).mean()
+        # Regression: at t = 0 from a zero state the path gives x_t = 0 and
+        # u_t = x1, with no draw from rng.
+        fs = sample_path(batch, rng, cfg.flow, t=np.zeros(b), x0=np.zeros_like(batch))
+    decoder_loss = cfm_loss(model.decoder(fs.x_t, fs.t, tokens), fs.u_t)
 
     loss = (decoder_loss
             + scale(q.codebook_loss, cfg.codebook_loss_weight)
@@ -182,8 +181,7 @@ def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,
 
 
 def train_tokenizer(dataset: LatentDataset, model: TokenizerModel, cfg: TokenizerConfig,
-                    metrics: MetricsLog | None = None, checkpoint_path=None,
-                    max_steps: int | None = None) -> TrainReport:
+                    metrics: MetricsLog | None = None, checkpoint_path=None) -> TrainReport:
     """Single-worker training loop; fully deterministic for a fixed config.
 
     Dead codebook entries are restarted after every update, and each epoch
@@ -220,7 +218,7 @@ def train_tokenizer(dataset: LatentDataset, model: TokenizerModel, cfg: Tokenize
         lambda: save_checkpoint(checkpoint_path, model))
     return fit(model, len(dataset), loss_fn, rng=rng, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
-               metrics=metrics, max_steps=max_steps, after_update=after_update,
+               metrics=metrics, after_update=after_update,
                epoch_metrics=epoch_codebook_stats, checkpoint=checkpoint)
 
 

@@ -593,14 +593,15 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 # finite-difference verification
 
 
-def grad_check(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray], eps: float = 1e-5) -> float:
+def grad_check(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> float:
     """Worst relative error between reverse-mode and central-difference gradients.
 
     fn maps Tensors (one per input array) to a scalar Tensor. All math runs
-    in float64. Error per element is |analytic - numeric| /
-    max(|analytic|, |numeric|, 1e-8); the max over every element of every
-    input is returned.
+    in float64, with each input element moved by +-eps. Error per element
+    is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8); the max
+    over every element of every input is returned.
     """
+    eps = 1e-5
     base = [np.array(x, dtype=np.float64) for x in inputs]
     xs = [Tensor(b.copy(), requires_grad=True) for b in base]
     y = fn(*xs)

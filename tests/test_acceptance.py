@@ -201,7 +201,7 @@ def test_05_tokenizer_overfit(verdict):
         cfg = _toy_tokenizer_config(objective)
         model = TokenizerModel(cfg)
         start = time.perf_counter()
-        report = train_tokenizer(dataset, model, cfg, max_steps=2000)
+        report = train_tokenizer(dataset, model, cfg)
         elapsed = time.perf_counter() - start
         ratio = min(report.step_losses) / report.step_losses[0]
         tokens = encode_to_tokens(dataset.values, model)
@@ -326,8 +326,7 @@ def test_08_lora_exactness(verdict):
         for i in range(10)
     ]
     report = train_lm(examples, model,
-                      LmTrainConfig(epochs=100, batch_size=5, lr=1e-3, seed=8),
-                      max_steps=100)
+                      LmTrainConfig(epochs=50, batch_size=5, lr=1e-3, seed=8))
     frozen_intact = frozen_digest(model) == digest_init
 
     ok = slice_bitwise and frozen_intact and report.steps_run == 100

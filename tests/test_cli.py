@@ -194,6 +194,9 @@ class TestConfigPlumbing:
         ("set", "lr", "false", 1),
         ("config", "epochs", "2.5", 1),
         ("config", "lr", '"abc"', 1),
+        # JSON's NaN and Infinity parse to floats; a float key must be finite.
+        *[(source, "lr", raw, 1) for source in ("set", "config")
+          for raw in ("NaN", "Infinity", "-Infinity")],
         # An int is a float; it passes and the missing data exits 2.
         ("set", "lr", "1", 2),
     ])
@@ -224,6 +227,8 @@ class TestConfigPlumbing:
         ("train-lm", "lora_rank", "-2", 1),
         ("gen-data", "n_per_class", "-1", 1),
         ("decode", "n_steps", "0", 1),
+        ("gen-data", "noise_std", "NaN", 1),
+        ("report", "clip_seconds", "NaN", 1),
         # null fits an optional key, an int a float, and a seed or class
         # index any int; gen-data then runs, and the other commands exit 2
         # on their missing input.
@@ -238,7 +243,7 @@ class TestConfigPlumbing:
         """A key's type is its declaration's annotation and a count is at
         least 1: exit 1 naming the key before any input is read."""
         missing = str(tmp_path / "missing")
-        inputs = {"gen-data": [],
+        inputs = {"gen-data": [], "report": [],
                   "train-tokenizer": ["--objective", "fm", "--data", missing],
                   "decode": ["--checkpoint", missing, "--tokens", missing],
                   "train-lm": ["--stage", "pretrain", "--pairs", missing]}[command]
@@ -350,6 +355,28 @@ class TestArtifacts:
                      "--out", str(tmp_path / "enc")]) == 0
         np.testing.assert_array_equal(np.load(tmp_path / "enc" / "tokens.npy"),
                                       np.load(workspace / "enc" / "tokens.npy"))
+
+    @pytest.mark.parametrize("command", ["train-tokenizer", "train-lm"])
+    def test_training_prints_epochs_steps_and_final_loss(self, workspace, tmp_path, capsys,
+                                                         command):
+        """Both trainers print the configured epochs, the steps run and the
+        last epoch's mean loss, the last loss metrics.csv records."""
+        given = {"train-tokenizer": ["--objective", "mse",
+                                     "--data", str(workspace / "data" / "train.msnl"),
+                                     *TINY_TOKENIZER],
+                 "train-lm": ["--stage", "pretrain",
+                              "--pairs", str(workspace / "enc" / "pairs.jsonl"),
+                              "--set", "n_audio=16", "--set", "max_len=48",
+                              "--set", "hidden_dim=32", "--set", "head_dim=16",
+                              "--set", "n_blocks=1"]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *given, "--set", "epochs=2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        losses = [float(value) for _, _, metric, value in rows if metric == "loss"]
+        assert len(losses) == 2
+        printed = capsys.readouterr().out
+        assert f"trained 2 epochs ({rows[-1][0]} steps), final loss {losses[-1]:.6f}," in printed
 
     def test_metrics_csv_layout(self, workspace):
         lines = (workspace / "fm" / "metrics.csv").read_text().splitlines()
@@ -551,7 +578,7 @@ class TestLmCommands:
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--top-k", "0", 1), ("--top-k", "-3", 1), ("--temperature", "-2", 1),
-        ("--temperature", "nan", 1),
+        ("--temperature", "nan", 1), ("--temperature", "inf", 1),
         # Edge values pass the check; the missing checkpoint then exits 2.
         ("--top-k", "1", 2), ("--temperature", "0", 2),
     ])

@@ -1,5 +1,7 @@
-"""Source lints: every name a flowtok module imports is used there, and
-every function, class and method it defines has a reader outside the tests."""
+"""Source lints: every name a flowtok module imports is used there; every
+function, class and method it defines has a reader outside the tests; every
+parameter with a default is passed at some call; and every dataclass field
+is read."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,90 @@ def test_every_definition_has_a_caller():
     assert not orphans, "defined but read only by tests: " + ", ".join(orphans)
     # An entry that gained a reader, or lost its definition, leaves the list.
     assert allowed == set(NO_CALLER_YET), sorted(set(NO_CALLER_YET) - allowed)
+
+
+# Defaulted parameters no call in src/ or bench/ passes, each with its reason.
+NEVER_PASSED = {
+    "main.argv": "the console entry point calls main(); the tests pass argv",
+    "euler_sample.x0": "acceptance 03 pins the start state of the sampler",
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(name, defaulted parameters) of every top-level function, method and
+    class __init__ (named after its class), with the index each parameter
+    takes among a call's positional arguments (None if keyword-only); a
+    method's first parameter is bound. __call__ is left out: its call sites
+    carry no name."""
+    def params(fn, bound):
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+        found += [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs,
+                                                          fn.args.kw_defaults) if default]
+        return found
+
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs):
+            yield node.name, params(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and item.name != "__call__":
+                    yield node.name if item.name == "__init__" else item.name, params(item, 1)
+
+
+def _callee(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names) of every call; a
+    functools.partial(f, ...) counts as a call of f. A *args or **kwargs
+    at the call counts as passing everything it could reach."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        n_positional = (float("inf") if any(isinstance(a, ast.Starred) for a in args)
+                        else len(args))
+        keywords = {k.arg for k in node.keywords}
+        yield name, n_positional, keywords
+
+
+def test_every_default_is_passed_somewhere():
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for path in READERS:
+        for name, n_positional, keywords in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            calls.setdefault(name, []).append((n_positional, keywords))
+    unpassed, allowed = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, params in _defaulted(ast.parse(path.read_text(encoding="utf-8"))):
+            for param, index in params:
+                passed = any(param in keywords or None in keywords
+                             or (index is not None and index < n_positional)
+                             for n_positional, keywords in calls.get(name, ()))
+                key = f"{name}.{param}"
+                if key in NEVER_PASSED and not passed:
+                    allowed.add(key)
+                elif not passed:
+                    unpassed.append(f"{path.name} {key}")
+    assert not unpassed, "defaults no call in src/ or bench/ overrides: " + ", ".join(unpassed)
+    assert allowed == set(NEVER_PASSED), sorted(set(NEVER_PASSED) - allowed)
+
+
+def test_every_dataclass_field_is_read():
+    read = {node.attr for path in READERS
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name} {node.name}.{item.target.id}"
+              for path in sorted(SOURCE.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.ClassDef)
+              and any(_callee(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)

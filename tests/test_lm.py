@@ -264,6 +264,17 @@ class TestBuilders:
         np.testing.assert_array_equal(seq.weights[:-answer_len], 0.0)
         np.testing.assert_array_equal(seq.weights[-answer_len:], 1.0)
 
+    @pytest.mark.parametrize("codes", [np.array([1.7, 2.9]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_builders_refuse_non_integer_codes(self, codes):
+        """Float codes would truncate and bool codes read as 0/1 without a
+        word; the tests above build from lists of ints."""
+        vocab = Vocab(v_text=256, n_audio=4)
+        with pytest.raises(ValueError, match=f"dtype {codes.dtype}"):
+            build_pretrain_example("ab", codes, vocab, _FixedRandom(0.0))
+        with pytest.raises(ValueError, match=f"dtype {codes.dtype}"):
+            build_finetune_example("Q", codes, "A", vocab)
+
     def test_finetune_rejects_empty_answer(self):
         _, vocab = extended_model()
         with pytest.raises(ValueError, match="empty answer"):
@@ -554,6 +565,7 @@ class TestGeneration:
     @pytest.mark.parametrize("setting, problem", [
         ({"top_k": 0}, "top_k"), ({"top_k": -3}, "top_k"),
         ({"temperature": -2.0}, "temperature"), ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": float("inf")}, "temperature"),
     ])
     def test_bad_sampling_settings_rejected(self, setting, problem):
         model, vocab = extended_model()

@@ -297,18 +297,21 @@ class TestFit:
 
         return layer, loss_fn
 
-    def test_max_steps_stops_mid_epoch(self):
+    def test_runs_whole_epochs_with_a_short_last_batch(self):
+        """Ten items in batches of four: every epoch takes 4, 4, then 2, and
+        ends with one metrics row and one checkpoint; final holds the last
+        epoch's mean."""
         seen, sizes, saves = [], [], []
         layer, loss_fn = self._quadratic(seen)
         log = MetricsLog()
-        report = fit(layer, 10, loss_fn, rng=_rng(7), epochs=5, batch_size=4, lr=1e-2,
-                     weight_decay=0.0, metrics=log, max_steps=4,
+        report = fit(layer, 10, loss_fn, rng=_rng(7), epochs=2, batch_size=4, lr=1e-2,
+                     weight_decay=0.0, metrics=log,
                      after_update=sizes.append, checkpoint=lambda: saves.append(1))
-        assert (report.epochs_run, report.steps_run) == (2, 4)
-        assert sizes == [4, 4, 2, 4]
-        assert len(report.step_losses) == 4 and len(saves) == 2
-        assert [(step, metric) for step, _, metric, _ in log.rows] == [(3, "loss"), (4, "loss")]
-        assert report.final["loss"] == report.step_losses[-1]
+        assert report.steps_run == len(report.step_losses) == 6
+        assert sizes == [4, 4, 2, 4, 4, 2]
+        assert len(saves) == 2
+        assert [(step, metric) for step, _, metric, _ in log.rows] == [(3, "loss"), (6, "loss")]
+        assert report.final["loss"] == sum(report.step_losses[3:]) / 3
 
     def test_previous_step_graph_freed_before_next_forward(self):
         """fit holds one step's graph at a time: when loss_fn runs, the loss

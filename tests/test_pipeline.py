@@ -22,8 +22,8 @@ from flowtok.pipeline import (
     encode_to_tokens,
     train_tokenizer,
 )
-from flowtok.tensor import ShapeError, no_grad
-from flowtok.vq import codebook_maintenance
+from flowtok.tensor import ShapeError, Tensor, no_grad, scale, square
+from flowtok.vq import codebook_maintenance, quantize, straight_through
 
 
 def tiny_config(objective="fm", **overrides):
@@ -234,11 +234,53 @@ class TestTraining:
         cfg = tiny_config("fm", lr=1e-3, epochs=50, batch_size=8, seed=0)
         model = TokenizerModel(cfg, np.random.default_rng(0))
         ds = tiny_dataset(cfg, n_per_class=4)
-        report = train_tokenizer(ds, model, cfg, max_steps=50)
+        report = train_tokenizer(ds, model, cfg)
         assert len(report.step_losses) == 50
         early = float(np.mean(report.step_losses[:10]))
         late = float(np.mean(report.step_losses[-10:]))
         assert late < early, f"first ten {early:.4f}, last ten {late:.4f}"
+
+    def test_mse_step_is_the_flow_path_pinned_at_its_start(self):
+        """The regression step trains on sample_path pinned at t = 0 from a
+        zero state; it matches the explicit zero-state regression byte for
+        byte in the loss, in every gradient and in the tokens' gradient, and
+        draws nothing from rng."""
+        cfg = tiny_config("mse")
+        batch = tiny_dataset(cfg).values
+
+        def explicit(batch, model, cfg, rng):
+            b, tlen, _ = batch.shape
+            flat = model.encoder(Tensor(batch)).reshape(b * tlen, cfg.code_dim)
+            q = quantize(flat, model.codebook)
+            tokens = straight_through(flat, q.quantized).reshape(b, tlen, cfg.code_dim)
+            predicted = model.decoder(np.zeros_like(batch), 0.0, tokens)
+            return (square(predicted - Tensor(batch)).mean()
+                    + scale(q.codebook_loss, cfg.codebook_loss_weight)
+                    + scale(q.commitment_loss, cfg.commitment_weight))
+
+        def step(loss_of):
+            model = TokenizerModel(cfg, np.random.default_rng(0))
+            decoder, leaves = model.decoder, []
+
+            def leaf_tokens(x_t, t, cond):
+                # Cut the graph at the tokens so their gradient lands on a leaf.
+                leaves.append(Tensor(cond.data, requires_grad=True))
+                return decoder(x_t, t, leaves[-1])
+
+            model.decoder = leaf_tokens
+            rng = np.random.default_rng(3)
+            loss = loss_of(batch, model, cfg, rng)
+            loss.backward()
+            # Every decoder parameter has a gradient; the encoder and codebook
+            # get theirs from the quantizer's terms alone, the graph being cut.
+            grads = ([p.grad.tobytes() for _, p in decoder.named_parameters()]
+                     + [None if p.grad is None else p.grad.tobytes()
+                        for _, p in model.named_parameters()])
+            return loss.data.tobytes(), grads, leaves[0].grad.tobytes(), rng.bit_generator.state
+
+        pinned = step(lambda *args: pipeline._loss_terms(*args)[0])
+        assert pinned == step(explicit)
+        assert pinned[3] == np.random.default_rng(3).bit_generator.state
 
     def test_mse_constant_latent_converges(self):
         """One constant clip, regression objective: training drives the
@@ -247,7 +289,7 @@ class TestTraining:
         model = TokenizerModel(cfg, np.random.default_rng(1))
         constant = np.full((1, cfg.frames, cfg.data_dim), 0.5, dtype=np.float32)
         ds = LatentDataset(constant, np.zeros(1, dtype=np.uint16))
-        report = train_tokenizer(ds, model, cfg, max_steps=500)
+        report = train_tokenizer(ds, model, cfg)
         assert min(report.step_losses) < 1e-3, f"best {min(report.step_losses):.2e}"
 
     def test_metrics_one_row_per_epoch_per_metric(self):
@@ -320,12 +362,12 @@ class TestTraining:
         np.testing.assert_array_equal(saved["codebook.entries"], model.codebook.entries.data)
 
     def test_same_config_reproducible(self):
-        cfg = tiny_config("fm", epochs=1, batch_size=8, seed=5)
+        cfg = tiny_config("fm", epochs=5, batch_size=8, seed=5)
         runs = []
         for _ in range(2):
             model = TokenizerModel(cfg, np.random.default_rng(5))
             ds = tiny_dataset(cfg)
-            report = train_tokenizer(ds, model, cfg, max_steps=5)
+            report = train_tokenizer(ds, model, cfg)
             runs.append(report.step_losses)
         assert runs[0] == runs[1]
 
@@ -341,7 +383,7 @@ class TestStructuralInvariants:
         cfg = tiny_config("fm", lr=1e-3, epochs=2, batch_size=8)
         model = TokenizerModel(cfg)
         ds = tiny_dataset(cfg)
-        train_tokenizer(ds, model, cfg, max_steps=10)
+        train_tokenizer(ds, model, cfg)
         clip = ds.values[0]
         full = encode_to_tokens(clip, model)
         np.testing.assert_array_equal(encode_to_tokens(clip[:9], model), full[:9])
@@ -354,7 +396,7 @@ class TestOverfitRoundTrip:
         cfg = tiny_config("mse", lr=3e-3, epochs=400, batch_size=8, seed=2)
         model = TokenizerModel(cfg, np.random.default_rng(2))
         ds = tiny_dataset(cfg, n_per_class=4, seed=2, noise_std=0.02)
-        train_tokenizer(ds, model, cfg, max_steps=400)
+        train_tokenizer(ds, model, cfg)
         errors = []
         for i in range(len(ds)):
             z = ds.values[i]

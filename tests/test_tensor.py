@@ -308,10 +308,11 @@ class TestStableReductions:
 
 
 class TestGradCheck:
-    def test_identity_has_zero_error(self):
-        """With power-of-two inputs and eps the central difference is exact."""
-        err = grad_check(lambda x: tsum(x), [np.array([1.0, 2.0, 4.0])], eps=0.5)
-        assert err == 0.0
+    def test_sum_error_is_rounding_only(self):
+        """A sum is linear, so its central difference errs only by the
+        rounding of the shifted inputs and of the sums."""
+        err = grad_check(lambda x: tsum(x), [np.array([1.0, 2.0, 4.0])])
+        assert err < 1e-9
 
     def test_linear_function_below_1e6(self):
         rng = np.random.default_rng(7)
@@ -327,7 +328,7 @@ class TestGradCheck:
         when the forward pass itself would train in float32."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(16,)).astype(np.float32)
-        err = grad_check(lambda t: gelu(t).sum(), [x], eps=1e-3)
+        err = grad_check(lambda t: gelu(t).sum(), [x])
         assert err < 1e-3
 
     def test_matmul_against_central_differences(self):
