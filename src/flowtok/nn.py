@@ -13,7 +13,10 @@ outputs bit-identical at the same length. Dropping later positions, or
 feeding them one at a time through a KVCache, changes the reduction
 shapes, so a prefix's outputs then agree only up to rounding.
 
-`fit` keeps the memory a training step frees (`_keep_freed_memory`).
+AdamW steps all trainable parameters as one flat vector, in cache-sized
+blocks, with the numbers of a loop over them one at a time. `fit` walks
+the model once per call and keeps the memory a training step frees
+(`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -359,37 +362,100 @@ class TimestepEmbedding(Module):
 # optimizer
 
 
+# Elements per block of AdamW's flat update: the six float32 blocks a
+# step touches at once (gradient, moments, parameters, two temporaries)
+# fit a 2 MiB L2 cache. On the tok-desk model (833k float32 parameters,
+# one core) the step took 5.7 ms as a loop over its 85 parameters, 5.7 ms
+# in 2^20-element blocks, 4.2 ms in 2^17 and 4.0 ms in 2^16 (this size),
+# and 4.9 ms in 2^14; the toy tokenizer (30k) and the fusion LM (140k)
+# read the same from 2^15 up.
+ADAMW_BLOCK = 1 << 16
+
+
 class AdamW:
     """Adam with bias-corrected moments and decoupled weight decay, over
     the trainable parameters of model:
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+
+    The parameters are stepped as one flat vector, in ADAMW_BLOCK-element
+    blocks; `_m[i]` and `_v[i]` are views of the flat moments. Elementwise
+    IEEE arithmetic does not depend on layout, so every number equals a
+    loop over the parameters one at a time. Each step gives every
+    parameter a fresh array, a view of that step's new flat buffer, and
+    never writes to an array a caller may still hold. The flat buffers
+    need one dtype, each parameter reachable under one name, and at least
+    one parameter; anything else is refused at construction.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: Module, lr: float = 1e-4, weight_decay: float = 0.0):
-        self._params: list[tuple[str, Tensor]] = list(model.named_parameters())
+        params = list(model.named_parameters())
+        if not params:
+            raise ValueError("AdamW: the model has no trainable parameters")
+        names: dict[int, str] = {}
+        for name, t in params:
+            if id(t) in names:
+                raise ValueError(f"AdamW: one tensor is reachable as both {names[id(t)]!r} and "
+                                 f"{name!r}; it would be stepped twice")
+            names[id(t)] = name
+        dtypes = sorted({t.dtype.name for _, t in params})
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW: parameters of different dtypes ({', '.join(dtypes)}) "
+                             f"cannot share one flat buffer")
+        self._params: list[tuple[str, Tensor]] = params
+        self._dtype = params[0][1].dtype
+        # Each parameter's (start, stop, shape) in the flat vectors.
+        bounds = np.cumsum([0] + [t.size for _, t in params]).tolist()
+        self._spans = [(a, b, t.shape) for a, b, (_, t) in zip(bounds, bounds[1:], params)]
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = [np.zeros_like(t.data) for _, t in self._params]
-        self._v = [np.zeros_like(t.data) for _, t in self._params]
+        n = bounds[-1]
+        self._m_flat = np.zeros(n, self._dtype)
+        self._v_flat = np.zeros(n, self._dtype)
+        self._m = [self._m_flat[a:b].reshape(shape) for a, b, shape in self._spans]
+        self._v = [self._v_flat[a:b].reshape(shape) for a, b, shape in self._spans]
+        self._scratch = np.empty((2, min(n, ADAMW_BLOCK)), self._dtype)
 
     def step(self) -> None:
-        self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        for i, (name, p) in enumerate(self._params):
+        for (name, p), (_, _, shape) in zip(self._params, self._spans):
             g = p.grad
             if g is None:
                 raise ValueError(f"parameter {name!r} has no gradient; run backward first")
-            m = self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            v = self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not (g.shape == p.shape == shape and g.dtype == p.dtype == self._dtype):
+                raise ValueError(f"parameter {name!r} has a {g.dtype} {g.shape} gradient; it is "
+                                 f"{p.dtype} {p.shape} and steps as {self._dtype} {shape}")
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        g = np.concatenate([p.grad.reshape(-1) for _, p in self._params])
+        w = np.concatenate([p.data.reshape(-1) for _, p in self._params])
+        # The expression of a per-parameter loop, op for op, in place:
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+        # u = (m/bc1) / (sqrt(v/bc2) + eps) + wd*w, w = w - lr*u.
+        for a in range(0, w.size, ADAMW_BLOCK):
+            blk = slice(a, a + ADAMW_BLOCK)
+            gb, mb, vb, wb = g[blk], self._m_flat[blk], self._v_flat[blk], w[blk]
+            t, u = self._scratch[0, :gb.size], self._scratch[1, :gb.size]
+            mb *= self.beta1
+            mb += np.multiply(gb, 1.0 - self.beta1, out=t)
+            np.multiply(gb, gb, out=t)
+            t *= 1.0 - self.beta2
+            vb *= self.beta2
+            vb += t
+            np.divide(vb, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            np.divide(mb, bc1, out=u)
+            u /= t
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                u += np.multiply(wb, self.weight_decay, out=t)
+            u *= self.lr
+            wb -= u
+        for (_, p), (a, b, shape) in zip(self._params, self._spans):
+            p.data = w[a:b].reshape(shape)
 
     def zero_grad(self) -> None:
         for _, p in self._params:
@@ -466,7 +532,8 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
     """
     _keep_freed_memory()
     opt = AdamW(model, lr=lr, weight_decay=weight_decay)
-    last_good = {name: t.data.copy() for name, t in model.named_tensors()}
+    tensors = [t for _, t in model.named_tensors()]
+    last_good = [t.data.copy() for t in tensors]
     step_losses: list[float] = []
     final: dict[str, float] = {}
     steps_run = 0
@@ -477,17 +544,17 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
         for start in range(0, n_items, batch_size):
             loss, terms, aux = loss_fn(order[start:start + batch_size])
             if not math.isfinite(terms["loss"]):
-                for name, t in model.named_tensors():
-                    t.data = last_good[name]
+                for t, saved in zip(tensors, last_good):
+                    t.data = saved
                 if checkpoint is not None:
                     checkpoint()
                 raise DivergenceError(
                     f"non-finite loss at step {steps_run}; rolled back to the last "
                     f"state with a finite loss")
             # A finite loss certifies the current parameters; they become the
-            # rollback point before the optimizer mutates them.
-            for name, t in model.named_tensors():
-                np.copyto(last_good[name], t.data)
+            # rollback point before the step replaces them.
+            for t, saved in zip(tensors, last_good):
+                np.copyto(saved, t.data)
             opt.zero_grad()
             loss.backward()
             del loss  # frees this step's graph before the next forward

@@ -238,6 +238,8 @@ def _wrap(x, like: Tensor) -> Tensor:
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Invert broadcasting: sum g over the axes that were expanded to reach its shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))

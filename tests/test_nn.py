@@ -14,6 +14,7 @@ import pytest
 import flowtok
 
 from flowtok.nn import (
+    ADAMW_BLOCK,
     LAYER_NORM_EPS,
     AdamW,
     AttentionLayer,
@@ -281,6 +282,89 @@ class TestAdamW:
             opt.step()
         assert (np.sign(opt._m[0]) != np.sign(opt._m[1])).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_matches_per_parameter_loop_bitwise(self, dtype, weight_decay):
+        """Five steps over more than one block, with b straddling the first
+        block boundary, equal the per-parameter loop byte for byte in the
+        parameters and both moments."""
+        rng = _rng(11)
+        shapes = [(5,), (ADAMW_BLOCK - 3,), (4, 6)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype) for s in shapes]
+        opt = AdamW(_holder(a=params[0], b=params[1], c=params[2]), lr=1e-2,
+                    weight_decay=weight_decay)
+        ref = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        for step in range(1, 6):
+            grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            ref = _per_parameter_adamw(ref, grads, ref_m, ref_v, step, 1e-2, weight_decay)
+        for got, want in [*zip(params, ref), *zip(opt._m, ref_m), *zip(opt._v, ref_v)]:
+            got = got.data if isinstance(got, Tensor) else got
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_step_leaves_held_arrays_alone(self):
+        """Each step gives the parameter a fresh array; one a caller kept
+        (a rollback snapshot, a checkpoint) keeps its bytes."""
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        held = p.data
+        opt = AdamW(_holder(p=p), lr=0.1)
+        p.grad = np.ones(2)
+        opt.step()
+        assert p.data is not held
+        np.testing.assert_array_equal(held, [1.0, -2.0])
+
+    @pytest.mark.parametrize("grad", [np.ones((1, 3), np.float32), np.ones(3, np.float64)],
+                             ids=["shape", "dtype"])
+    def test_gradient_unlike_its_parameter_is_an_error(self, grad):
+        """Refused before anything moves: a float32 (3,) parameter keeps its
+        shape and dtype, and the one before it is not stepped."""
+        q = Tensor(np.zeros(2), requires_grad=True, dtype=np.float32)
+        p = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
+        opt = AdamW(_holder(q=q, p=p), lr=0.1)
+        q.grad, p.grad = np.ones(2, np.float32), grad
+        with pytest.raises(ValueError, match="'p'"):
+            opt.step()
+        assert opt.step_count == 0
+        assert q.data.tolist() == [0.0, 0.0]
+        assert (p.shape, p.dtype) == ((3,), np.float32)
+
+    def test_no_trainable_parameter_is_an_error(self):
+        with pytest.raises(ValueError, match="no trainable parameters"):
+            AdamW(_holder(frozen=Tensor(np.zeros(3))), lr=0.1)
+
+    def test_tensor_under_two_names_is_an_error(self):
+        shared = Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(ValueError, match="'a' and 'b'"):
+            AdamW(_holder(a=shared, b=shared), lr=0.1)
+
+    def test_mixed_dtypes_are_an_error(self):
+        a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
+        b = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="float32, float64"):
+            AdamW(_holder(a=a, b=b), lr=0.1)
+
+
+def _per_parameter_adamw(params, grads, ms, vs, step, lr, weight_decay):
+    """The update one parameter at a time, as AdamW stepped before it went
+    flat; updates ms and vs in place and returns the new parameters."""
+    beta1, beta2, eps = AdamW.beta1, AdamW.beta2, AdamW.eps
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m = ms[i] = beta1 * ms[i] + (1.0 - beta1) * g
+        v = vs[i] = beta2 * vs[i] + (1.0 - beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        out.append(p - lr * update)
+    return out
+
 
 class TestFit:
     def _quadratic(self, seen, nan_at=None):
@@ -339,6 +423,60 @@ class TestFit:
         assert not np.array_equal(seen[1], seen[2])
         np.testing.assert_array_equal(layer.weight.data, seen[1])
         np.testing.assert_array_equal(saved[-1], seen[1])
+
+    def test_walks_the_model_once_per_call(self, monkeypatch):
+        """The per-step snapshot reuses one list of the model's tensors, so
+        the walks do not grow with the number of steps."""
+        walks = []
+        named_tensors = Module.named_tensors
+
+        def counting(self):
+            walks.append(1)
+            return named_tensors(self)
+
+        monkeypatch.setattr(Module, "named_tensors", counting)
+        counts = []
+        for epochs in (1, 3):
+            walks.clear()
+            layer, loss_fn = self._quadratic([])
+            fit(layer, 10, loss_fn, rng=_rng(7), epochs=epochs, batch_size=4, lr=1e-2,
+                weight_decay=0.0)
+            counts.append(len(walks))
+        assert counts[0] == counts[1]
+
+    def test_rollback_undoes_a_codebook_restart(self, monkeypatch):
+        """A toy tokenizer whose first update overflows: that step's
+        codebook maintenance re-seeds entries in the optimizer's fresh
+        array, the next loss is non-finite, and the model returns to the
+        entries' bytes before the step."""
+        from flowtok import pipeline
+        from flowtok.vq import codebook_maintenance
+
+        cfg = pipeline.TokenizerConfig(
+            frames=16, data_dim=8, code_dim=8, codebook_size=64, objective="mse",
+            encoder=TransformerConfig(n_blocks=1, hidden_dim=32, head_dim=16, causal=True,
+                                      max_len=16),
+            decoder=TransformerConfig(n_blocks=1, hidden_dim=32, head_dim=16, causal=False,
+                                      max_len=16),
+            timestep_dim=16, batch_size=4, epochs=2, lr=1e38)
+        model = pipeline.TokenizerModel(cfg)
+        before = model.codebook.entries.data.copy()
+        restarted = []
+
+        def recording(codebook, *args):
+            dead = codebook_maintenance(codebook, *args)
+            restarted.append((dead, codebook.entries.data.copy()))
+            return dead
+
+        monkeypatch.setattr(pipeline, "codebook_maintenance", recording)
+        ds = pipeline.LatentDataset(_rng(8).normal(size=(8, 16, 8)).astype(np.float32),
+                                    np.zeros(8, dtype=np.uint16))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 1"):
+                pipeline.train_tokenizer(ds, model, cfg)
+        (dead, after_step), = restarted
+        assert dead.size > 0 and after_step[dead].tobytes() != before[dead].tobytes()
+        assert model.codebook.entries.data.tobytes() == before.tobytes()
 
 
 class TestKeepFreedMemory:
