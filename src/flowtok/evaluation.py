@@ -154,11 +154,16 @@ def decode_split(split_name: str, dataset: LatentDataset, model: TokenizerModel,
 def split_metrics(dataset: LatentDataset, decoded: np.ndarray,
                   clamp_log: ClampLog) -> dict[str, float]:
     """recon_mse over the whole split, and the Fréchet distance from the
-    split's mean-pooled ground truth (the reference) to its decode."""
-    reference = gaussian_stats(mean_pool_embeddings(dataset.values))
+    split's ground truth (the reference) to its decode: `frechet` over
+    mean-pooled clips, `frechet_frame` over all (N*T, D) frames."""
+    values, dim = dataset.values, dataset.values.shape[-1]
+    reference = gaussian_stats(mean_pool_embeddings(values))
     candidate = gaussian_stats(mean_pool_embeddings(decoded))
-    return {"recon_mse": reconstruction_error(dataset.values, decoded),
-            "frechet": frechet_distance(reference, candidate, clamp_log)}
+    reference_frames = gaussian_stats(values.reshape(-1, dim))
+    candidate_frames = gaussian_stats(np.reshape(decoded, (-1, dim)))
+    return {"recon_mse": reconstruction_error(values, decoded),
+            "frechet": frechet_distance(reference, candidate, clamp_log),
+            "frechet_frame": frechet_distance(reference_frames, candidate_frames, clamp_log)}
 
 
 def compare_tokenizers(splits: dict[str, LatentDataset], models: dict[str, TokenizerModel],

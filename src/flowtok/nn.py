@@ -16,7 +16,7 @@ shapes, so a prefix's outputs then agree only up to rounding.
 AdamW steps all trainable parameters as one flat vector, in cache-sized
 blocks, with the numbers of a loop over them one at a time. `fit` walks
 the model once per call and keeps the memory a training step frees
-(`_keep_freed_memory`).
+(`_keep_freed_memory`, which `pipeline.decode_tokens` calls too).
 """
 
 from __future__ import annotations

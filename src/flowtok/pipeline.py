@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
-from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
+from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, _keep_freed_memory, fit
 from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
 
@@ -134,8 +134,10 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
     """Token indices back to a latent clip of the same length.
 
     Flow mode integrates the learned velocity field from seeded noise; MSE
-    mode is a single deterministic pass.
+    mode is a single deterministic pass. Memory a decoder pass frees stays
+    in the heap for the next pass (nn._keep_freed_memory).
     """
+    _keep_freed_memory()
     indices = np.asarray(indices)
     check_tokens(indices, model)
     cond = model.codebook.entries.data[indices]

@@ -23,9 +23,10 @@ from flowtok.cli import (
     build_parser,
     main,
 )
-from flowtok.data import gen_caption, load_latents, read_checkpoint
+from flowtok.data import gen_caption, load_latents, read_checkpoint, save_checkpoint
+from flowtok.flow import DitDecoder
 from flowtok.lm import FusionConfig, LmTrainConfig
-from flowtok.pipeline import TokenizerConfig
+from flowtok.pipeline import TokenizerConfig, TokenizerModel
 
 TINY_TOKENIZER = [
     "--set", "codebook_size=16", "--set", "code_dim=8",
@@ -142,7 +143,7 @@ class TestConfigPlumbing:
             "code_dim": 16, "codebook_size": 256,
             "encoder.n_blocks": 2, "encoder.hidden_dim": 128, "encoder.head_dim": 32,
             "decoder.n_blocks": 2, "decoder.hidden_dim": 128, "decoder.head_dim": 32,
-            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 32, "timestep_dim": 64,
+            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 16, "timestep_dim": 64,
             "lr": 1e-4, "weight_decay": 0.01, "epochs": 10, "batch_size": 16,
             "codebook_loss_weight": 1.0, "commitment_weight": 0.25, "seed": 0,
         }
@@ -400,6 +401,24 @@ class TestArtifacts:
         decoded = load_latents(tmp_path / "decoded.msnl")
         assert decoded.values.shape == (16, 8, 4)
 
+    def test_decode_keeps_the_checkpoints_step_count(self, tmp_path, monkeypatch):
+        """A checkpoint whose header says 32 sampler steps decodes with 32
+        decoder calls, whatever the current default."""
+        cfg = _build(TokenizerConfig, {**TRAIN_TOKENIZER_DEFAULTS, "flow.n_sample_steps": 32,
+                                       "frames": 8, "data_dim": 4, "encoder.max_len": 8,
+                                       "decoder.max_len": 8})
+        save_checkpoint(tmp_path / "tokenizer.msnc", TokenizerModel(cfg))
+        np.save(tmp_path / "tokens.npy", np.arange(16).reshape(2, 8))
+        calls = []
+        call = DitDecoder.__call__
+        monkeypatch.setattr(DitDecoder, "__call__",
+                            lambda self, *args: calls.append(args[1]) or call(self, *args))
+        assert main(["decode", "--checkpoint", str(tmp_path / "tokenizer.msnc"),
+                     "--tokens", str(tmp_path / "tokens.npy"),
+                     "--out", str(tmp_path / "dec")]) == 0
+        assert TokenizerConfig().flow.n_sample_steps != 32
+        assert calls == [i / 32 for i in range(32)]
+
     @pytest.mark.parametrize("write, message", [
         (lambda p: np.save(p, np.zeros((2, 8))), "token ids must be integers, got dtype float64"),
         (lambda p: np.save(p, np.full((2, 8), 999)), "token id 999 outside codebook range [0, 16)"),
@@ -444,7 +463,8 @@ class TestArtifacts:
                      "--out", str(tmp_path), "--set", "n_steps=2"])
         assert code == 0
         payload = json.loads((tmp_path / "eval.json").read_text())
-        assert [row["metric"] for row in payload["rows"]] == ["recon_mse", "frechet"]
+        assert [row["metric"] for row in payload["rows"]] == [
+            "recon_mse", "frechet", "frechet_frame"]
         assert payload["clamp_events"] >= 0
         # The most negative eigenvalue clamped to zero; 0 when none was.
         assert payload["clamp_worst"] <= 0

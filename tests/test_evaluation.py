@@ -16,6 +16,7 @@ from flowtok.evaluation import (
     matrix_sqrt_psd,
     mean_pool_embeddings,
     reconstruction_error,
+    split_metrics,
 )
 from flowtok.tensor import ShapeError
 
@@ -201,6 +202,35 @@ class TestFrechetDistance:
         assert frechet_distance(a, b, ClampLog()) == pytest.approx(25.0, abs=1e-9)
 
 
+class TestSplitMetrics:
+    def test_hand_built_frame_and_pooled_frechet(self):
+        """Two clips of frames (0, 0) and (2, 4), decoded as their clip
+        mean (1, 2) moved by (0, 1). Pooled, both sides have zero spread:
+        Fréchet 1, the mean gap. Over frames the reference keeps its
+        covariance [[4/3, 8/3], [8/3, 16/3]] (trace 20/3) and the decode has
+        none: Fréchet 1 + 20/3."""
+        values = np.array([[[0, 0], [2, 4]], [[0, 0], [2, 4]]], dtype=np.float32)
+        decoded = np.full_like(values, 1.0)
+        decoded[..., 1] = 3.0
+        dataset = LatentDataset(values, np.zeros(2, dtype=np.uint16))
+        metrics = split_metrics(dataset, decoded, ClampLog())
+        assert list(metrics) == ["recon_mse", "frechet", "frechet_frame"]
+        assert metrics["recon_mse"] == 3.0
+        assert metrics["frechet"] == pytest.approx(1.0, abs=1e-9)
+        assert metrics["frechet_frame"] == pytest.approx(1.0 + 20.0 / 3.0, abs=1e-9)
+
+    def test_frame_frechet_takes_the_reference_first(self):
+        """frechet_frame is frechet_distance over (N*T, D) frames with the
+        ground truth first, as `frechet` orders the pooled clips."""
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal((6, 5, 3)).astype(np.float32)
+        decoded = (values * 0.7 + rng.standard_normal(values.shape) * 0.4).astype(np.float32)
+        dataset = LatentDataset(values, np.zeros(6, dtype=np.uint16))
+        expected = frechet_distance(gaussian_stats(values.reshape(30, 3)),
+                                    gaussian_stats(decoded.reshape(30, 3)), ClampLog())
+        assert split_metrics(dataset, decoded, ClampLog())["frechet_frame"] == expected
+
+
 class TestMeanPool:
     def test_shape_and_values(self):
         x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
@@ -285,21 +315,21 @@ class TestCompareTokenizers:
         expected = {(s, m, k)
                     for s in ("val", "test")
                     for m in ("fm", "mse")
-                    for k in ("recon_mse", "frechet")}
+                    for k in ("recon_mse", "frechet", "frechet_frame")}
         assert keys == expected
         assert len(report.rows) == len(expected)
 
     def test_rows_follow_sorted_splits_and_given_model_order(self):
         fm, mse = small_models()
         report = compare_tokenizers(small_splits(), {"mse": mse, "fm": fm}, ClampLog(), seed=0)
-        assert [(s, m) for s, m, _, _ in report.rows[::2]] == [
+        assert [(s, m) for s, m, _, _ in report.rows[::3]] == [
             ("test", "mse"), ("test", "fm"), ("val", "mse"), ("val", "fm")]
 
     def test_same_model_both_slots_identical_columns(self):
         fm, _ = small_models()
         report = compare_tokenizers(small_splits(), {"fm": fm, "mse": fm}, ClampLog(), seed=3)
         for split in ("val", "test"):
-            for metric in ("recon_mse", "frechet"):
+            for metric in ("recon_mse", "frechet", "frechet_frame"):
                 assert value(report, split, "fm", metric) == value(report, split, "mse", metric)
 
     def test_empty_split_rejected(self):
@@ -331,7 +361,7 @@ class TestCompareTokenizers:
         table.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "split,model,metric,value"
-        assert len(lines) == 9
+        assert len(lines) == 13
 
     def test_json_mirror_carries_metadata(self, tmp_path):
         import json
@@ -343,5 +373,5 @@ class TestCompareTokenizers:
         payload = json.loads(path.read_text())
         assert payload["seed"] == 0
         assert payload["config_digest"] == "abc"
-        assert len(payload["rows"]) == 8
+        assert len(payload["rows"]) == 12
         assert payload["clamp_events"] == clamps.events

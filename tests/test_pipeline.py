@@ -1,5 +1,12 @@
 """Tokenizer pipeline: encode/decode contracts, training, bitrate."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +18,7 @@ from flowtok.data import (
     read_checkpoint,
 )
 from flowtok import pipeline
-from flowtok.flow import mse_reconstruct
+from flowtok.flow import DitDecoder, OtCfmConfig, mse_reconstruct
 from flowtok.nn import DivergenceError, TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
@@ -225,6 +232,62 @@ class TestDecode:
             out = decode_tokens(encode_to_tokens(z, model), model,
                                 rng=np.random.default_rng(0))
             assert out.shape == z.shape
+
+    def test_default_calls_the_decoder_once_per_sample_step(self, monkeypatch):
+        cfg = tiny_config("fm")
+        model = TokenizerModel(cfg)
+        calls = []
+        call = DitDecoder.__call__
+        monkeypatch.setattr(DitDecoder, "__call__",
+                            lambda self, *args: calls.append(args[1]) or call(self, *args))
+        decode_tokens(np.arange(16) % 32, model, rng=np.random.default_rng(0))
+        assert cfg.flow.n_sample_steps == 16
+        assert calls == [i / 16 for i in range(16)]
+
+    def test_32_steps_on_request_equal_a_32_step_config(self):
+        """n_steps=32 decodes bit for bit as a model whose config says 32
+        (a checkpoint written at 32 steps), for the same tokens and noise."""
+        tokens = np.arange(32).reshape(2, 16) % 32
+        model = TokenizerModel(tiny_config("fm"))
+        model32 = TokenizerModel(tiny_config("fm", flow=OtCfmConfig(n_sample_steps=32)))
+        asked = decode_tokens(tokens, model, rng=np.random.default_rng(4), n_steps=32)
+        configured = decode_tokens(tokens, model32, rng=np.random.default_rng(4))
+        assert asked.tobytes() == configured.tobytes()
+        default = decode_tokens(tokens, model, rng=np.random.default_rng(4))
+        assert default.tobytes() != asked.tobytes()
+
+
+# Decodes a desk-size batch (64 clips of 32 frames, the default model) in
+# a fresh process, whose heap no fit has shaped, and prints the minor page
+# faults over two decodes after a warm-up decode.
+_DECODE_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from flowtok.pipeline import TokenizerConfig, TokenizerModel, decode_tokens
+
+    model = TokenizerModel(TokenizerConfig())
+    tokens = np.random.default_rng(0).integers(0, model.codebook.k, size=(64, 32))
+    decode_tokens(tokens, model, n_steps=2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(2):
+        decode_tokens(tokens, model, n_steps=2)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_decode_only_process_reuses_freed_memory():
+    """Four decoder passes after a warm-up decode fault in about 16,000
+    pages when glibc trims each pass's freed activations and none with
+    trimming off; the bound is a tenth of the former."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _DECODE_FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults < 1600, f"{faults} minor page faults over four warm decoder passes"
 
 
 class TestTraining:
