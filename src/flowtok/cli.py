@@ -28,6 +28,7 @@ from .data import (
     EVENT_NOUNS,
     INSTRUCTIONS,
     CheckpointError,
+    DatasetFormatError,
     LatentDataset,
     MetricsLog,
     SyntheticLatentSpec,
@@ -77,6 +78,9 @@ OP_GRAD_TOL = 1e-5
 BLOCK_GRAD_TOL = 1e-4
 # The paper's quoted tokenizer bitrate, 0.23 kbps, that `report` compares against.
 HEADLINE_BPS = 230.0
+# The paper's tokenizer: 215 tokens per 10 s clip from an 8196-entry codebook.
+PAPER_TOKENS_PER_CLIP = 215
+PAPER_CODEBOOK_SIZE = 8196
 
 
 class UsageError(Exception):
@@ -122,8 +126,8 @@ TRAIN_LM_DEFAULTS = {
 }
 
 REPORT_DEFAULTS = {
-    "tokens_per_clip": TokenizerConfig.paper().frames, "clip_seconds": 10.0,
-    "codebook_size": TokenizerConfig.paper().codebook_size,
+    "tokens_per_clip": PAPER_TOKENS_PER_CLIP, "clip_seconds": 10.0,
+    "codebook_size": PAPER_CODEBOOK_SIZE,
 }
 
 # The type each key takes, from the annotation that declares it: a config
@@ -154,7 +158,8 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     """Defaults <- flat JSON file <- --set overrides, with key and type
     validation against _KEY_TYPES: null fits only an optional key, a bool
     never fits an int, and an int fits a float. A non-finite float (JSON
-    NaN, Infinity, -Infinity) and a count below 1 are refused."""
+    NaN, Infinity, -Infinity), a count below 1 and a negative seed are
+    refused."""
     config = dict(defaults)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -183,6 +188,8 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
         if key in _COUNT_KEYS and value is not None and value < 1:
             raise UsageError(f"config key {key!r} is a count and must be at least 1, "
                              f"got {value}")
+        if key == "seed" and value < 0:
+            raise UsageError(f"config key 'seed' must be at least 0, got {value}")
     return config
 
 
@@ -343,14 +350,17 @@ def cmd_train_lm(args, config: dict) -> int:
     examples = []
     for i, pair in enumerate(pairs):
         codes = pair["audio_tokens"]
-        if args.stage == "pretrain":
-            examples.append(build_pretrain_example(pair["caption"], codes, vocab, order_rng))
-        else:
-            # Fine-tune pairs may ship their own instruction and answer;
-            # caption-only pairs fall back to a rotating stock instruction.
-            instruction = pair.get("instruction", INSTRUCTIONS[i % len(INSTRUCTIONS)])
-            answer = pair.get("answer", pair["caption"])
-            examples.append(build_finetune_example(instruction, codes, answer, vocab))
+        try:
+            if args.stage == "pretrain":
+                examples.append(build_pretrain_example(pair["caption"], codes, vocab, order_rng))
+            else:
+                # Fine-tune pairs may ship their own instruction and answer;
+                # caption-only pairs fall back to a rotating stock instruction.
+                instruction = pair.get("instruction", INSTRUCTIONS[i % len(INSTRUCTIONS)])
+                answer = pair.get("answer", pair["caption"])
+                examples.append(build_finetune_example(instruction, codes, answer, vocab))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{args.pairs}: pair {i + 1}: {exc}") from exc
     checkpoint = args.out / "lm.msnc"
     metrics = MetricsLog()
     # train_lm writes the checkpoint after every epoch.

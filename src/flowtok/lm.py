@@ -13,12 +13,12 @@ Loss weighting is 10x on the whole span (markers included), 1x on text,
 0 on instruction-prompt regions during fine-tuning.
 
 generate runs the prompt through the model once, keeping every block's
-keys and values in a KVCache, then feeds one position per new token. For
-the length of the call it folds each adapter into its base weight,
-W + (alpha/rank) A B, so every dense layer is one GEMM; on return, an
-exception included, the adapters are factored again. Training and any
-other forward use the factored form, and the folded weight is never part
-of the model's state.
+keys and values in its own nn.KVEntry, then feeds one position per new
+token. For the length of the call it folds each adapter into its base
+weight, W + (alpha/rank) A B, so every dense layer is one GEMM; on
+return, an exception included, the adapters are factored again. Training
+and any other forward use the factored form, and the folded weight is
+never part of the model's state.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import save_checkpoint
 from .nn import (
-    KVCache,
+    KVEntry,
     Linear,
     Module,
     TrainReport,
@@ -220,9 +220,9 @@ class FusionLM(Module):
         self.vocab: Vocab | None = None
         self.cfg = cfg
 
-    def __call__(self, ids, cache: KVCache | None = None) -> Tensor:
-        """Logits for ids; with a cache, ids are the positions after the
-        cached ones and the cache grows by them."""
+    def __call__(self, ids, cache: list[KVEntry] | None = None) -> Tensor:
+        """Logits for ids; with a cache (one KVEntry per block), ids are the
+        positions after the cached ones and the cache grows by them."""
         ids = as_ids(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
@@ -377,16 +377,16 @@ def build_finetune_example(instruction: str, audio_codes, answer: str,
 # loss
 
 
-def weighted_ce_zloss(logits: Tensor, targets, weights, z_coeff: float = 1e-4,
-                      valid_mask=None) -> tuple[Tensor, Tensor, Tensor]:
+def weighted_ce_zloss(logits: Tensor, targets, weights, z_coeff: float = 1e-4, *,
+                      valid_mask) -> tuple[Tensor, Tensor, Tensor]:
     """Weighted cross entropy plus z-loss on the partition function.
 
     loss  = sum_t w_t (logsumexp_t - logit_t[target_t]) / sum_t w_t
     zloss = z_coeff * mean over valid t of (logsumexp_t)^2
 
-    valid_mask marks real positions in padded batches; it defaults to all
-    valid and is independent of the loss weights (zero-weight prompt
-    tokens are still valid positions).
+    valid_mask marks real positions in padded batches, as collate returns
+    it; it is independent of the loss weights (zero-weight prompt tokens
+    are still valid positions).
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -394,12 +394,9 @@ def weighted_ce_zloss(logits: Tensor, targets, weights, z_coeff: float = 1e-4,
         raise ShapeError(f"targets shape {targets.shape} vs logits {logits.shape}")
     if weights.shape != targets.shape:
         raise ShapeError(f"weights shape {weights.shape} vs targets {targets.shape}")
-    if valid_mask is None:
-        valid_mask = np.ones(targets.shape, dtype=bool)
-    else:
-        valid_mask = np.asarray(valid_mask, dtype=bool)
-        if valid_mask.shape != targets.shape:
-            raise ShapeError(f"valid_mask shape {valid_mask.shape} vs targets {targets.shape}")
+    valid_mask = np.asarray(valid_mask, dtype=bool)
+    if valid_mask.shape != targets.shape:
+        raise ShapeError(f"valid_mask shape {valid_mask.shape} vs targets {targets.shape}")
     weights = np.where(valid_mask, weights, 0.0)
     weight_sum = float(weights.sum())
     if weight_sum <= 0.0:
@@ -518,11 +515,12 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
              top_k: int | None = None, constrain_audio: bool = True) -> GenerationResult:
     """Autoregressive sampling with optional audio-span masking.
 
-    The prompt runs through the model once and fills a KVCache; each later
-    model call feeds only the newest token, so a call per new token costs
-    one position however long the context, and every adapter runs folded
-    into its base weight (folded_adapters). Inside an open span only audio
-    ids and eoa can be sampled; outside, audio ids and eoa are masked off.
+    The prompt runs through the model once and fills one KVEntry per
+    block; each later model call feeds only the newest token, so a call
+    per new token costs one position however long the context, and every
+    adapter runs folded into its base weight (folded_adapters). Inside an
+    open span only audio ids and eoa can be sampled; outside, audio ids
+    and eoa are masked off.
     temperature 0 decodes greedily; top_k, when given, samples among the k
     likeliest ids. Hitting the length limit inside a span sets
     unclosed_audio.
@@ -551,7 +549,8 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     # Room for the prompt and every new token, the most this call can
     # write: buffers of the whole max_len would hold positions it never
     # fills.
-    cache = KVCache(model.cfg.n_blocks, min(model.cfg.max_len, ids.size + max_new_tokens))
+    cache_len = min(model.cfg.max_len, ids.size + max_new_tokens)
+    cache = [KVEntry(cache_len) for _ in range(model.cfg.n_blocks)]
     feed = ids
     with no_grad(), folded_adapters(model):
         for _ in range(max_new_tokens):

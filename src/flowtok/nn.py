@@ -10,13 +10,13 @@ position table and the length check. Modules build in DEFAULT_DTYPE;
 Causal masking uses a finite -1e9 additive constant: exp underflows to
 +0.0 for masked scores, so changing later positions leaves a prefix's
 outputs bit-identical at the same length. Dropping later positions, or
-feeding them one at a time through a KVCache, changes the reduction
-shapes, so a prefix's outputs then agree only up to rounding.
+feeding them one at a time through KVEntry buffers, changes the
+reduction shapes, so a prefix's outputs then agree only up to rounding.
 
 AdamW steps all trainable parameters as one flat vector, in cache-sized
 blocks, with the numbers of a loop over them one at a time. `fit` walks
-the model once per call and keeps the memory a training step frees
-(`_keep_freed_memory`, which `pipeline.decode_tokens` calls too).
+the model once per call. Importing this module sets glibc's allocator
+policy for the whole process (`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ class TransformerConfig:
     @property
     def n_heads(self) -> int:
         return self.hidden_dim // self.head_dim
-
-    @classmethod
-    def paper_preset(cls, causal: bool, max_len: int = 512) -> "TransformerConfig":
-        return cls(n_blocks=12, hidden_dim=768, head_dim=64, causal=causal, max_len=max_len)
 
 
 class Linear(Module):
@@ -262,26 +258,13 @@ class KVEntry:
         return Tensor(self.k[:, :stop]), Tensor(self.v[:, :stop])
 
 
-class KVCache:
-    """Per-block keys and values of a causal stack's earlier positions, for
-    up to max_len positions. A stack call with a cache attends over them,
-    feeds only the new positions and writes them into the buffers, so
-    incremental decoding costs one position per new token. It is for
-    inference only: the stack refuses a cache while the tape records."""
-
-    def __init__(self, n_blocks: int, max_len: int):
-        self.entries = [KVEntry(max_len) for _ in range(n_blocks)]
-
-    def __len__(self) -> int:
-        return len(self.entries[0])
-
-
 class TransformerStack(Module):
     """Learned absolute positions, cfg.n_blocks blocks, then a final LayerNorm.
 
     Takes (T, H) or (B, T, H) and returns the input's shape; an unbatched
-    input runs as a batch of one. With a KVCache the input holds the
-    positions after the cached ones, cached plus new stay within
+    input runs as a batch of one. With a cache, one KVEntry per block, the
+    input holds the positions after the cached ones, which the call writes
+    in, so a new token costs one position; cached plus new stay within
     cfg.max_len, and the call must run under no_grad.
     """
 
@@ -291,7 +274,7 @@ class TransformerStack(Module):
         self.blocks = [TransformerBlock(cfg, rng, linear=linear) for _ in range(cfg.n_blocks)]
         self.ln_f = LayerNorm(cfg.hidden_dim)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor, cache: list[KVEntry] | None = None) -> Tensor:
         if x.ndim not in (2, 3):
             raise ShapeError(f"transformer stack expects (T, H) or (B, T, H), got {x.shape}")
         if x.shape[-2] == 0:
@@ -299,8 +282,8 @@ class TransformerStack(Module):
         if cache is not None and is_grad_enabled():
             # Cached keys and values carry no tape edges: the gradient
             # through earlier positions would be lost without a word.
-            raise ValueError("a KVCache serves inference only; run the cached call under no_grad")
-        start = 0 if cache is None else len(cache)
+            raise ValueError("a KV cache serves inference only; run the cached call under no_grad")
+        start = len(cache[0]) if cache else 0
         tlen = start + x.shape[-2]
         if tlen > self.pos.shape[0]:
             raise ShapeError(f"sequence length {tlen} exceeds max_len {self.pos.shape[0]}")
@@ -308,7 +291,7 @@ class TransformerStack(Module):
         if unbatched:
             x = x.reshape(1, *x.shape)
         x = x + take_rows(self.pos, np.arange(start, tlen))
-        entries = [None] * len(self.blocks) if cache is None else cache.entries
+        entries = [None] * len(self.blocks) if cache is None else cache
         for block, entry in zip(self.blocks, entries, strict=True):
             x = block(x, entry)
         x = self.ln_f(x)
@@ -473,18 +456,17 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
 
 
-@functools.cache
 def _keep_freed_memory() -> None:
-    """Stop glibc from handing freed heap memory back to the OS, once per
-    process.
+    """Stop glibc from handing freed heap memory back to the OS; runs once,
+    when this module is imported.
 
     glibc sets its trim threshold to twice the largest mmapped chunk freed
-    so far, so the tens of MB a training step frees at once are trimmed
-    away and faulted in again, zero-filled, by the next step. Any mallopt
+    so far, so the tens of MB a training step or an encode frees at once are
+    trimmed away and faulted in again, zero-filled, by the next. Any mallopt
     call switches those dynamic thresholds off, so the order matters: the
-    mmap threshold goes to its maximum first, and only if glibc accepts
-    that is trimming turned off. Turning trimming off alone would freeze
-    the mmap threshold at 128 KiB and map every larger array afresh.
+    mmap threshold goes to its maximum first, and only if glibc accepts that
+    is trimming turned off. Turning trimming off alone would freeze the mmap
+    threshold at 128 KiB and map every larger array afresh.
     Where mallopt is missing (macOS, Windows) or refuses (musl returns 0),
     nothing changes.
     """
@@ -496,6 +478,9 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
         mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+_keep_freed_memory()
 
 
 class DivergenceError(NumericFault):
@@ -527,10 +512,7 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
     On a non-finite loss the model is rolled back to the most recent state
     that produced a finite loss, checkpoint() runs on that state, and
     DivergenceError is raised.
-
-    Freed step memory stays in the heap for the next step (_keep_freed_memory).
     """
-    _keep_freed_memory()
     opt = AdamW(model, lr=lr, weight_decay=weight_decay)
     tensors = [t for _, t in model.named_tensors()]
     last_good = [t.data.copy() for t in tensors]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import LatentDataset, MetricsLog, save_checkpoint
 from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
-from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, _keep_freed_memory, fit
+from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
 from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
 
@@ -56,20 +56,6 @@ class TokenizerConfig:
         for cfg_name, cfg in (("encoder", self.encoder), ("decoder", self.decoder)):
             if cfg.max_len < self.frames:
                 raise ValueError(f"{cfg_name} max_len {cfg.max_len} < frames {self.frames}")
-
-    @classmethod
-    def paper(cls) -> "TokenizerConfig":
-        """Full-scale configuration: 215x64 clips, 8196 codes, 12-block towers."""
-        return cls(
-            frames=215,
-            data_dim=64,
-            code_dim=64,
-            codebook_size=8196,
-            encoder=TransformerConfig.paper_preset(causal=True, max_len=215),
-            decoder=TransformerConfig.paper_preset(causal=False, max_len=215),
-            epochs=75,
-            lr=1e-4,
-        )
 
 
 class CausalEncoder(Module):
@@ -134,10 +120,8 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
     """Token indices back to a latent clip of the same length.
 
     Flow mode integrates the learned velocity field from seeded noise; MSE
-    mode is a single deterministic pass. Memory a decoder pass frees stays
-    in the heap for the next pass (nn._keep_freed_memory).
+    mode is a single deterministic pass.
     """
-    _keep_freed_memory()
     indices = np.asarray(indices)
     check_tokens(indices, model)
     cond = model.codebook.entries.data[indices]

@@ -14,6 +14,8 @@ nodes from a heap keyed on it.
 one tape node each, with closed-form VJPs, and forwards bit-identical to
 the composites of simpler ops they replace. `matmul` with a 2-D right
 operand (a dense layer) runs its forward and each VJP as one GEMM.
+Binary ops, and the operators `+`, `-`, `*` and `@`, take two Tensors; a
+Python scalar enters through `scale`.
 
 float32 is the working precision for training. Verification code builds
 its tensors as float64 so finite-difference comparisons stay tight.
@@ -168,34 +170,15 @@ class Tensor:
                 flowing[pid] = pg if acc is None else acc + pg
 
     # ------------------------------------------------------------------
-    # operator sugar; real work lives in the module-level functions
+    # operator sugar over two Tensors; real work lives in the op functions
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -210,9 +193,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
 
 
 def _record(op: str, out: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
@@ -230,12 +210,6 @@ def _record(op: str, out: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor
     return t
 
 
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Invert broadcasting: sum g over the axes that were expanded to reach its shape."""
     if g.shape == shape:
@@ -249,11 +223,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _binary(op: str, a: Tensor, b, fn) -> tuple[Tensor, np.ndarray]:
-    """b as a Tensor, and fn(a.data, b.data) with a broadcast failure as a ShapeError."""
-    b = _wrap(b, a)
+def _binary(op: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
+    """fn(a.data, b.data), with a broadcast failure as a ShapeError."""
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise TypeError(f"{op} takes two Tensors; a scalar goes through scale")
     try:
-        return b, fn(a.data, b.data)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -262,29 +237,29 @@ def _binary(op: str, a: Tensor, b, fn) -> tuple[Tensor, np.ndarray]:
 # elementwise and arithmetic ops
 
 
-def add(a: Tensor, b) -> Tensor:
-    b, out = _binary("add", a, b, operator.add)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = _binary("add", a, b, operator.add)
     return _record("add", out,
                    (a, lambda g: _reduce_to(g, a.data.shape)),
                    (b, lambda g: _reduce_to(g, b.data.shape)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b, out = _binary("sub", a, b, operator.sub)
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out = _binary("sub", a, b, operator.sub)
     return _record("sub", out,
                    (a, lambda g: _reduce_to(g, a.data.shape)),
                    (b, lambda g: _reduce_to(-g, b.data.shape)))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b, out = _binary("mul", a, b, operator.mul)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = _binary("mul", a, b, operator.mul)
     return _record("mul", out,
                    (a, lambda g: _reduce_to(g * b.data, a.data.shape)),
                    (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
 
 
-def div(a: Tensor, b) -> Tensor:
-    b, out = _binary("div", a, b, operator.truediv)
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out = _binary("div", a, b, operator.truediv)
     return _record("div", out,
                    (a, lambda g: _reduce_to(g / b.data, a.data.shape)),
                    (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)))
@@ -657,7 +632,7 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     case("sub", lambda x, y: (x - y).sum(), a, b)
     case("mul", lambda x, y: (x * y).sum(), a, b)
     case("mul_const", lambda x: square(x * frozen).sum(), a)
-    case("div", lambda x, y: (x / y).sum(), a, signed_away)
+    case("div", lambda x, y: div(x, y).sum(), a, signed_away)
     case("neg", lambda x: neg(x).sum(), a)
     case("scale", lambda x: scale(x, -2.5).sum(), a)
     case("power", lambda x: power(x, 1.7).sum(), pos)
@@ -673,11 +648,11 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
         rng.normal(size=(2, 3, 4)),
         rng.normal(size=(4, 2)),
     )
-    case("matmul_const_right", lambda x: square(x @ frozen.swapaxes(0, 1)).sum(), a)
+    case("matmul_const_right", lambda x: square(x @ swapaxes(frozen, 0, 1)).sum(), a)
     case("sum_axis", lambda x: square(tsum(x, axis=0)).sum(), a)
     case("mean_axis", lambda x: square(tmean(x, axis=-1, keepdims=True)).sum(), a)
     case("reshape", lambda x: square(x.reshape(2, 6)).sum(), a)
-    case("swapaxes", lambda x: (x.swapaxes(0, 1) @ x).sum(), a)
+    case("swapaxes", lambda x: (swapaxes(x, 0, 1) @ x).sum(), a)
     case("broadcast_to", lambda x: square(broadcast_to(x, (3, 4))).sum(), row)
     case("concat", lambda x, y: square(concat([x, y], axis=-1)).sum(), a, b)
     case("concat_const_part", lambda x: square(concat([frozen, x], axis=0)).sum(), a)

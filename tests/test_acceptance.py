@@ -350,12 +350,14 @@ def test_09_loss_oracles(verdict):
         z_sum += lse ** 2
     want_ce = ce_sum / mpmath.mpf(weights.sum())
     want_z = mpmath.mpf(1e-4) * z_sum / 6
-    loss, zloss, _ = weighted_ce_zloss(Tensor(logits), targets, weights)
+    loss, zloss, _ = weighted_ce_zloss(Tensor(logits), targets, weights,
+                                       valid_mask=np.ones(targets.shape, bool))
     ce_rel = abs(float(loss.data) - float(want_ce)) / float(want_ce)
     z_rel = abs(float(zloss.data) - float(want_z)) / float(want_z)
 
     flat = Tensor(np.zeros((2, 5)), requires_grad=True)
-    ten_to_one, _, _ = weighted_ce_zloss(flat, [0, 1], [10.0, 1.0], z_coeff=0.0)
+    ten_to_one, _, _ = weighted_ce_zloss(flat, [0, 1], [10.0, 1.0], z_coeff=0.0,
+                                         valid_mask=np.ones(2, bool))
     ten_to_one.backward()
     ratio = (np.linalg.norm(flat.grad[0]) / np.linalg.norm(flat.grad[1]))
     ratio_rel = abs(ratio / 10.0 - 1.0)

@@ -23,9 +23,16 @@ from flowtok.cli import (
     build_parser,
     main,
 )
-from flowtok.data import gen_caption, load_latents, read_checkpoint, save_checkpoint
+from flowtok.data import (
+    gen_caption,
+    load_latents,
+    read_checkpoint,
+    save_checkpoint,
+    save_pairs_jsonl,
+)
 from flowtok.flow import DitDecoder
 from flowtok.lm import FusionConfig, LmTrainConfig
+from flowtok.nn import TransformerConfig
 from flowtok.pipeline import TokenizerConfig, TokenizerModel
 
 TINY_TOKENIZER = [
@@ -162,7 +169,12 @@ class TestConfigPlumbing:
         }
 
     @pytest.mark.parametrize("cfg", [
-        TokenizerConfig.paper(),
+        TokenizerConfig(frames=215, data_dim=64, code_dim=64, codebook_size=8196,
+                        encoder=TransformerConfig(n_blocks=12, hidden_dim=768, head_dim=64,
+                                                  causal=True, max_len=215),
+                        decoder=TransformerConfig(n_blocks=12, hidden_dim=768, head_dim=64,
+                                                  max_len=215),
+                        epochs=75),
         FusionConfig(v_text=128, n_blocks=2, hidden_dim=64, head_dim=16, max_len=64,
                      lora_rank=4, lora_alpha=8.0),
         LmTrainConfig(lr=3e-4, weight_decay=0.0, epochs=3, batch_size=2, z_coeff=0.0,
@@ -230,9 +242,9 @@ class TestConfigPlumbing:
         ("decode", "n_steps", "0", 1),
         ("gen-data", "noise_std", "NaN", 1),
         ("report", "clip_seconds", "NaN", 1),
-        # null fits an optional key, an int a float, and a seed or class
-        # index any int; gen-data then runs, and the other commands exit 2
-        # on their missing input.
+        # null fits an optional key, an int a float, a seed any int from 0
+        # and a class index any int; gen-data then runs, and the other
+        # commands exit 2 on their missing input.
         ("gen-data", "bimodal_class", "null", 0),
         ("gen-data", "bimodal_class", "-2", 0),
         ("gen-data", "seed", "0", 0),
@@ -252,6 +264,23 @@ class TestConfigPlumbing:
                      "--set", f"{key}={raw}"]) == code
         if code == 1:
             assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train-tokenizer", "encode", "decode",
+                                         "train-lm", "generate", "eval"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        """Every seeded command exits 1 naming the key before any input is
+        read."""
+        missing = str(tmp_path / "missing")
+        inputs = {"gen-data": [],
+                  "train-tokenizer": ["--objective", "fm", "--data", missing],
+                  "encode": ["--checkpoint", missing, "--data", missing],
+                  "decode": ["--checkpoint", missing, "--tokens", missing],
+                  "train-lm": ["--stage", "pretrain", "--pairs", missing],
+                  "generate": ["--checkpoint", missing, "--prompt", "a hum"],
+                  "eval": ["--checkpoint", f"a={missing}", "--data", f"val={missing}"]}[command]
+        assert main([command, *inputs, "--out", str(tmp_path / "out"),
+                     "--set", "seed=-1"]) == 1
+        assert capsys.readouterr().err == "error: config key 'seed' must be at least 0, got -1\n"
 
     def test_every_default_fits_its_declared_type(self):
         for defaults in (GEN_DATA_DEFAULTS, TRAIN_TOKENIZER_DEFAULTS, SEED_DEFAULTS,
@@ -538,6 +567,25 @@ class TestLmCommands:
         payload = json.loads(out.read_text())
         assert len(payload["generated"]) == 8
         assert payload["segments"][0]["type"] == "text"
+
+    @pytest.mark.parametrize("stage, pair, message", [
+        ("pretrain", {"caption": "a hum", "audio_tokens": [3, 16]}, "audio code outside [0, 16)"),
+        ("pretrain", {"caption": "", "audio_tokens": [3]},
+         "build_pretrain_example: empty caption"),
+        ("finetune", {"caption": "a hum", "audio_tokens": []},
+         "build_finetune_example: empty audio"),
+    ], ids=["code_out_of_range", "empty_caption", "empty_audio"])
+    def test_train_lm_names_the_refused_pair(self, tmp_path, capsys, stage, pair, message):
+        """A pair the example builders refuse exits 2 naming the file and
+        the pair, counted from 1; nothing is trained or written."""
+        pairs = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(pairs, [{"caption": "a chime", "audio_tokens": [1, 2]}, pair])
+        code = main(["train-lm", "--stage", stage, "--pairs", str(pairs),
+                     "--out", str(tmp_path / "lm"), "--set", "n_audio=16",
+                     "--set", "hidden_dim=32", "--set", "head_dim=16", "--set", "n_blocks=1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: DatasetFormatError: {pairs}: pair 2: {message}\n"
+        assert not (tmp_path / "lm" / "lm.msnc").exists()
 
     def test_generate_refuses_negative_token_count(self, tmp_path, capsys):
         out = tmp_path / "gen.json"

@@ -206,7 +206,8 @@ class TestExtendVocab:
         model, vocab = extended_model()
         ids = np.array([65, vocab.soa, vocab.audio_ids([2])[0], vocab.eoa, 66])
         logits = model(ids[:-1])
-        loss, _, total = weighted_ce_zloss(logits, ids[1:], np.ones(4))
+        loss, _, total = weighted_ce_zloss(logits, ids[1:], np.ones(4),
+                                           valid_mask=np.ones(4, bool))
         total.backward()
         assert model.audio_embed.grad is not None
         used_row = vocab.soa - 256
@@ -342,7 +343,8 @@ class TestSpanScan:
 class TestWeightedLoss:
     def test_uniform_logits_log_vocab(self):
         logits = Tensor(np.zeros((3, 4)))
-        loss, _, _ = weighted_ce_zloss(logits, [0, 1, 2], [1.0, 5.0, 2.0])
+        loss, _, _ = weighted_ce_zloss(logits, [0, 1, 2], [1.0, 5.0, 2.0],
+                                     valid_mask=np.ones(3, bool))
         assert float(loss.data) == pytest.approx(np.log(4.0), rel=1e-6)
 
     def test_weighted_mean_formula(self):
@@ -351,12 +353,13 @@ class TestWeightedLoss:
         c1 = np.log(np.e - 1.0)
         c2 = np.log(np.e ** 2 - 1.0)
         logits = Tensor(np.array([[0.0, c1], [0.0, c2]], dtype=np.float64))
-        loss, _, _ = weighted_ce_zloss(logits, [0, 0], [1.0, 10.0])
+        loss, _, _ = weighted_ce_zloss(logits, [0, 0], [1.0, 10.0], valid_mask=np.ones(2, bool))
         assert float(loss.data) == pytest.approx(21.0 / 11.0, rel=1e-9)
 
     def test_zloss_single_position(self):
         logits = Tensor(np.array([[0.0, 0.0]], dtype=np.float64))
-        _, zloss, _ = weighted_ce_zloss(logits, [0], [1.0], z_coeff=1e-4)
+        _, zloss, _ = weighted_ce_zloss(logits, [0], [1.0], z_coeff=1e-4,
+                                     valid_mask=np.ones(1, bool))
         assert float(zloss.data) == pytest.approx(1e-4 * np.log(2.0) ** 2, rel=1e-9)
 
     def test_matches_high_precision_oracle(self):
@@ -375,7 +378,8 @@ class TestWeightedLoss:
             z_sum += lse ** 2
         want_loss = ce_sum / mpmath.mpf(weights.sum())
         want_z = mpmath.mpf(1e-4) * z_sum / 4
-        loss, zloss, total = weighted_ce_zloss(Tensor(logits), targets, weights)
+        loss, zloss, total = weighted_ce_zloss(Tensor(logits), targets, weights,
+                                              valid_mask=np.ones(targets.shape, bool))
         assert abs(float(loss.data) - float(want_loss)) / float(want_loss) < 1e-6
         assert abs(float(zloss.data) - float(want_z)) / float(want_z) < 1e-6
         assert float(total.data) == pytest.approx(float(loss.data) + float(zloss.data))
@@ -385,7 +389,8 @@ class TestWeightedLoss:
         difference between the two positions is the 10x weight, so their
         logit-gradient norms differ by exactly that factor."""
         logits = Tensor(np.zeros((2, 5)), requires_grad=True)
-        loss, _, _ = weighted_ce_zloss(logits, [0, 1], [10.0, 1.0], z_coeff=0.0)
+        loss, _, _ = weighted_ce_zloss(logits, [0, 1], [10.0, 1.0], z_coeff=0.0,
+                                     valid_mask=np.ones(2, bool))
         loss.backward()
         g = logits.grad
         ratio = np.linalg.norm(g[0]) / np.linalg.norm(g[1])
@@ -396,21 +401,26 @@ class TestWeightedLoss:
         valid = np.array([[True, False]])
         _, z_masked, _ = weighted_ce_zloss(logits, [[0, 0]], [[1.0, 0.0]],
                                            valid_mask=valid)
-        _, z_all, _ = weighted_ce_zloss(logits, [[0, 0]], [[1.0, 1.0]])
+        _, z_all, _ = weighted_ce_zloss(logits, [[0, 0]], [[1.0, 1.0]],
+                                        valid_mask=np.ones((1, 2), bool))
         assert float(z_masked.data) == pytest.approx(1e-4 * np.log(2.0) ** 2, rel=1e-5)
         assert float(z_all.data) > float(z_masked.data)
 
     def test_shape_errors(self):
         logits = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError, match="weights"):
-            weighted_ce_zloss(logits, [0, 1, 2], [1.0, 1.0])
+            weighted_ce_zloss(logits, [0, 1, 2], [1.0, 1.0], valid_mask=np.ones(3, bool))
         with pytest.raises(ShapeError, match="targets"):
-            weighted_ce_zloss(logits, [0, 1], [1.0, 1.0])
+            weighted_ce_zloss(logits, [0, 1], [1.0, 1.0], valid_mask=np.ones(2, bool))
+
+    def test_valid_mask_is_required(self):
+        with pytest.raises(TypeError, match="valid_mask"):
+            weighted_ce_zloss(Tensor(np.zeros((2, 3))), [0, 1], [1.0, 1.0])
 
     def test_zero_weight_sum_rejected(self):
         logits = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="zero"):
-            weighted_ce_zloss(logits, [0, 1], [0.0, 0.0])
+            weighted_ce_zloss(logits, [0, 1], [0.0, 0.0], valid_mask=np.ones(2, bool))
 
 
 class TestCollate:
@@ -761,7 +771,8 @@ class TestFoldedAdapters:
         assert len(calls) == 3
         assert all(layer.folded is None for layer in lora_layers(model))
         ids = vocab.encode_text("abcd")
-        _, _, total = weighted_ce_zloss(model(ids[:-1]), ids[1:], np.ones(3))
+        _, _, total = weighted_ce_zloss(model(ids[:-1]), ids[1:], np.ones(3),
+                                        valid_mask=np.ones(3, bool))
         total.backward()
         for layer in lora_layers(model):
             assert np.linalg.norm(layer.lora_a.grad) > 0

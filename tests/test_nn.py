@@ -19,7 +19,6 @@ from flowtok.nn import (
     AdamW,
     AttentionLayer,
     DivergenceError,
-    KVCache,
     KVEntry,
     LayerNorm,
     Linear,
@@ -108,24 +107,24 @@ class TestAttention:
         np.testing.assert_allclose(full[:, :4], short, rtol=1e-4, atol=1e-6)
 
     def test_cached_chunks_match_full_sequence(self):
-        """Feeding a causal stack through a KVCache in chunks, single
+        """Feeding a causal stack through KVEntry buffers in chunks, single
         positions included, matches one full forward up to rounding."""
         rng = _rng(4)
         cfg = TransformerConfig(n_blocks=2, hidden_dim=16, head_dim=8, causal=True)
         stack = TransformerStack(cfg, rng)
         x = rng.normal(size=(2, 9, 16)).astype(np.float32)
-        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
         with no_grad():
             full = stack(Tensor(x)).data
             parts = [stack(Tensor(x[:, a:b]), cache).data
                      for a, b in ((0, 4), (4, 5), (5, 6), (6, 9))]
-        assert len(cache) == 9
+        assert [len(entry) for entry in cache] == [9, 9]
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-4, atol=1e-6)
 
     def test_cached_length_counts_toward_max_len(self):
         cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
         with no_grad():
             stack(Tensor(np.zeros((6, 8))), cache)
             with pytest.raises(ShapeError, match="length 9 exceeds max_len 8"):
@@ -135,11 +134,11 @@ class TestAttention:
         cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
         x = _rng(6).normal(size=(8, 8)).astype(np.float32)
-        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
         with no_grad():
             full = stack(Tensor(x)).data
             parts = [stack(Tensor(x[:6]), cache).data, stack(Tensor(x[6:]), cache).data]
-        assert len(cache) == 8
+        assert [len(entry) for entry in cache] == [8, 8]
         np.testing.assert_allclose(np.concatenate(parts), full, rtol=1e-4, atol=1e-6)
 
     def test_earlier_views_survive_later_writes(self):
@@ -168,13 +167,20 @@ class TestAttention:
         drop the gradient through earlier positions."""
         cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = KVCache(cfg.n_blocks, cfg.max_len)
+        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
         with pytest.raises(ValueError, match="inference only"):
             stack(Tensor(np.zeros((3, 8))), cache)
-        assert len(cache) == 0
+        assert len(cache[0]) == 0
         with no_grad():
             stack(Tensor(np.zeros((3, 8))), cache)
-        assert len(cache) == 3
+        assert len(cache[0]) == 3
+
+    @pytest.mark.parametrize("n_entries", [1, 3])
+    def test_cache_needs_one_entry_per_block(self, n_entries):
+        cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
+        stack = TransformerStack(cfg, _rng(5))
+        with no_grad(), pytest.raises(ValueError, match="zip"):
+            stack(Tensor(np.zeros((3, 8))), [KVEntry(cfg.max_len) for _ in range(n_entries)])
 
     def test_mask_cache_is_bounded(self):
         """One mask per length its callers ask for would pile up."""
@@ -208,7 +214,7 @@ class TestLayerNorm:
 
 class TestConfig:
     def test_head_count_from_dims(self):
-        cfg = TransformerConfig.paper_preset(causal=True)
+        cfg = TransformerConfig(n_blocks=12, hidden_dim=768, head_dim=64)
         assert (cfg.n_blocks, cfg.head_dim, cfg.hidden_dim, cfg.n_heads) == (12, 64, 768, 12)
 
     def test_indivisible_dims_rejected(self):
@@ -480,14 +486,13 @@ class TestFit:
 
 
 class TestKeepFreedMemory:
-    """fit's allocator policy, against a stand-in C library."""
+    """The allocator policy nn sets at import, against a stand-in C library."""
 
     @pytest.fixture
     def libc(self, monkeypatch):
         """Puts a recording stand-in where nn loads the C library. `replies`
         maps a mallopt parameter to its return value (1 when absent); with
-        `has_mallopt` False the library lacks the symbol. The cache is
-        cleared on both sides, so the next fit sets the real policy."""
+        `has_mallopt` False the library lacks the symbol."""
         calls, replies = [], {}
         options = {"has_mallopt": True}
 
@@ -501,9 +506,7 @@ class TestKeepFreedMemory:
                     self.mallopt = mallopt
 
         monkeypatch.setattr("flowtok.nn.ctypes.CDLL", Library)
-        _keep_freed_memory.cache_clear()
         yield calls, replies, options
-        _keep_freed_memory.cache_clear()
 
     def _fit(self):
         layer = Linear(3, 2, _rng(5)).double()
@@ -520,27 +523,37 @@ class TestKeepFreedMemory:
 
     def test_mmap_threshold_before_trim_threshold(self, libc):
         calls, _, _ = libc
-        self._fit()
+        _keep_freed_memory()
         assert calls == [("load", None), (-3, 32 * 1024 * 1024), (-1, -1)]
 
     def test_refused_mmap_threshold_leaves_trimming_on(self, libc):
         """Trimming off alone would freeze the mmap threshold at 128 KiB."""
         calls, replies, _ = libc
         replies[-3] = 0
-        self._fit()
+        _keep_freed_memory()
         assert calls == [("load", None), (-3, 32 * 1024 * 1024)]
 
     def test_without_mallopt_fit_still_trains(self, libc):
         calls, _, options = libc
         options["has_mallopt"] = False
+        _keep_freed_memory()
         self._fit()
         assert calls == [("load", None)]
 
     def test_runs_once_per_process(self, libc):
+        """The policy is set when nn is imported; neither fit nor a decode
+        asks the C library again."""
+        from flowtok import pipeline
+
         calls, _, _ = libc
         self._fit()
-        self._fit()
-        assert calls == [("load", None), (-3, 32 * 1024 * 1024), (-1, -1)]
+        model = pipeline.TokenizerModel(pipeline.TokenizerConfig(
+            frames=4, data_dim=4, code_dim=4, codebook_size=4,
+            encoder=TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True,
+                                      max_len=4),
+            decoder=TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, max_len=4)))
+        pipeline.decode_tokens(np.zeros(4, dtype=np.int64), model, n_steps=1)
+        assert calls == []
 
 
 # Trains a small causal stack with fit in a fresh process, whose heap no
@@ -610,7 +623,7 @@ def _composite_layer_norm(x, gamma, beta):
     """LayerNorm as separate tape ops: the slow oracle for tensor.layer_norm."""
     centered = x - tmean(x, axis=-1, keepdims=True)
     var = tmean(square(centered), axis=-1, keepdims=True)
-    normed = centered * power(var + LAYER_NORM_EPS, -0.5)
+    normed = centered * power(var + Tensor(np.asarray(LAYER_NORM_EPS, var.dtype)), -0.5)
     return normed * gamma + beta
 
 

@@ -76,12 +76,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="objective"):
             tiny_config(objective="diffusion")
 
-    def test_paper_scale_numbers(self):
-        cfg = TokenizerConfig.paper()
-        assert (cfg.frames, cfg.data_dim, cfg.codebook_size) == (215, 64, 8196)
-        assert cfg.encoder.n_blocks == 12 and cfg.encoder.hidden_dim == 768
-        assert cfg.epochs == 75 and cfg.lr == 1e-4
-
 
 class TestEncode:
     def test_same_input_same_tokens(self):
@@ -150,7 +144,10 @@ class TestPaperScale:
     def test_full_scale_encode_and_registry(self):
         """The full-size model tokenizes a 215-frame clip into 215 ids, and
         its tensor registry spans encoder, codebook, and decoder."""
-        cfg = TokenizerConfig.paper()
+        tower = dict(n_blocks=12, hidden_dim=768, head_dim=64, max_len=215)
+        cfg = TokenizerConfig(frames=215, data_dim=64, code_dim=64, codebook_size=8196,
+                              encoder=TransformerConfig(causal=True, **tower),
+                              decoder=TransformerConfig(causal=False, **tower))
         model = TokenizerModel(cfg)
         clip = np.random.default_rng(0).standard_normal((215, 64)).astype(np.float32)
         tokens = encode_to_tokens(clip, model)
@@ -288,6 +285,39 @@ def test_decode_only_process_reuses_freed_memory():
     assert proc.returncode == 0, proc.stderr
     faults = int(proc.stdout)
     assert faults < 1600, f"{faults} minor page faults over four warm decoder passes"
+
+
+# Encodes a desk-size batch (64 clips of 32 frames, the default model) in
+# a fresh process that neither trains nor decodes, and prints the minor
+# page faults over two encodes after a warm-up encode.
+_ENCODE_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from flowtok.pipeline import TokenizerConfig, TokenizerModel, encode_to_tokens
+
+    model = TokenizerModel(TokenizerConfig())
+    clips = np.random.default_rng(0).standard_normal((64, 32, 16)).astype(np.float32)
+    encode_to_tokens(clips, model)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(2):
+        encode_to_tokens(clips, model)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_encode_only_process_reuses_freed_memory():
+    """Two encodes after a warm-up encode fault in about 8,000 pages when
+    glibc trims each encode's freed activations and none once importing
+    nn has set the policy; the bound is a tenth of the former."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _ENCODE_FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults < 800, f"{faults} minor page faults over two warm encodes"
 
 
 class TestTraining:
