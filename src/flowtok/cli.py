@@ -336,7 +336,7 @@ def cmd_train_lm(args, config: dict) -> int:
         vocab = extend_vocab(model, config["n_audio"], np.random.default_rng(config["seed"] + 1))
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
-        raise ValueError(f"no caption/token pairs in {args.pairs}")
+        raise DatasetFormatError(f"{args.pairs}: no caption/token pairs")
     if config["checkpoint"] is not None:
         path = Path(config["checkpoint"])
         header, tensors = read_checkpoint(path)

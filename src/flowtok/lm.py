@@ -152,11 +152,9 @@ def folded_adapters(model):
 
     Each fold is W + scaling (A B) in W's dtype, formed on entry and
     dropped on exit, an exception included, so the adapters read at entry
-    are the ones used and a later training step sees the factored form. A
-    stand-in that is not a Module runs as it is.
+    are the ones used and a later training step sees the factored form.
     """
-    layers = ([m for m in model.modules() if isinstance(m, LoraLinear)]
-              if isinstance(model, Module) else [])
+    layers = [m for m in model.modules() if isinstance(m, LoraLinear)]
     try:
         for layer in layers:
             delta = layer.lora_a.data @ layer.lora_b.data

@@ -15,8 +15,9 @@ reduction shapes, so a prefix's outputs then agree only up to rounding.
 
 AdamW steps all trainable parameters as one flat vector, in cache-sized
 blocks, with the numbers of a loop over them one at a time. `fit` walks
-the model once per call. Importing this module sets glibc's allocator
-policy for the whole process (`_keep_freed_memory`).
+the model once per call; its rollback point is the arrays themselves,
+which nothing in a training step writes into. Importing this module sets
+glibc's allocator policy for the whole process (`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -283,6 +284,8 @@ class TransformerStack(Module):
             # Cached keys and values carry no tape edges: the gradient
             # through earlier positions would be lost without a word.
             raise ValueError("a KV cache serves inference only; run the cached call under no_grad")
+        if cache is not None and len(cache) != len(self.blocks):
+            raise ShapeError(f"cache holds {len(cache)} entries for {len(self.blocks)} blocks")
         start = len(cache[0]) if cache else 0
         tlen = start + x.shape[-2]
         if tlen > self.pos.shape[0]:
@@ -292,7 +295,7 @@ class TransformerStack(Module):
             x = x.reshape(1, *x.shape)
         x = x + take_rows(self.pos, np.arange(start, tlen))
         entries = [None] * len(self.blocks) if cache is None else cache
-        for block, entry in zip(self.blocks, entries, strict=True):
+        for block, entry in zip(self.blocks, entries):
             x = block(x, entry)
         x = self.ln_f(x)
         return x.reshape(x.shape[1:]) if unbatched else x
@@ -362,13 +365,13 @@ class AdamW:
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
     The parameters are stepped as one flat vector, in ADAMW_BLOCK-element
-    blocks; `_m[i]` and `_v[i]` are views of the flat moments. Elementwise
-    IEEE arithmetic does not depend on layout, so every number equals a
-    loop over the parameters one at a time. Each step gives every
-    parameter a fresh array, a view of that step's new flat buffer, and
-    never writes to an array a caller may still hold. The flat buffers
-    need one dtype, each parameter reachable under one name, and at least
-    one parameter; anything else is refused at construction.
+    blocks. Elementwise IEEE arithmetic does not depend on layout, so every
+    number equals a loop over the parameters one at a time. Each step gives
+    every parameter a fresh array, a view of that step's new flat buffer,
+    and never writes into an array a caller may still hold, such as `fit`'s
+    rollback point. The flat buffers need one dtype, each parameter
+    reachable under one name, and at least one parameter; anything else is
+    refused at construction.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -398,8 +401,6 @@ class AdamW:
         n = bounds[-1]
         self._m_flat = np.zeros(n, self._dtype)
         self._v_flat = np.zeros(n, self._dtype)
-        self._m = [self._m_flat[a:b].reshape(shape) for a, b, shape in self._spans]
-        self._v = [self._v_flat[a:b].reshape(shape) for a, b, shape in self._spans]
         self._scratch = np.empty((2, min(n, ADAMW_BLOCK)), self._dtype)
 
     def step(self) -> None:
@@ -489,9 +490,12 @@ class DivergenceError(NumericFault):
 
 @dataclass
 class TrainReport:
-    steps_run: int
     step_losses: list[float]
     final: dict[str, float]
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.step_losses)
 
 
 def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Generator,
@@ -511,14 +515,14 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
 
     On a non-finite loss the model is rolled back to the most recent state
     that produced a finite loss, checkpoint() runs on that state, and
-    DivergenceError is raised.
+    DivergenceError is raised. That state is the arrays the tensors held,
+    not copies, so nothing in a training step may write into one.
     """
     opt = AdamW(model, lr=lr, weight_decay=weight_decay)
     tensors = [t for _, t in model.named_tensors()]
-    last_good = [t.data.copy() for t in tensors]
+    last_good = [t.data for t in tensors]
     step_losses: list[float] = []
     final: dict[str, float] = {}
-    steps_run = 0
     for _ in range(epochs):
         order = rng.permutation(n_items)
         sums: dict[str, float] = {}
@@ -531,12 +535,10 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
                 if checkpoint is not None:
                     checkpoint()
                 raise DivergenceError(
-                    f"non-finite loss at step {steps_run}; rolled back to the last "
+                    f"non-finite loss at step {len(step_losses)}; rolled back to the last "
                     f"state with a finite loss")
-            # A finite loss certifies the current parameters; they become the
-            # rollback point before the step replaces them.
-            for t, saved in zip(tensors, last_good):
-                np.copyto(saved, t.data)
+            # A finite loss makes the held arrays the rollback point.
+            last_good = [t.data for t in tensors]
             opt.zero_grad()
             loss.backward()
             del loss  # frees this step's graph before the next forward
@@ -547,16 +549,15 @@ def fit(model: Module, n_items: int, loss_fn: Callable, *, rng: np.random.Genera
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + value
             n_batches += 1
-            steps_run += 1
         final = {key: value / n_batches for key, value in sums.items()}
         if epoch_metrics is not None:
             final.update(epoch_metrics())
         if metrics is not None:
             for key, value in final.items():
-                metrics.add(steps_run, "train", key, value)
+                metrics.add(len(step_losses), "train", key, value)
         if checkpoint is not None:
             checkpoint()
-    return TrainReport(steps_run=steps_run, step_losses=step_losses, final=final)
+    return TrainReport(step_losses=step_losses, final=final)
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,6 @@ class TokenizerConfig:
     weight_decay: float = 0.01
     epochs: int = 10
     batch_size: int = 16
-    codebook_loss_weight: float = 1.0
     commitment_weight: float = 0.25
     seed: int = 0
 
@@ -154,9 +153,8 @@ def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,
         fs = sample_path(batch, rng, cfg.flow, t=np.zeros(b), x0=np.zeros_like(batch))
     decoder_loss = cfm_loss(model.decoder(fs.x_t, fs.t, tokens), fs.u_t)
 
-    loss = (decoder_loss
-            + scale(q.codebook_loss, cfg.codebook_loss_weight)
-            + scale(q.commitment_loss, cfg.commitment_weight))
+    # Unweighted as in VQ-VAE: this term alone trains the entries, and AdamW is scale-blind.
+    loss = decoder_loss + q.codebook_loss + scale(q.commitment_loss, cfg.commitment_weight)
     terms = {
         "decoder_loss": float(decoder_loss.data),
         "codebook_loss": float(q.codebook_loss.data),

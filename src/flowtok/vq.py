@@ -111,7 +111,9 @@ def codebook_maintenance(codebook: Codebook, batch_indices: np.ndarray,
     dead = np.flatnonzero((usage < RESTART_THRESHOLD) & (hist == 0))
     if dead.size:
         picks = rng.integers(0, batch_vectors.shape[0], size=dead.size)
-        codebook.entries.data[dead] = batch_vectors[picks].astype(codebook.entries.dtype)
+        entries = codebook.entries.data.copy()  # a rollback may hold the old array
+        entries[dead] = batch_vectors[picks]
+        codebook.entries.data = entries
         usage[dead] = 1.0
     codebook.usage.data = usage.astype(np.float32)
     return dead

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from flowtok.cli import (
     _build,
     _flatten,
     _load_config,
+    _load_tokenizer,
     build_parser,
     main,
 )
@@ -75,6 +77,14 @@ def small_lm(workspace):
                  "--set", "hidden_dim=32", "--set", "head_dim=16",
                  "--set", "n_blocks=1", "--set", "epochs=1"]) == 0
     return out / "lm.msnc"
+
+
+@dataclass
+class _WeightedCodebookConfig(TokenizerConfig):
+    """TokenizerConfig as checkpoint headers held it while the codebook
+    loss still had a weight."""
+
+    codebook_loss_weight: float = 1.0
 
 
 def _write_npz(path):
@@ -152,7 +162,7 @@ class TestConfigPlumbing:
             "decoder.n_blocks": 2, "decoder.hidden_dim": 128, "decoder.head_dim": 32,
             "flow.sigma_min": 1e-4, "flow.n_sample_steps": 16, "timestep_dim": 64,
             "lr": 1e-4, "weight_decay": 0.01, "epochs": 10, "batch_size": 16,
-            "codebook_loss_weight": 1.0, "commitment_weight": 0.25, "seed": 0,
+            "commitment_weight": 0.25, "seed": 0,
         }
         assert TRAIN_LM_DEFAULTS == {
             "v_text": 256, "n_blocks": 4, "hidden_dim": 128, "head_dim": 32,
@@ -190,14 +200,17 @@ class TestConfigPlumbing:
         ("train-tokenizer", "encoder.max_len"),
         ("train-tokenizer", "flow.objective"),
         ("train-lm", "transformer"),
+        # The codebook loss is unweighted; its weight is no longer a key.
+        ("train-tokenizer", "codebook_loss_weight"),
     ])
-    def test_unknown_set_key_rejected(self, command, key):
+    def test_unknown_set_key_rejected(self, capsys, command, key):
         """Exit 1 before any input is read; an accepted key would fail on
         the missing input with exit 2."""
         inputs = {"gen-data": [],
                   "train-tokenizer": ["--objective", "fm", "--data", "missing"],
                   "train-lm": ["--stage", "pretrain", "--pairs", "missing"]}[command]
         assert main([command, *inputs, "--out", "unused", "--set", f"{key}=1"]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source, key, raw, code", [
         ("set", "epochs", "true", 1),
@@ -385,6 +398,24 @@ class TestArtifacts:
                      "--out", str(tmp_path / "enc")]) == 0
         np.testing.assert_array_equal(np.load(tmp_path / "enc" / "tokens.npy"),
                                       np.load(workspace / "enc" / "tokens.npy"))
+
+    def test_checkpoint_with_a_codebook_loss_weight_loads(self, workspace, tmp_path):
+        """A header that still carries `codebook_loss_weight` loads, the
+        key ignored, and decodes byte for byte as the same tensors do under
+        today's header."""
+        current = workspace / "fm" / "tokenizer.msnc"
+        model = _load_tokenizer(current)
+        model.cfg = _WeightedCodebookConfig(**vars(model.cfg))
+        legacy = tmp_path / "legacy.msnc"
+        save_checkpoint(legacy, model)
+        header = read_checkpoint(legacy)[0]
+        assert header == {**read_checkpoint(current)[0], "codebook_loss_weight": 1.0}
+        for name, path in (("current", current), ("legacy", legacy)):
+            assert main(["decode", "--checkpoint", str(path),
+                         "--tokens", str(workspace / "enc" / "tokens.npy"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "legacy" / "decoded.msnl").read_bytes()
+                == (tmp_path / "current" / "decoded.msnl").read_bytes())
 
     @pytest.mark.parametrize("command", ["train-tokenizer", "train-lm"])
     def test_training_prints_epochs_steps_and_final_loss(self, workspace, tmp_path, capsys,
@@ -585,6 +616,19 @@ class TestLmCommands:
                      "--set", "hidden_dim=32", "--set", "head_dim=16", "--set", "n_blocks=1"])
         assert code == 2
         assert capsys.readouterr().err == f"error: DatasetFormatError: {pairs}: pair 2: {message}\n"
+        assert not (tmp_path / "lm" / "lm.msnc").exists()
+
+    def test_train_lm_refuses_an_empty_pairs_file(self, tmp_path, capsys):
+        """No pairs at all is a malformed pairs input like any other: exit 2
+        with the loader's error naming the file; nothing is written."""
+        pairs = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(pairs, [])
+        code = main(["train-lm", "--stage", "pretrain", "--pairs", str(pairs),
+                     "--out", str(tmp_path / "lm"), "--set", "n_audio=16",
+                     "--set", "hidden_dim=32", "--set", "head_dim=16", "--set", "n_blocks=1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: DatasetFormatError: {pairs}: no caption/token pairs\n")
         assert not (tmp_path / "lm" / "lm.msnc").exists()
 
     def test_generate_refuses_negative_token_count(self, tmp_path, capsys):

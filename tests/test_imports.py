@@ -1,7 +1,7 @@
 """Source lints: every name a flowtok module imports is used there; every
 function, class and method it defines has a reader outside the tests; every
 parameter with a default is passed at some call; and every dataclass field
-is read."""
+and instance attribute is read."""
 
 import ast
 from pathlib import Path
@@ -186,3 +186,40 @@ def test_every_dataclass_field_is_read():
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and item.target.id not in read]
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def _attribute_reads(tree: ast.Module):
+    """Every attribute name the module reads, an augmented assignment's
+    target included, and every identifier-like string (getattr names,
+    the attributes the benchmark rebinds)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            yield node.target.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def _self_assignments(cls: ast.ClassDef):
+    """(attribute, line) for every `self.X = ...` in the class's methods."""
+    for node in ast.walk(cls):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for t in ast.walk(target):
+                if (isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                        and isinstance(t.value, ast.Name) and t.value.id == "self"):
+                    yield t.attr, t.lineno
+
+
+def test_every_instance_attribute_is_read():
+    read = {name for path in READERS
+            for name in _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    unread = sorted({f"{path.name}:{line} {node.name}.{attr}"
+                     for path in sorted(SOURCE.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.ClassDef)
+                     for attr, line in _self_assignments(node) if attr not in read})
+    assert not unread, "instance attributes nothing reads: " + ", ".join(unread)

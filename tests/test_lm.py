@@ -642,6 +642,10 @@ class _FullRecompute:
         self.seen = np.zeros(0, dtype=np.int64)
         self.last_rows = []
 
+    def modules(self):
+        """No modules to fold: the oracle runs the model's factored adapters."""
+        return iter(())
+
     def __call__(self, ids, cache=None):
         self.seen = np.concatenate([self.seen, ids])
         logits = self.model(self.seen).data[-len(ids):]

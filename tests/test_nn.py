@@ -179,8 +179,11 @@ class TestAttention:
     def test_cache_needs_one_entry_per_block(self, n_entries):
         cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        with no_grad(), pytest.raises(ValueError, match="zip"):
-            stack(Tensor(np.zeros((3, 8))), [KVEntry(cfg.max_len) for _ in range(n_entries)])
+        cache = [KVEntry(cfg.max_len) for _ in range(n_entries)]
+        with no_grad(), pytest.raises(ShapeError,
+                                      match=f"cache holds {n_entries} entries for 2 blocks"):
+            stack(Tensor(np.zeros((3, 8))), cache)
+        assert [len(entry) for entry in cache] == [0] * n_entries
 
     def test_mask_cache_is_bounded(self):
         """One mask per length its callers ask for would pile up."""
@@ -286,7 +289,7 @@ class TestAdamW:
             a.grad = np.ones(3, dtype=a.dtype)
             b.grad = -np.ones(3, dtype=b.dtype)
             opt.step()
-        assert (np.sign(opt._m[0]) != np.sign(opt._m[1])).all()
+        assert (np.sign(opt._m_flat[:3]) != np.sign(opt._m_flat[3:])).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -308,7 +311,8 @@ class TestAdamW:
                 p.grad = g
             opt.step()
             ref = _per_parameter_adamw(ref, grads, ref_m, ref_v, step, 1e-2, weight_decay)
-        for got, want in [*zip(params, ref), *zip(opt._m, ref_m), *zip(opt._v, ref_v)]:
+        flat_m, flat_v = (np.concatenate([m.reshape(-1) for m in ms]) for ms in (ref_m, ref_v))
+        for got, want in [*zip(params, ref), (opt._m_flat, flat_m), (opt._v_flat, flat_v)]:
             got = got.data if isinstance(got, Tensor) else got
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -483,6 +487,47 @@ class TestFit:
         (dead, after_step), = restarted
         assert dead.size > 0 and after_step[dead].tobytes() != before[dead].tobytes()
         assert model.codebook.entries.data.tobytes() == before.tobytes()
+
+    def test_no_training_step_writes_into_a_held_array(self, monkeypatch):
+        """The rule fit's rollback relies on: the arrays the model's tensors
+        hold when a step starts keep their bytes through every later step.
+        The toy tokenizer restarts codebook entries from its first step on;
+        the fusion LM trains adapters over a frozen base."""
+        from flowtok import lm, pipeline
+
+        held = []
+
+        def recording_fit(model, n_items, loss_fn, **kwargs):
+            def recorded(rows):
+                held.extend((t.data, t.data.tobytes()) for _, t in model.named_tensors())
+                return loss_fn(rows)
+
+            return fit(model, n_items, recorded, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit", recording_fit)
+        monkeypatch.setattr(lm, "fit", recording_fit)
+        cfg = pipeline.TokenizerConfig(
+            frames=16, data_dim=8, code_dim=8, codebook_size=64, objective="mse",
+            encoder=TransformerConfig(n_blocks=1, hidden_dim=32, head_dim=16, causal=True,
+                                      max_len=16),
+            decoder=TransformerConfig(n_blocks=1, hidden_dim=32, head_dim=16, causal=False,
+                                      max_len=16),
+            timestep_dim=16, batch_size=4, epochs=2)
+        ds = pipeline.LatentDataset(_rng(8).normal(size=(8, 16, 8)).astype(np.float32),
+                                    np.zeros(8, dtype=np.uint16))
+        log = MetricsLog()
+        pipeline.train_tokenizer(ds, pipeline.TokenizerModel(cfg), cfg, metrics=log)
+        assert [value for _, _, metric, value in log.rows if metric == "restarts"][0] > 0
+
+        model = lm.FusionLM(lm.FusionConfig(v_text=128, n_blocks=2, hidden_dim=32, head_dim=16,
+                                            max_len=32), _rng(9))
+        vocab = lm.extend_vocab(model, 8, _rng(10))
+        examples = [lm.build_pretrain_example(caption, codes, vocab, _rng(11))
+                    for caption, codes in (("a hum", [1, 2, 3]), ("a bell", [4, 5]))]
+        lm.train_lm(examples, model, lm.LmTrainConfig(epochs=3, batch_size=1, seed=2))
+
+        assert len(held) > 0
+        assert all(array.tobytes() == saved for array, saved in held)
 
 
 class TestKeepFreedMemory:

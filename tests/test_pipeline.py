@@ -348,7 +348,7 @@ class TestTraining:
             tokens = straight_through(flat, q.quantized).reshape(b, tlen, cfg.code_dim)
             predicted = model.decoder(np.zeros_like(batch), 0.0, tokens)
             return (square(predicted - Tensor(batch)).mean()
-                    + scale(q.codebook_loss, cfg.codebook_loss_weight)
+                    + q.codebook_loss
                     + scale(q.commitment_loss, cfg.commitment_weight))
 
         def step(loss_of):
