@@ -14,11 +14,14 @@ Loss weighting is 10x on the whole span (markers included), 1x on text,
 
 generate runs the prompt through the model once, keeping every block's
 keys and values in its own nn.KVEntry, then feeds one position per new
-token. For the length of the call it folds each adapter into its base
-weight, W + (alpha/rank) A B, so every dense layer is one GEMM; on
-return, an exception included, the adapters are factored again. Training
-and any other forward use the factored form, and the folded weight is
-never part of the model's state.
+token. For the length of the call (folded_adapters) it folds each
+adapter into its base weight, W + (alpha/rank) A B, so every dense layer
+is one GEMM, merges each attention layer's q/k/v into one GEMM, joins
+the embedding table and the output head once, and computes a cached
+call's logits for its last position only: a new token runs 47 tape
+nodes on the default model. On return, an exception included, all of
+that is dropped. Training and any other forward use the factored form,
+and no folded array is ever part of the model's state.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from .data import save_checkpoint
 from .nn import (
+    AttentionLayer,
     KVEntry,
     Linear,
     Module,
@@ -46,6 +50,8 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
+    dense,
+    is_grad_enabled,
     logsumexp,
     matmul,
     no_grad,
@@ -119,11 +125,12 @@ class LoraLinear(Linear):
     """Frozen dense layer with a trainable low-rank delta.
 
     out = x W + b + (alpha/rank) (x A) B, where only A and B learn. B
-    starts at zero, so a fresh adapter is an exact no-op. Inside
-    folded_adapters, which generate enters once per call, the layer runs
-    as x (W + (alpha/rank) A B) + b: one GEMM on a weight merged on entry.
-    `folded` holds that weight as a plain array, so it never joins the
-    model's tensors (checkpoints, frozen_digest, the optimizer's list).
+    starts at zero, so a fresh adapter is an exact no-op; the frozen x W + b
+    is one dense node. Inside folded_adapters, which generate enters once
+    per call, the layer runs as x (W + (alpha/rank) A B) + b: one dense
+    node on a weight merged on entry. `folded` holds that weight as a plain
+    array, so it never joins the model's tensors (checkpoints,
+    frozen_digest, the optimizer's list).
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, rank: int,
@@ -141,29 +148,52 @@ class LoraLinear(Linear):
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.folded is not None:
-            return matmul(x, Tensor(self.folded)) + self.bias
+            return dense(x, Tensor(self.folded), self.bias)
         base = super().__call__(x)
         return base + scale(matmul(matmul(x, self.lora_a), self.lora_b), self.scaling)
 
 
 @contextmanager
 def folded_adapters(model):
-    """Run every LoraLinear of model on its merged weight inside the block.
+    """Run model in its folded inference form inside the block.
 
-    Each fold is W + scaling (A B) in W's dtype, formed on entry and
+    Every LoraLinear runs on W + scaling (A B) in W's dtype; every
+    AttentionLayer runs its folded q, k and v as one (H, 3H) GEMM; every
+    FusionLM looks its ids up in one joined embedding table, multiplies
+    by one joined output head, and gives a cached call's logits for its
+    last position only. All of it is plain arrays, formed on entry and
     dropped on exit, an exception included, so the adapters read at entry
     are the ones used and a later training step sees the factored form.
+    The q/k/v split carries no tape history, so the fold serves inference
+    only and is refused while the tape records.
     """
-    layers = [m for m in model.modules() if isinstance(m, LoraLinear)]
+    if is_grad_enabled():
+        raise ValueError("folded adapters serve inference only; enter them under no_grad")
+    modules = list(model.modules())
+    layers = [m for m in modules if isinstance(m, LoraLinear)]
+    attentions = [m for m in modules if isinstance(m, AttentionLayer)]
+    fusions = [m for m in modules if isinstance(m, FusionLM)]
     try:
         for layer in layers:
             delta = layer.lora_a.data @ layer.lora_b.data
             layer.folded = (layer.weight.data + layer.scaling * delta).astype(
                 layer.weight.dtype, copy=False)
+        for attn in attentions:
+            parts = (attn.wq, attn.wk, attn.wv)
+            attn.qkv = (np.concatenate([p.folded for p in parts], axis=1),
+                        np.concatenate([p.bias.data for p in parts]))
+        for fusion in fusions:
+            rows = [t.data for t in (fusion.text_embed, fusion.audio_embed) if t is not None]
+            cols = [t.data for t in (fusion.out_base, fusion.out_ext) if t is not None]
+            fusion.vocab_fold = (np.concatenate(rows), np.concatenate(cols, axis=1))
         yield
     finally:
         for layer in layers:
             layer.folded = None
+        for attn in attentions:
+            attn.qkv = None
+        for fusion in fusions:
+            fusion.vocab_fold = None
 
 
 def as_ids(ids) -> np.ndarray:
@@ -217,13 +247,24 @@ class FusionLM(Module):
         self.out_ext: Tensor | None = None
         self.vocab: Vocab | None = None
         self.cfg = cfg
+        # The joined embedding table (V, H) and output head (H, V), plain
+        # arrays set only inside folded_adapters.
+        self.vocab_fold: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, ids, cache: list[KVEntry] | None = None) -> Tensor:
         """Logits for ids; with a cache (one KVEntry per block), ids are the
-        positions after the cached ones and the cache grows by them."""
+        positions after the cached ones and the cache grows by them. Inside
+        folded_adapters a cached call gives the logits of its last position
+        only."""
         ids = as_ids(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
+        if self.vocab_fold is not None:
+            table, head = self.vocab_fold
+            x = self.stack(take_rows(Tensor(table), ids), cache)
+            if cache is not None:
+                x = Tensor(x.data[..., -1:, :])
+            return matmul(x, Tensor(head))
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)
@@ -296,15 +337,16 @@ def audio_segments(ids, vocab: Vocab) -> list[dict]:
     """
     segments: list[dict] = []
     span: dict | None = None
+    v_text, soa, eoa = vocab.v_text, vocab.soa, vocab.eoa
     for token in as_ids(ids).tolist():
-        if span is not None and vocab.is_audio(token):
-            span["codes"].append(token - vocab.v_text)
-        elif span is not None and token == vocab.eoa:
+        if span is not None and v_text <= token < soa:
+            span["codes"].append(token - v_text)
+        elif span is not None and token == eoa:
             span = None
-        elif span is None and token == vocab.soa:
+        elif span is None and token == soa:
             span = {"type": "audio", "codes": []}
             segments.append(span)
-        elif span is None and 0 <= token < vocab.v_text:
+        elif span is None and 0 <= token < v_text:
             if segments and segments[-1]["type"] == "text":
                 segments[-1]["text"].append(token)
             else:
@@ -541,8 +583,10 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
         raise ValueError("generate: prompt violates the audio-span bracketing")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    in_span = np.append(np.arange(vocab.v_text, vocab.v_text + vocab.n_audio), vocab.eoa)
-    outside = np.append(np.arange(vocab.v_text), vocab.soa)
+    # The ids allowed inside an open span and outside one.
+    every_id = np.arange(vocab.size)
+    inside = vocab.is_audio(every_id) | (every_id == vocab.eoa)
+    outside = (every_id < vocab.v_text) | (every_id == vocab.soa)
     out = list(ids)
     # Room for the prompt and every new token, the most this call can
     # write: buffers of the whole max_len would hold positions it never
@@ -556,20 +600,19 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
                 break
             logits = model(feed, cache).data[-1].astype(np.float64)
             if constrain_audio:
-                masked = np.full_like(logits, -np.inf)
-                allowed = in_span if open_span else outside
-                masked[allowed] = logits[allowed]
-                logits = masked
+                logits = np.where(inside if open_span else outside, logits, -np.inf)
             if temperature == 0.0:
                 token = int(np.argmax(logits))
             else:
-                scores = logits / temperature
+                # Shifted before the division, so a tiny temperature sends
+                # every other score to -inf instead of overflowing to inf.
+                with np.errstate(over="ignore"):
+                    scores = (logits - logits.max()) / temperature
                 if top_k is not None:
                     keep = np.argsort(scores)[-top_k:]
                     pruned = np.full_like(scores, -np.inf)
                     pruned[keep] = scores[keep]
                     scores = pruned
-                scores = scores - scores.max()
                 probs = np.exp(scores)
                 probs /= probs.sum()
                 token = int(rng.choice(probs.size, p=probs))

@@ -2,11 +2,15 @@
 
 All blocks are pre-norm (norm, sublayer, residual) with a GELU MLP
 MLP_RATIO times the model width, assembled from the autodiff primitives in
-`tensor`: LayerNorm and attention each run as one fused tape op
-(`tensor.layer_norm`, `tensor.scaled_dot_product`) once this module has
-checked shapes and chosen the mask. The stack owns the learned absolute
-position table and the length check. Modules build in DEFAULT_DTYPE;
-`Module.double` recasts one to float64 for finite-difference checks.
+`tensor`: a dense layer, a LayerNorm and an attention each run as one
+fused tape op (`tensor.dense`, `tensor.layer_norm`,
+`tensor.scaled_dot_product`) once this module has checked shapes and
+chosen the mask. For inference an attention layer can hold its q, k and
+v projections merged into one (H, 3H) weight, run as one GEMM
+(`AttentionLayer.qkv`, set by `lm.folded_adapters`). The stack owns the
+learned absolute position table and the length check. Modules build in
+DEFAULT_DTYPE; `Module.double` recasts one to float64 for
+finite-difference checks.
 Causal masking uses a finite -1e9 additive constant: exp underflows to
 +0.0 for masked scores, so changing later positions leaves a prefix's
 outputs bit-identical at the same length. Dropping later positions, or
@@ -35,6 +39,7 @@ from .tensor import (
     NumericFault,
     ShapeError,
     Tensor,
+    dense,
     gelu,
     grad_check,
     is_grad_enabled,
@@ -128,7 +133,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=DEFAULT_DTYPE)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight) + self.bias
+        return dense(x, self.weight, self.bias)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -187,11 +192,22 @@ class AttentionLayer(Module):
         self.wo = linear(h, h, rng)
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
+        # wq, wk and wv merged into one (H, 3H) weight and (3H,) bias, plain
+        # arrays outside the model's tensors. Only inference sets them
+        # (lm.folded_adapters): the q, k and v split from the one GEMM
+        # carry no tape history.
+        self.qkv: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, x: Tensor, cache: KVEntry | None = None) -> Tensor:
-        # q before k and v: backward runs in reverse creation order, so this
-        # order fixes how the input's gradient sums.
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        if self.qkv is not None:
+            w, b = self.qkv
+            qkv = dense(x, Tensor(w), Tensor(b)).data
+            h = qkv.shape[-1] // 3
+            q, k, v = Tensor(qkv[..., :h]), Tensor(qkv[..., h:2 * h]), Tensor(qkv[..., 2 * h:])
+        else:
+            # q before k and v: backward runs in reverse creation order, so
+            # this order fixes how the input's gradient sums.
+            q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is not None:
             k, v = cache.extend(k, v)
         return self.wo(attention(q, k, v, self.n_heads, self.causal))
@@ -606,4 +622,13 @@ def block_gradient_checks() -> dict[str, float]:
             temb.fc1.weight = saved
 
     results["timestep_mlp"] = grad_check(temb_target, [temb.fc1.weight.data.copy()])
+
+    # A frozen dense layer beside a low-rank path on the same input, the
+    # factored form of a LoRA layer: only the input and the factor learn.
+    frozen = Linear(8, 8, rng).double()
+    frozen.weight.requires_grad = frozen.bias.requires_grad = False
+    down = Tensor(rng.normal(size=(8, 2)))
+    results["frozen_dense_low_rank"] = grad_check(
+        lambda t, up: square(frozen(t) + matmul(matmul(t, down), up)).sum(),
+        [rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 8))])
     return results

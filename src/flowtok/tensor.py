@@ -10,10 +10,12 @@ operation's inputs always exist before its output, so reverse creation
 order is a valid topological order for the chain rule: backward pops
 nodes from a heap keyed on it.
 
-`layer_norm` and `scaled_dot_product` (multi-head attention) are fused:
-one tape node each, with closed-form VJPs, and forwards bit-identical to
-the composites of simpler ops they replace. `matmul` with a 2-D right
-operand (a dense layer) runs its forward and each VJP as one GEMM.
+`layer_norm`, `scaled_dot_product` (multi-head attention) and `dense`
+(x W + b) are fused: one tape node each, with closed-form VJPs, forwards
+and VJPs bit-identical to the composites of simpler ops they replace.
+`dense` and `matmul` with a 2-D right operand fold the leading axes
+into rows, so the forward and each VJP are one GEMM; `dense` is `matmul`
+with a bias, added in place, and its bias VJP is a column sum.
 Binary ops, and the operators `+`, `-`, `*` and `@`, take two Tensors; a
 Python scalar enters through `scale`.
 
@@ -342,22 +344,46 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b over the last two axes. A 2-D b (a dense layer's weight) folds
-    a's leading axes into rows, so the forward and each VJP are one GEMM."""
+    a's leading axes into rows, so the forward and each VJP are one GEMM.
+    A bias, which needs a 2-D b of N columns and the shape (N,), is added
+    to the GEMM's output in place, and the node is `dense` (see dense)."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        n = b.shape[-1]
-        return _record("matmul", (a2 @ b.data).reshape(a.shape[:-1] + (n,)),
-                       (a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.data.shape)),
-                       (b, lambda g: a2.T @ g.reshape(-1, n)))
+        shape = a.data.shape
+        n = b.data.shape[1]
+        a2 = a.data.reshape(-1, shape[-1])
+        out = a2 @ b.data
+        edges = ((a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(shape)),
+                 (b, lambda g: a2.T @ g.reshape(-1, n)))
+        if bias is None:
+            return _record("matmul", out.reshape(shape[:-1] + (n,)), *edges)
+        if bias.shape != (n,):
+            raise ShapeError(f"dense: bias of shape {bias.shape} for a weight of shape {b.shape}")
+        out += bias.data
+        return _record("dense", out.reshape(shape[:-1] + (n,)), *edges,
+                       (bias, lambda g: g.sum(axis=tuple(range(g.ndim - 1)))))
+    if bias is not None:
+        raise ShapeError(f"dense needs a 2-D weight, got {b.shape}")
     return _record("matmul", a.data @ b.data,
                    (a, lambda g: _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
                    (b, lambda g: _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (D, N) weight and an (N,) bias, as one tape node.
+
+    The leading axes of x fold into rows, so the forward is one GEMM with
+    the bias added in place, the x and w VJPs are one GEMM each, and the
+    bias VJP is a column sum: bit for bit matmul followed by add. It runs
+    inside matmul, so whatever wraps matmul (a profiler's span) still sees
+    every dense layer's GEMM.
+    """
+    return matmul(x, w, b)
 
 
 # ----------------------------------------------------------------------
@@ -500,17 +526,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     The VJPs are the closed form: with d = g * gamma,
     dx = rstd * (d - mean(d) - x_hat * mean(d * x_hat)).
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= n
     rstd = (var + x.data.dtype.type(eps)) ** -0.5
     xhat = centered * rstd
     out = xhat * gamma.data + beta.data
 
     def vjp_x(g):
         d = g * gamma.data
-        dx = d - d.mean(axis=-1, keepdims=True)
-        dx -= xhat * (d * xhat).mean(axis=-1, keepdims=True)
+        mean_d = np.add.reduce(d, axis=-1, keepdims=True)
+        mean_d /= n
+        dx = d - mean_d
+        mean_dx = np.add.reduce(d * xhat, axis=-1, keepdims=True)
+        mean_dx /= n
+        dx -= xhat * mean_dx
         dx *= rstd
         return dx
 
@@ -544,9 +577,9 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     p *= factor
     if mask is not None:
         p += mask
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = merge(p @ vh)
 
     memo: dict[str, np.ndarray] = {}
@@ -554,7 +587,7 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def d_scores(g: np.ndarray) -> np.ndarray:
         if memo.get("g") is not g:
             dp = heads(g) @ vh.swapaxes(-1, -2)
-            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
             dp *= p
             dp *= factor
             memo["g"], memo["ds"] = g, dp
@@ -667,6 +700,12 @@ def _suite_cases() -> list[tuple[str, Callable[..., Tensor], list[np.ndarray]]]:
     probe = Tensor(rng.normal(size=(1, 3, 4)))
     case("attention", lambda q, k, v: (scaled_dot_product(q, k, v, 2, causal) * probe).sum(),
          rng.normal(size=(1, 3, 4)), rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 4, 4)))
+    case("dense", lambda x, w, c: square(dense(x, w, c)).sum(), a, rng.normal(size=(4, 2)),
+         rng.normal(size=(2,)))
+    case("dense_batched", lambda x, w, c: square(dense(x, w, c)).sum(),
+         rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,)))
+    case("dense_const_input", lambda w, c: square(dense(frozen, w, c)).sum(),
+         rng.normal(size=(4, 2)), rng.normal(size=(2,)))
     return cases
 
 

@@ -20,6 +20,7 @@ from flowtok.lm import (
     build_pretrain_example,
     collate,
     extend_vocab,
+    folded_adapters,
     frozen_digest,
     generate,
     next_token_accuracy,
@@ -28,7 +29,7 @@ from flowtok.lm import (
 )
 from flowtok import tensor
 from flowtok.data import load_checkpoint, read_checkpoint, save_checkpoint
-from flowtok.nn import DivergenceError
+from flowtok.nn import AttentionLayer, DivergenceError
 from flowtok.tensor import ShapeError, Tensor, no_grad
 
 
@@ -57,6 +58,13 @@ def extended_model(n_audio=8, seed=0, **cfg_overrides):
 
 def lora_layers(model):
     return [m for m in model.modules() if isinstance(m, LoraLinear)]
+
+
+def fold_state(model):
+    """What the fold adds besides the adapters' weights: each attention
+    layer's merged q/k/v weight and bias, then the model's joined
+    embedding table and output head, each pair None while unset."""
+    return [m.qkv for m in model.modules() if isinstance(m, AttentionLayer)] + [model.vocab_fold]
 
 
 class TestVocab:
@@ -655,18 +663,27 @@ class _FullRecompute:
 
 class _Spy:
     """Records the ids of every FusionLM call, each call's last logits row,
-    whether every adapter ran folded, and the model's tensor names."""
+    whether every adapter ran folded and every merged array was set,
+    whether any model tensor shared memory with a merged array, and the
+    model's tensor names."""
 
     def __init__(self, monkeypatch):
         self.fed = []
         self.last_rows = []
         self.folded = []
+        self.merged = []
+        self.shared = []
         self.names = []
         original = FusionLM.__call__
 
         def spy(model, ids, cache=None):
             self.fed.append(np.asarray(ids))
             self.folded.append(all(layer.folded is not None for layer in lora_layers(model)))
+            state = fold_state(model)
+            self.merged.append(all(pair is not None for pair in state))
+            merged = [a for pair in state if pair is not None for a in pair]
+            self.shared.append(any(np.may_share_memory(t.data, a) for a in merged
+                                   for _, t in model.named_tensors()))
             self.names.append([name for name, _ in model.named_tensors()])
             logits = original(model, ids, cache)
             self.last_rows.append(logits.data[-1])
@@ -731,6 +748,16 @@ class TestCachedGeneration:
         assert result.tokens.size == model.cfg.max_len
         np.testing.assert_array_equal(result.tokens, expected.tokens)
 
+    def test_tiny_temperature_samples_the_greedy_ids(self):
+        """logits / 1e-310 overflows to +-inf; the max shift comes before the
+        division, so every score but the top one goes to -inf and sampling
+        picks the greedy id instead of failing on NaN probabilities."""
+        model, vocab = extended_model(seed=5)
+        prompt = vocab.encode_text("ab")
+        greedy = generate(model, prompt, 12, temperature=0.0)
+        tiny = generate(model, prompt, 12, rng=np.random.default_rng(0), temperature=1e-310)
+        np.testing.assert_array_equal(tiny.tokens, greedy.tokens)
+
     def test_negative_token_count_rejected(self):
         model, vocab = extended_model()
         with pytest.raises(ValueError, match="max_new_tokens"):
@@ -740,19 +767,33 @@ class TestCachedGeneration:
 class TestFoldedAdapters:
     def test_state_unchanged_by_generate(self, drum_model, monkeypatch, tmp_path):
         """The fold never joins the model's state: names, checkpoint bytes
-        and the frozen digest are the same before, during and after."""
+        and the frozen digest are the same before, during and after, and
+        the merged q/k/v, table and head are gone after."""
         model, vocab = drum_model
         names = [name for name, _ in model.named_tensors()]
         digest = frozen_digest(model)
         save_checkpoint(tmp_path / "before.msnc", model)
         spy = _Spy(monkeypatch)
+        during = tmp_path / "during.msnc"
+        spied = FusionLM.__call__
+
+        def saving(m, ids, cache=None):
+            if not during.exists():
+                save_checkpoint(during, m)
+            return spied(m, ids, cache)
+
+        monkeypatch.setattr(FusionLM, "__call__", saving)
         generate(model, vocab.encode_text("A drum"), 6, temperature=0.0)
-        assert all(spy.folded) and spy.names == [names] * 6
+        assert all(spy.folded) and all(spy.merged) and spy.names == [names] * 6
+        assert not any(spy.shared)
         assert [name for name, _ in model.named_tensors()] == names
         assert frozen_digest(model) == digest
         save_checkpoint(tmp_path / "after.msnc", model)
-        assert (tmp_path / "after.msnc").read_bytes() == (tmp_path / "before.msnc").read_bytes()
+        before = (tmp_path / "before.msnc").read_bytes()
+        assert during.read_bytes() == before
+        assert (tmp_path / "after.msnc").read_bytes() == before
         assert all(layer.folded is None for layer in lora_layers(model))
+        assert all(pair is None for pair in fold_state(model))
 
     def test_exception_leaves_adapters_factored(self, monkeypatch):
         model, vocab = extended_model(seed=2)
@@ -763,7 +804,7 @@ class TestFoldedAdapters:
         calls = []
 
         def failing(m, ids, cache=None):
-            calls.append(ids)
+            calls.append(all(pair is not None for pair in fold_state(m)))
             if len(calls) == 3:
                 raise RuntimeError("third call fails")
             return original(m, ids, cache)
@@ -772,8 +813,9 @@ class TestFoldedAdapters:
         with pytest.raises(RuntimeError, match="third call"):
             generate(model, vocab.encode_text("abc"), 8, temperature=0.0)
         monkeypatch.undo()
-        assert len(calls) == 3
+        assert calls == [True] * 3
         assert all(layer.folded is None for layer in lora_layers(model))
+        assert all(pair is None for pair in fold_state(model))
         ids = vocab.encode_text("abcd")
         _, _, total = weighted_ce_zloss(model(ids[:-1]), ids[1:], np.ones(3),
                                         valid_mask=np.ones(3, bool))
@@ -812,10 +854,24 @@ class TestFoldedAdapters:
             assert a.tobytes() == b.tobytes()
         assert not np.array_equal(first[0], retrained[0])
 
+    def test_fold_refused_while_the_tape_records(self):
+        """The merged q/k/v split carries no tape history, so a recorded
+        folded call would lose the input's gradient without a word."""
+        model, _ = extended_model()
+        with pytest.raises(ValueError, match="inference only"):
+            with folded_adapters(model):
+                pass
+        assert all(layer.folded is None for layer in lora_layers(model))
+        assert all(pair is None for pair in fold_state(model))
+
     def test_one_token_call_records_one_gemm_per_dense_layer(self, monkeypatch):
-        """Node counts of a cached one-token call on the default model: a
-        factored adapter would add two GEMMs and a scale per dense layer,
-        and a K/V cache that concatenates two concats per block."""
+        """Node counts of a cached one-token call on the default model (4
+        blocks): one dense node per block for the merged q/k/v, the output
+        projection and each MLP layer, one GEMM for the joined head on the
+        last position, and no concat. A factored adapter would add two
+        GEMMs and a scale per dense layer, a separate bias add one node per
+        dense layer, and a K/V cache that concatenates two concats per
+        block."""
         model = FusionLM(FusionConfig(), np.random.default_rng(0))
         vocab = extend_vocab(model, 8, np.random.default_rng(1))
         ops = []
@@ -833,9 +889,11 @@ class TestFoldedAdapters:
         monkeypatch.setattr(FusionLM, "__call__", counting_call)
         generate(model, vocab.encode_text("A drum"), 2, temperature=0.0)
         _, one_token = ops
-        assert one_token["matmul"] == 26  # 24 folded dense layers, 2 head GEMMs
-        assert one_token["scale"] == 0
-        assert one_token["concat"] <= 2  # the embedding table and the logits
+        assert one_token["dense"] == 16
+        assert one_token["matmul"] == 1
+        assert one_token["add"] == 9  # two residuals per block, the positions
+        assert one_token["concat"] == 0 and one_token["scale"] == 0
+        assert sum(one_token.values()) == 47
 
 
 class TestMemorization:

@@ -14,6 +14,7 @@ from flowtok.tensor import (
     Tensor,
     broadcast_to,
     concat,
+    dense,
     div,
     gelu,
     grad_check,
@@ -106,6 +107,52 @@ class TestForwardValues:
     def test_default_dtype_is_float32(self):
         assert Tensor([1, 2, 3]).dtype == np.float32
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
+
+
+def _matmul_then_add(x, w, b):
+    """dense's oracle: the two-node composite it replaces."""
+    return matmul(x, w) + b
+
+
+class TestDense:
+    @pytest.mark.parametrize("shape, frozen_input", [
+        ((7, 16), False), ((3, 5, 16), False), ((3, 5, 16), True), ((1, 1, 16), False),
+    ], ids=["2d", "batched_3d", "frozen_input", "one_row"])
+    def test_bytes_equal_matmul_then_add(self, shape, frozen_input):
+        """The forward and each VJP are byte-equal, in float32, to matmul
+        followed by add; a frozen input gets no edge and no gradient."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=shape).astype(np.float32)
+        w = rng.normal(size=(16, 12)).astype(np.float32)
+        b = rng.normal(size=(12,)).astype(np.float32)
+        g = rng.normal(size=shape[:-1] + (12,)).astype(np.float32)
+        results = []
+        for op in (_matmul_then_add, dense):
+            xt = Tensor(x, requires_grad=not frozen_input)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            out = op(xt, wt, bt)
+            (out * Tensor(g)).sum().backward()
+            grads = [t.grad for t in (xt, wt, bt)]
+            results.append([out.data.tobytes()] + [None if gr is None else gr.tobytes()
+                                                   for gr in grads])
+            assert out.dtype == np.float32
+        assert results[1] == results[0]
+        assert (results[1][1] is None) == frozen_input
+
+    def test_one_node(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = dense(x, Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
+        assert out.op == "dense" and [parent is x for parent, _ in out._edges] == [True]
+
+    @pytest.mark.parametrize("x, w, b, names", [
+        ((2, 3), (4, 5), (5,), "xw"), ((2, 3), (3, 5), (4,), "wb"),
+        ((2, 3), (3, 5), (1, 5), "wb"), ((2, 3), (2, 3, 5), (5,), "w"),
+    ], ids=["inner", "bias_width", "bias_2d", "weight_3d"])
+    def test_shape_error_names_the_shapes(self, x, w, b, names):
+        with pytest.raises(ShapeError) as e:
+            dense(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)))
+        shapes = {"x": x, "w": w, "b": b}
+        assert all(str(shapes[name]) in str(e.value) for name in names)
 
 
 class TestBackward:
