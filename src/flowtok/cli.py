@@ -159,13 +159,16 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
     validation against _KEY_TYPES: null fits only an optional key, a bool
     never fits an int, and an int fits a float. A non-finite float (JSON
     NaN, Infinity, -Infinity), a count below 1 and a negative seed are
-    refused."""
+    refused, and so is a file that is not UTF-8 JSON."""
     config = dict(defaults)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a flat JSON object")
+            raise UsageError(f"config file {path} must hold a flat JSON object")
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -295,6 +298,11 @@ def cmd_train_tokenizer(args, config: dict) -> int:
 def cmd_encode(args, config: dict) -> int:
     model = _load_tokenizer(args.checkpoint)
     dataset = load_latents(args.data)
+    unnamed = np.flatnonzero(dataset.labels >= len(EVENT_NOUNS))
+    if unnamed.size:
+        i = int(unnamed[0])
+        raise DatasetFormatError(f"{args.data}: clip {i} has class label {dataset.labels[i]}, "
+                                 f"but captions name classes 0 to {len(EVENT_NOUNS) - 1}")
     tokens = encode_to_tokens(dataset.values, model)
     np.save(args.out / "tokens.npy", tokens)
     pairs = []

@@ -10,7 +10,8 @@ Gaussian around the data at t=1:
 The path coefficient is written as (1 - t) + sigma_min * t rather than
 1 - (1 - sigma_min) * t so the endpoint identities x_0 = x0 and
 x_1 = sigma_min * x0 + x1 hold exactly in floating point, not just to
-rounding. Sampling integrates the learned field with fixed-step Euler.
+rounding. Sampling integrates the learned field with fixed-step Euler
+from the start state it is given; `pipeline.decode_tokens` draws it.
 
 The deterministic regression baseline is this objective on the path
 pinned at t = 0 from a zero state, where x_t = 0 and u_t = x1: the same
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Module, TimestepEmbedding, TransformerConfig, TransformerStack
-from .tensor import NumericFault, ShapeError, Tensor, concat, square
+from .tensor import DEFAULT_DTYPE, NumericFault, ShapeError, Tensor, concat, square
 
 OBJECTIVE_FLOW = "fm"
 OBJECTIVE_MSE = "mse"
@@ -87,12 +88,11 @@ def sample_path(x1: np.ndarray, rng: np.random.Generator, cfg: OtCfmConfig,
     return FlowSample(t=t, x_t=x_t, u_t=u_t)
 
 
-def cfm_loss(predicted: Tensor, target) -> Tensor:
+def cfm_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error between predicted and target velocity fields."""
-    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=predicted.dtype))
     if predicted.shape != target.shape:
         raise ShapeError(f"cfm_loss: shapes differ, {predicted.shape} vs {target.shape}")
-    return square(predicted - target.detach()).mean()
+    return square(predicted - Tensor(target, dtype=predicted.dtype)).mean()
 
 
 class DitDecoder(Module):
@@ -115,12 +115,11 @@ class DitDecoder(Module):
         self.out_proj = Linear(cfg.hidden_dim, data_dim, rng)
         self.data_dim = data_dim
 
-    def __call__(self, x_t, t, cond) -> Tensor:
-        """x_t: (B, T, data_dim) or (T, data_dim); t: scalar or (B,);
-        cond: matching (.., T, cond_dim). Returns the velocity, same shape
-        as x_t."""
-        x_t = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float32))
-        cond = cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond, dtype=np.float32))
+    def __call__(self, x_t: np.ndarray, t, cond: Tensor) -> Tensor:
+        """x_t: state array, (B, T, data_dim) or (T, data_dim); t: scalar or
+        (B,); cond: matching (.., T, cond_dim). Returns the velocity, same
+        shape as x_t."""
+        x_t = Tensor(x_t, dtype=DEFAULT_DTYPE)
         if x_t.shape[:-1] != cond.shape[:-1]:
             raise ShapeError(
                 f"decoder: state {x_t.shape} and conditioning {cond.shape} disagree on (B, T)"
@@ -134,32 +133,21 @@ class DitDecoder(Module):
         return self.out_proj(self.stack(h))
 
 
-def euler_sample(cond, velocity, cfg: OtCfmConfig, rng: np.random.Generator,
-                 x0: np.ndarray | None = None, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Integrate dx/dt = velocity(x, t, cond) from t=0 to 1 in fixed steps.
-
-    x0 defaults to a standard normal of `shape` (itself defaulting to the
-    conditioning's shape), rounded to the conditioning's dtype, so float32
-    conditioning keeps a float32 state. Any non-finite state aborts with the
-    step named.
-    """
-    cond_arr = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
-    if x0 is None:
-        x0 = rng.standard_normal(shape if shape is not None else cond_arr.shape)
-        x0 = x0.astype(cond_arr.dtype)
-    x = np.array(x0, dtype=np.float64 if np.asarray(x0).dtype == np.float64 else np.float32)
-    n = cfg.n_sample_steps
-    for i in range(n):
-        v = velocity(x, i / n, cond)
-        v = v.data if isinstance(v, Tensor) else np.asarray(v)
-        x = x + v.astype(x.dtype) / n
+def euler_sample(cond, velocity, n_steps: int, x0: np.ndarray) -> np.ndarray:
+    """Integrate dx/dt = velocity(x, t, cond).data from x0 at t=0 to t=1 in
+    n_steps fixed steps, in x0's dtype; cond goes to velocity untouched.
+    Any non-finite state aborts with the step named."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    x = x0
+    for i in range(n_steps):
+        v = velocity(x, i / n_steps, cond).data
+        x = x + v.astype(x.dtype) / n_steps
         if not np.all(np.isfinite(x)):
-            raise NumericFault(f"non-finite state at integration step {i} of {n}")
+            raise NumericFault(f"non-finite state at integration step {i} of {n_steps}")
     return x
 
 
-def mse_reconstruct(cond, model) -> np.ndarray:
+def mse_reconstruct(cond: Tensor, model) -> np.ndarray:
     """Deterministic single-shot decode: timestep 0, zero state input."""
-    cond_arr = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
-    out = model(np.zeros_like(cond_arr, shape=cond_arr.shape[:-1] + (model.data_dim,)), 0.0, cond)
-    return out.data if isinstance(out, Tensor) else np.asarray(out)
+    return model(np.zeros(cond.shape[:-1] + (model.data_dim,), dtype=cond.dtype), 0.0, cond).data

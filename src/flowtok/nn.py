@@ -353,10 +353,9 @@ class TimestepEmbedding(Module):
         self.fc2 = Linear(dim, dim, rng)
         self.dim = dim
 
-    def __call__(self, t) -> Tensor:
+    def __call__(self, t: np.ndarray) -> Tensor:
+        """t: (B,) times in [0, 1]. Returns (B, dim)."""
         feats = timestep_features(t, self.dim, dtype=self.fc1.weight.dtype)
-        if feats.ndim == 1:
-            feats = feats.reshape(1, self.dim)
         return self.fc2(gelu(self.fc1(feats)))
 
 
@@ -617,7 +616,7 @@ def block_gradient_checks() -> dict[str, float]:
         saved = temb.fc1.weight
         temb.fc1.weight = w
         try:
-            return square(temb(0.375)).sum()
+            return square(temb(np.array([0.375]))).sum()
         finally:
             temb.fc1.weight = saved
 

@@ -6,13 +6,14 @@ clips from the quantized codes, either as a velocity field integrated from
 noise ("flow") or as a single deterministic regression pass ("mse"). Both
 variants share the architecture, parameter count and decoder loss; the
 regression trains on the flow path pinned at t = 0 from a zero state, so
-only the path draw and the decode rule differ.
+only the path draw and the decode rule differ. `decode_tokens` draws the
+flow's start noise and resolves its Euler step count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class CausalEncoder(Module):
         self.out_proj = Linear(cfg.hidden_dim, code_dim, rng)
         self.data_dim = data_dim
 
-    def __call__(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
+    def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1:] != (self.data_dim,):
             raise ShapeError(f"encoder expects data dim {self.data_dim}, got shape {x.shape}")
         return self.out_proj(self.stack(self.in_proj(x)))
@@ -88,12 +88,12 @@ class TokenizerModel(Module):
 
 def encode_to_tokens(z, model: TokenizerModel) -> np.ndarray:
     """Latent clip(s) to discrete token indices, (T,) or (B, T)."""
-    z_arr = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=DEFAULT_DTYPE)
+    z = Tensor(z, dtype=DEFAULT_DTYPE)
     with no_grad():
-        codes = model.encoder(z_arr)
+        codes = model.encoder(z)
         flat = codes.data.reshape(-1, model.codebook.dim)
         indices = nearest_entries(flat, model.codebook.entries.data)
-    return indices.reshape(z_arr.shape[:-1])
+    return indices.reshape(z.shape[:-1])
 
 
 def check_tokens(indices: np.ndarray, model: TokenizerModel) -> None:
@@ -118,20 +118,21 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
                   n_steps: int | None = None) -> np.ndarray:
     """Token indices back to a latent clip of the same length.
 
-    Flow mode integrates the learned velocity field from seeded noise; MSE
-    mode is a single deterministic pass.
+    Flow mode integrates the learned velocity field for n_steps (default:
+    the config's) Euler steps from seeded noise; MSE mode is a single
+    deterministic pass.
     """
     indices = np.asarray(indices)
     check_tokens(indices, model)
-    cond = model.codebook.entries.data[indices]
+    cond = Tensor(model.codebook.entries.data[indices])
     cfg = model.cfg
     with no_grad():
         if cfg.objective == OBJECTIVE_MSE:
             return mse_reconstruct(cond, model.decoder)
+        n_steps = cfg.flow.n_sample_steps if n_steps is None else n_steps
         rng = np.random.default_rng(0) if rng is None else rng
-        flow_cfg = cfg.flow if n_steps is None else replace(cfg.flow, n_sample_steps=n_steps)
-        shape = indices.shape + (model.decoder.data_dim,)
-        return euler_sample(cond, model.decoder, flow_cfg, rng, shape=shape)
+        x0 = rng.standard_normal(indices.shape + (model.decoder.data_dim,)).astype(cond.dtype)
+        return euler_sample(cond, model.decoder, n_steps, x0)
 
 
 def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,

@@ -138,9 +138,7 @@ def test_03_euler_convergence(verdict):
     exact = np.e * x0
 
     def endpoint(n):
-        cfg = OtCfmConfig(n_sample_steps=n)
-        out = euler_sample(np.zeros_like(x0), lambda x, t, cond: x, cfg,
-                           np.random.default_rng(0), x0=x0)
+        out = euler_sample(None, lambda x, t, cond: Tensor(x), n, x0)
         return np.linalg.norm(out - exact), out
 
     err100, out100 = endpoint(100)
@@ -230,7 +228,7 @@ def _train_decoder(objective: str, targets: np.ndarray, cond: np.ndarray,
             fs = sample_path(targets, rng, flow_cfg)
             loss = cfm_loss(decoder(fs.x_t, fs.t, Tensor(cond)), fs.u_t)
         else:
-            pred = decoder(Tensor(np.zeros_like(targets)), 0.0, Tensor(cond))
+            pred = decoder(np.zeros_like(targets), 0.0, Tensor(cond))
             loss = square(pred - Tensor(targets)).mean()
         opt.zero_grad()
         loss.backward()
@@ -255,8 +253,8 @@ def test_06_mode_separation(verdict):
 
     with no_grad():
         mse_hat = mse_reconstruct(Tensor(cond), decoder_mse)
-    fm_hat = euler_sample(Tensor(cond), decoder_fm, OtCfmConfig(),
-                          np.random.default_rng(123))
+    fm_hat = euler_sample(Tensor(cond), decoder_fm, OtCfmConfig().n_sample_steps,
+                          np.random.default_rng(123).standard_normal(cond.shape).astype(cond.dtype))
 
     mse_norm = float(np.mean(np.linalg.norm(
         mse_hat.reshape(len(bimodal), -1), axis=1)))

@@ -26,10 +26,12 @@ from flowtok.cli import (
     main,
 )
 from flowtok.data import (
+    LatentDataset,
     gen_caption,
     load_latents,
     read_checkpoint,
     save_checkpoint,
+    save_latents,
     save_pairs_jsonl,
 )
 from flowtok.flow import DitDecoder
@@ -144,6 +146,16 @@ class TestConfigPlumbing:
         cfg.write_text(json.dumps({"framez": 4}))
         assert main(["gen-data", "--out", str(tmp_path / "d"),
                      "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("raw", [b"{bad", b'{"frames": "\xff"}'], ids=["not_json", "not_utf8"])
+    def test_config_file_that_is_not_utf8_json_rejected(self, tmp_path, capsys, raw):
+        """A config file JSON cannot read is a usage error, exit 1, naming
+        the file."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not UTF-8 JSON: ")
+        assert not (tmp_path / "d").exists()
 
     def test_override_beats_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -451,6 +463,21 @@ class TestArtifacts:
         pairs = load_pairs_jsonl(workspace / "enc" / "pairs.jsonl")
         assert len(pairs) == 16
         assert pairs[0]["audio_tokens"] == tokens[0].tolist()
+
+    def test_encode_refuses_a_label_no_caption_names(self, workspace, tmp_path, capsys):
+        """A clip whose class has no event noun exits 2 naming the file, the
+        clip and the label, before anything is encoded or written."""
+        data = tmp_path / "labels.msnl"
+        clips = load_latents(workspace / "data" / "train.msnl")
+        save_latents(data, LatentDataset(clips.values[:3], np.array([0, 12, 3], dtype=np.uint16)))
+        out = tmp_path / "enc"
+        code = main(["encode", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),
+                     "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: DatasetFormatError: {data}: clip 1 has class label 12, "
+            f"but captions name classes 0 to 9\n")
+        assert list(out.iterdir()) == []
 
     def test_decode_round_trip_shape(self, workspace, tmp_path):
         code = main(["decode", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),

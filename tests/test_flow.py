@@ -114,9 +114,7 @@ class TestCfmLoss:
 class TestEulerSampler:
     def test_linear_field_approaches_exponential(self):
         """v(x) = x integrates to e * x0; 100 steps land within 2 percent."""
-        cfg = OtCfmConfig(n_sample_steps=100)
-        out = euler_sample(np.zeros((1, 1)), lambda x, t, c: x, cfg, _rng(10),
-                           x0=np.ones((1, 1), dtype=np.float64))
+        out = euler_sample(None, lambda x, t, c: Tensor(x), 100, np.ones((1, 1), dtype=np.float64))
         assert abs(out[0, 0] - np.e) / np.e < 0.02
 
     def test_halving_steps_roughly_doubles_error(self):
@@ -124,32 +122,41 @@ class TestEulerSampler:
         x0 = np.ones((1, 1), dtype=np.float64)
         errs = {}
         for n in (32, 64):
-            cfg = OtCfmConfig(n_sample_steps=n)
-            out = euler_sample(np.zeros((1, 1)), lambda x, t, c: x, cfg, _rng(11), x0=x0)
+            out = euler_sample(None, lambda x, t, c: Tensor(x), n, x0)
             errs[n] = abs(out[0, 0] - np.e)
         ratio = errs[32] / errs[64]
         assert 1.6 <= ratio <= 2.4
 
     def test_zero_field_returns_start(self):
-        rng = _rng(12)
-        x0 = rng.normal(size=(3, 2))
-        out = euler_sample(np.zeros((3, 2)), lambda x, t, c: np.zeros_like(x),
-                           OtCfmConfig(n_sample_steps=8), rng, x0=x0)
+        x0 = _rng(12).normal(size=(3, 2))
+        out = euler_sample(None, lambda x, t, c: Tensor(np.zeros_like(x)), 8, x0)
         np.testing.assert_array_equal(out, x0)
 
     def test_nonfinite_state_names_the_step(self):
         def blowup(x, t, c):
-            return np.full_like(x, np.inf) if t >= 0.5 else x
+            return Tensor(np.full_like(x, np.inf) if t >= 0.5 else x)
 
         with pytest.raises(NumericFault, match="step 4"):
-            euler_sample(np.zeros((1, 1)), blowup, OtCfmConfig(n_sample_steps=8), _rng(13),
-                         x0=np.ones((1, 1)))
+            euler_sample(None, blowup, 8, np.ones((1, 1)))
 
-    def test_default_start_is_seeded_gaussian(self):
-        cfg = OtCfmConfig(n_sample_steps=4)
-        a = euler_sample(np.zeros((2, 2)), lambda x, t, c: np.zeros_like(x), cfg, _rng(14))
-        b = euler_sample(np.zeros((2, 2)), lambda x, t, c: np.zeros_like(x), cfg, _rng(14))
-        np.testing.assert_array_equal(a, b)
+    def test_steps_in_the_start_states_dtype(self):
+        """A float32 start stays float32 under a float64 field, and the
+        conditioning reaches the field as given."""
+        cond = object()
+        seen = []
+
+        def field(x, t, c):
+            seen.append(c)
+            return Tensor(np.ones_like(x), dtype=np.float64)
+
+        out = euler_sample(cond, field, 4, np.zeros((2, 3), dtype=np.float32))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.ones((2, 3), dtype=np.float32))
+        assert all(c is cond for c in seen) and len(seen) == 4
+
+    def test_fewer_than_one_step_refused(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            euler_sample(None, lambda x, t, c: Tensor(x), 0, np.ones((1, 1)))
 
 
 def _tiny_decoder(rng, data_dim=4, cond_dim=4, hidden=32, max_len=8):
@@ -163,14 +170,14 @@ class TestDitDecoder:
         rng = _rng(15)
         dec = _tiny_decoder(rng)
         out = dec(rng.normal(size=(2, 6, 4)).astype(np.float32), 0.3,
-                  rng.normal(size=(2, 6, 4)).astype(np.float32))
+                  Tensor(rng.normal(size=(2, 6, 4)).astype(np.float32)))
         assert out.shape == (2, 6, 4)
 
     def test_unbatched_input_round_trips(self):
         rng = _rng(16)
         dec = _tiny_decoder(rng)
         out = dec(rng.normal(size=(6, 4)).astype(np.float32), 0.0,
-                  rng.normal(size=(6, 4)).astype(np.float32))
+                  Tensor(rng.normal(size=(6, 4)).astype(np.float32)))
         assert out.shape == (6, 4)
 
     def test_unbatched_input_equals_batch_of_one(self):
@@ -179,29 +186,29 @@ class TestDitDecoder:
         x = rng.normal(size=(6, 4)).astype(np.float32)
         c = rng.normal(size=(6, 4)).astype(np.float32)
         with no_grad():
-            single = dec(x, 0.375, c).data
-            batch = dec(x[None], np.array([0.375]), c[None]).data
+            single = dec(x, 0.375, Tensor(c)).data
+            batch = dec(x[None], np.array([0.375]), Tensor(c[None])).data
         assert single.tobytes() == batch[0].tobytes()
 
     def test_sequence_longer_than_max_len_rejected(self):
         dec = _tiny_decoder(_rng(16), max_len=8)
         with pytest.raises(ShapeError, match="max_len 8"):
-            dec(np.zeros((9, 4), dtype=np.float32), 0.0, np.zeros((9, 4), dtype=np.float32))
+            dec(np.zeros((9, 4), dtype=np.float32), 0.0, Tensor(np.zeros((9, 4), dtype=np.float32)))
 
     def test_conditioning_changes_output(self):
         rng = _rng(17)
         dec = _tiny_decoder(rng)
         x = rng.normal(size=(1, 5, 4)).astype(np.float32)
         with no_grad():
-            a = dec(x, 0.5, rng.normal(size=(1, 5, 4)).astype(np.float32)).data
-            b = dec(x, 0.5, rng.normal(size=(1, 5, 4)).astype(np.float32)).data
+            a = dec(x, 0.5, Tensor(rng.normal(size=(1, 5, 4)).astype(np.float32))).data
+            b = dec(x, 0.5, Tensor(rng.normal(size=(1, 5, 4)).astype(np.float32))).data
         assert np.abs(a - b).max() > 1e-4
 
     def test_timestep_changes_output(self):
         rng = _rng(18)
         dec = _tiny_decoder(rng)
         x = rng.normal(size=(1, 5, 4)).astype(np.float32)
-        c = rng.normal(size=(1, 5, 4)).astype(np.float32)
+        c = Tensor(rng.normal(size=(1, 5, 4)).astype(np.float32))
         with no_grad():
             assert np.abs(dec(x, 0.0, c).data - dec(x, 1.0, c).data).max() > 1e-5
 
@@ -214,19 +221,19 @@ class TestDitDecoder:
         rng = _rng(20)
         dec = _tiny_decoder(rng)
         with pytest.raises(ShapeError):
-            dec(np.zeros((1, 5, 4), dtype=np.float32), 0.0, np.zeros((1, 6, 4), dtype=np.float32))
+            dec(np.zeros((1, 5, 4), dtype=np.float32), 0.0, Tensor(np.zeros((1, 6, 4), dtype=np.float32)))
 
     def test_timestep_batch_mismatch_rejected(self):
         """A t whose length is not the batch's is a ShapeError naming both."""
         dec = _tiny_decoder(_rng(20))
         x = np.zeros((2, 5, 4), dtype=np.float32)
         with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 5, 4\)"):
-            dec(x, np.array([0.1, 0.2, 0.3]), x)
+            dec(x, np.array([0.1, 0.2, 0.3]), Tensor(x))
 
     def test_mse_reconstruct_pins_time_and_state(self):
         rng = _rng(21)
         dec = _tiny_decoder(rng)
-        cond = rng.normal(size=(1, 5, 4)).astype(np.float32)
+        cond = Tensor(rng.normal(size=(1, 5, 4)).astype(np.float32))
         with no_grad():
             direct = dec(np.zeros((1, 5, 4), dtype=np.float32), 0.0, cond).data
             out = mse_reconstruct(cond, dec)
@@ -242,7 +249,7 @@ class TestDistributionRecovery:
         dec = _tiny_decoder(rng, data_dim=2, cond_dim=2, hidden=32, max_len=1)
         cfg = OtCfmConfig(sigma_min=1e-4, n_sample_steps=32)
         opt = AdamW(dec, lr=3e-3)
-        cond = np.zeros((128, 1, 2), dtype=np.float32)
+        cond = Tensor(np.zeros((128, 1, 2), dtype=np.float32))
         for _ in range(400):
             x1 = rng.normal(loc=2.0, size=(128, 1, 2)).astype(np.float32)
             smp = sample_path(x1, rng, cfg)
@@ -254,10 +261,10 @@ class TestDistributionRecovery:
 
         with no_grad():
             draws = euler_sample(
-                np.zeros((2000, 1, 2), dtype=np.float32),
-                lambda x, t, c: dec(x, t, c),
-                cfg,
-                rng,
+                Tensor(np.zeros((2000, 1, 2), dtype=np.float32)),
+                dec,
+                cfg.n_sample_steps,
+                rng.standard_normal((2000, 1, 2)).astype(np.float32),
             ).reshape(2000, 2)
         assert np.abs(draws.mean(axis=0) - 2.0).max() < 0.3
         assert np.abs(draws.var(axis=0) - 1.0).max() < 0.5

@@ -104,7 +104,6 @@ def test_every_definition_has_a_caller():
 # Defaulted parameters no call in src/ or bench/ passes, each with its reason.
 NEVER_PASSED = {
     "main.argv": "the console entry point calls main(); the tests pass argv",
-    "euler_sample.x0": "acceptance 03 pins the start state of the sampler",
 }
 
 

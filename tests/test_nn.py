@@ -238,8 +238,8 @@ class TestTimestepEmbedding:
 
     def test_distinct_times_distinct_embeddings(self):
         emb = TimestepEmbedding(64, _rng(7))
-        a = emb(0.1).data
-        b = emb(0.9).data
+        a = emb(np.array([0.1])).data
+        b = emb(np.array([0.9])).data
         assert np.abs(a - b).max() > 1e-3
 
     def test_odd_dim_rejected(self):

@@ -18,7 +18,7 @@ from flowtok.data import (
     read_checkpoint,
 )
 from flowtok import pipeline
-from flowtok.flow import DitDecoder, OtCfmConfig, mse_reconstruct
+from flowtok.flow import DitDecoder, OtCfmConfig, euler_sample, mse_reconstruct
 from flowtok.nn import DivergenceError, TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
@@ -122,8 +122,8 @@ class TestEncode:
         model = TokenizerModel(cfg)
         clip = tiny_dataset(cfg).values[0]
         with no_grad():
-            single = model.encoder(clip).data
-            batch = model.encoder(clip[None]).data
+            single = model.encoder(Tensor(clip)).data
+            batch = model.encoder(Tensor(clip[None])).data
         assert single.shape == (cfg.frames, cfg.code_dim)
         assert single.tobytes() == batch[0].tobytes()
 
@@ -218,7 +218,7 @@ class TestDecode:
         with pytest.raises(ShapeError, match="at least one position"):
             encode_to_tokens(np.zeros((2, 0, cfg.data_dim)), model)
         with pytest.raises(ShapeError, match="at least one position"):
-            mse_reconstruct(np.zeros((2, 0, cfg.code_dim)), model.decoder)
+            mse_reconstruct(Tensor(np.zeros((2, 0, cfg.code_dim))), model.decoder)
 
     def test_round_trip_shape(self):
         for objective in ("fm", "mse"):
@@ -240,6 +240,24 @@ class TestDecode:
         decode_tokens(np.arange(16) % 32, model, rng=np.random.default_rng(0))
         assert cfg.flow.n_sample_steps == 16
         assert calls == [i / 16 for i in range(16)]
+
+    def test_flow_decode_is_euler_from_its_own_seeded_draw(self):
+        """An fm decode is euler_sample over the looked-up codes, for the
+        config's step count, from the rng's standard normal of the data
+        width (not the code width) in float32, byte for byte."""
+        model = TokenizerModel(tiny_config("fm", code_dim=4))
+        tokens = np.arange(32).reshape(2, 16) % 32
+        with no_grad():
+            expected = euler_sample(
+                Tensor(model.codebook.entries.data[tokens]), model.decoder, 16,
+                np.random.default_rng(5).standard_normal((2, 16, 8)).astype(np.float32))
+        decoded = decode_tokens(tokens, model, rng=np.random.default_rng(5))
+        assert decoded.dtype == np.float32
+        assert decoded.tobytes() == expected.tobytes()
+
+    def test_fewer_than_one_step_refused(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            decode_tokens(np.arange(16) % 32, TokenizerModel(tiny_config("fm")), n_steps=0)
 
     def test_32_steps_on_request_equal_a_32_step_config(self):
         """n_steps=32 decodes bit for bit as a model whose config says 32
