@@ -17,7 +17,7 @@ import inspect
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import get_args
 
@@ -550,19 +550,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    created: list[Path] = []  # the directories made for --out, deepest first
     try:
         config = _load_config(args.defaults, args.config, args.overrides)
         if args.out_kind is not None:
             out_dir = args.out if args.out_kind == "DIR" else args.out.parent
+            created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
         code = args.func(args, config)
         if args.out_kind is not None:
             _write_resolved(config, args, out_dir)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        # A failed command removes the directories it made while they are
+        # empty; rmdir refuses one that holds anything.
+        with suppress(OSError):
+            for directory in created:
+                directory.rmdir()
+        if isinstance(exc, UsageError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -171,12 +171,17 @@ def compare_tokenizers(splits: dict[str, LatentDataset], models: dict[str, Token
                        n_steps: int | None = None) -> MetricsLog:
     """split_metrics for every model on every split, as rows (split, model,
     metric, value): splits in sorted order, models in the order given.
-    Eigenvalue clamps are counted into clamp_log."""
+    Eigenvalue clamps are counted into clamp_log. A split of fewer than 2
+    clips, which has no covariance, is refused before anything decodes."""
+    for split_name in sorted(splits):
+        n = len(splits[split_name])
+        if n < 2:
+            raise ValueError(f"split {split_name!r} is empty" if n == 0 else
+                             f"split {split_name!r} holds 1 clip; its Frechet "
+                             f"statistics need at least 2")
     table = MetricsLog(("split", "model", "metric", "value"))
     for split_name in sorted(splits):
         dataset = splits[split_name]
-        if len(dataset) == 0:
-            raise ValueError(f"split {split_name!r} is empty")
         for model_name, model in models.items():
             decoded = decode_split(split_name, dataset, model, seed, n_steps)
             for metric, value in split_metrics(dataset, decoded, clamp_log).items():

@@ -12,23 +12,21 @@ Audio tokens appear only inside bracketed spans: soa, audio ids, eoa.
 Loss weighting is 10x on the whole span (markers included), 1x on text,
 0 on instruction-prompt regions during fine-tuning.
 
-generate runs the prompt through the model once, keeping every block's
-keys and values in its own nn.KVEntry, then feeds one position per new
-token. For the length of the call (folded_adapters) it folds each
-adapter into its base weight, W + (alpha/rank) A B, so every dense layer
-is one GEMM, merges each attention layer's q/k/v into one GEMM, joins
-the embedding table and the output head once, and computes a cached
-call's logits for its last position only: a new token runs 47 tape
-nodes on the default model. On return, an exception included, all of
-that is dropped. Training and any other forward use the factored form,
-and no folded array is ever part of the model's state.
+generate builds one decoding cache per call (FusionLM.new_cache), runs
+the prompt through the model once, then feeds one position per new
+token. The cache holds every inference-only array: each block's nn.KVEntry,
+where every adapter is folded into its base weight, W + (alpha/rank) A B,
+so each dense layer is one GEMM and q/k/v are one, and the embedding
+table and output head joined once. A cached call computes logits for its
+last position only: a new token runs 47 tape nodes on the default model.
+generate changes nothing in the model; training and any uncached forward
+use the factored form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,7 +34,6 @@ import numpy as np
 
 from .data import save_checkpoint
 from .nn import (
-    AttentionLayer,
     KVEntry,
     Linear,
     Module,
@@ -50,8 +47,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
-    dense,
-    is_grad_enabled,
     logsumexp,
     matmul,
     no_grad,
@@ -126,11 +121,9 @@ class LoraLinear(Linear):
 
     out = x W + b + (alpha/rank) (x A) B, where only A and B learn. B
     starts at zero, so a fresh adapter is an exact no-op; the frozen x W + b
-    is one dense node. Inside folded_adapters, which generate enters once
-    per call, the layer runs as x (W + (alpha/rank) A B) + b: one dense
-    node on a weight merged on entry. `folded` holds that weight as a plain
-    array, so it never joins the model's tensors (checkpoints,
-    frozen_digest, the optimizer's list).
+    is one dense node. A decoding cache (nn.KVEntry) runs the layer as
+    x (W + (alpha/rank) A B) + b, one dense node on merged_weight, a plain
+    array the cache holds and the model never does.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, rank: int,
@@ -144,56 +137,15 @@ class LoraLinear(Linear):
                              requires_grad=True, dtype=DEFAULT_DTYPE)
         self.lora_b = Tensor(np.zeros((rank, d_out)), requires_grad=True, dtype=DEFAULT_DTYPE)
         self.scaling = alpha / rank
-        self.folded: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.folded is not None:
-            return dense(x, Tensor(self.folded), self.bias)
         base = super().__call__(x)
         return base + scale(matmul(matmul(x, self.lora_a), self.lora_b), self.scaling)
 
-
-@contextmanager
-def folded_adapters(model):
-    """Run model in its folded inference form inside the block.
-
-    Every LoraLinear runs on W + scaling (A B) in W's dtype; every
-    AttentionLayer runs its folded q, k and v as one (H, 3H) GEMM; every
-    FusionLM looks its ids up in one joined embedding table, multiplies
-    by one joined output head, and gives a cached call's logits for its
-    last position only. All of it is plain arrays, formed on entry and
-    dropped on exit, an exception included, so the adapters read at entry
-    are the ones used and a later training step sees the factored form.
-    The q/k/v split carries no tape history, so the fold serves inference
-    only and is refused while the tape records.
-    """
-    if is_grad_enabled():
-        raise ValueError("folded adapters serve inference only; enter them under no_grad")
-    modules = list(model.modules())
-    layers = [m for m in modules if isinstance(m, LoraLinear)]
-    attentions = [m for m in modules if isinstance(m, AttentionLayer)]
-    fusions = [m for m in modules if isinstance(m, FusionLM)]
-    try:
-        for layer in layers:
-            delta = layer.lora_a.data @ layer.lora_b.data
-            layer.folded = (layer.weight.data + layer.scaling * delta).astype(
-                layer.weight.dtype, copy=False)
-        for attn in attentions:
-            parts = (attn.wq, attn.wk, attn.wv)
-            attn.qkv = (np.concatenate([p.folded for p in parts], axis=1),
-                        np.concatenate([p.bias.data for p in parts]))
-        for fusion in fusions:
-            rows = [t.data for t in (fusion.text_embed, fusion.audio_embed) if t is not None]
-            cols = [t.data for t in (fusion.out_base, fusion.out_ext) if t is not None]
-            fusion.vocab_fold = (np.concatenate(rows), np.concatenate(cols, axis=1))
-        yield
-    finally:
-        for layer in layers:
-            layer.folded = None
-        for attn in attentions:
-            attn.qkv = None
-        for fusion in fusions:
-            fusion.vocab_fold = None
+    def merged_weight(self) -> np.ndarray:
+        """W + (alpha/rank) A B in W's dtype: the adapter folded in."""
+        delta = self.lora_a.data @ self.lora_b.data
+        return (self.weight.data + self.scaling * delta).astype(self.weight.dtype, copy=False)
 
 
 def as_ids(ids) -> np.ndarray:
@@ -226,6 +178,16 @@ class FusionConfig:
                                  head_dim=self.head_dim, causal=True, max_len=self.max_len)
 
 
+@dataclass
+class DecodeCache:
+    """One generate call's decoding state: a KVEntry per block, the
+    embedding table (V, H) and the output head (H, V), each joined once."""
+
+    blocks: list[KVEntry]
+    table: Tensor
+    head: Tensor
+
+
 class FusionLM(Module):
     """Causal transformer over the fused vocabulary. The stack carries a
     LoRA adapter on every dense layer and is frozen apart from the
@@ -247,28 +209,28 @@ class FusionLM(Module):
         self.out_ext: Tensor | None = None
         self.vocab: Vocab | None = None
         self.cfg = cfg
-        # The joined embedding table (V, H) and output head (H, V), plain
-        # arrays set only inside folded_adapters.
-        self.vocab_fold: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, ids, cache: list[KVEntry] | None = None) -> Tensor:
-        """Logits for ids; with a cache (one KVEntry per block), ids are the
-        positions after the cached ones and the cache grows by them. Inside
-        folded_adapters a cached call gives the logits of its last position
-        only."""
+    def new_cache(self, max_len: int) -> DecodeCache:
+        """A decoding cache for up to max_len positions."""
+        rows = [t.data for t in (self.text_embed, self.audio_embed) if t is not None]
+        cols = [t.data for t in (self.out_base, self.out_ext) if t is not None]
+        return DecodeCache(self.stack.new_cache(max_len), Tensor(np.concatenate(rows)),
+                           Tensor(np.concatenate(cols, axis=1)))
+
+    def __call__(self, ids, cache: DecodeCache | None = None) -> Tensor:
+        """Logits for ids. With a cache (new_cache), ids are the positions
+        after the cached ones, the cache grows by them, and the call gives
+        the logits of its last position only."""
         ids = as_ids(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
-        if self.vocab_fold is not None:
-            table, head = self.vocab_fold
-            x = self.stack(take_rows(Tensor(table), ids), cache)
-            if cache is not None:
-                x = Tensor(x.data[..., -1:, :])
-            return matmul(x, Tensor(head))
+        if cache is not None:
+            x = self.stack(take_rows(cache.table, ids), cache.blocks)
+            return matmul(Tensor(x.data[..., -1:, :]), cache.head)
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)
-        x = self.stack(take_rows(table, ids), cache)
+        x = self.stack(take_rows(table, ids))
         logits = matmul(x, self.out_base)
         if self.out_ext is not None:
             logits = concat([logits, matmul(x, self.out_ext)], axis=-1)
@@ -555,10 +517,10 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
              top_k: int | None = None, constrain_audio: bool = True) -> GenerationResult:
     """Autoregressive sampling with optional audio-span masking.
 
-    The prompt runs through the model once and fills one KVEntry per
-    block; each later model call feeds only the newest token, so a call
-    per new token costs one position however long the context, and every
-    adapter runs folded into its base weight (folded_adapters). Inside an
+    The prompt runs through the model once and fills a decoding cache
+    (FusionLM.new_cache); each later model call feeds only the newest
+    token, so a call per new token costs one position however long the
+    context, and every adapter runs folded into its base weight. Inside an
     open span only audio ids and eoa can be sampled; outside, audio ids
     and eoa are masked off.
     temperature 0 decodes greedily; top_k, when given, samples among the k
@@ -591,10 +553,9 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     # Room for the prompt and every new token, the most this call can
     # write: buffers of the whole max_len would hold positions it never
     # fills.
-    cache_len = min(model.cfg.max_len, ids.size + max_new_tokens)
-    cache = [KVEntry(cache_len) for _ in range(model.cfg.n_blocks)]
+    cache = model.new_cache(min(model.cfg.max_len, ids.size + max_new_tokens))
     feed = ids
-    with no_grad(), folded_adapters(model):
+    with no_grad():
         for _ in range(max_new_tokens):
             if len(out) >= model.cfg.max_len:
                 break

@@ -5,12 +5,11 @@ MLP_RATIO times the model width, assembled from the autodiff primitives in
 `tensor`: a dense layer, a LayerNorm and an attention each run as one
 fused tape op (`tensor.dense`, `tensor.layer_norm`,
 `tensor.scaled_dot_product`) once this module has checked shapes and
-chosen the mask. For inference an attention layer can hold its q, k and
-v projections merged into one (H, 3H) weight, run as one GEMM
-(`AttentionLayer.qkv`, set by `lm.folded_adapters`). The stack owns the
-learned absolute position table and the length check. Modules build in
-DEFAULT_DTYPE; `Module.double` recasts one to float64 for
-finite-difference checks.
+chosen the mask. The stack owns the learned absolute position table and
+the length check. For incremental decoding the blocks run on a cache's
+constant arrays instead of their own tensors (`TransformerStack.new_cache`,
+one KVEntry per block). Modules build in DEFAULT_DTYPE; `Module.double`
+recasts one to float64 for finite-difference checks.
 Causal masking uses a finite -1e9 additive constant: exp underflows to
 +0.0 for masked scores, so changing later positions leaves a prefix's
 outputs bit-identical at the same length. Dropping later positions, or
@@ -59,33 +58,17 @@ class Module:
     deterministic. Trainable parameters are the subset with requires_grad.
     """
 
-    def _walk(self, prefix: str = "") -> Iterator[tuple[str, Tensor | Module]]:
-        """Every tensor and module below self as (name, value), in attribute
-        order; a module comes just before its own contents."""
+    def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for key, value in self.__dict__.items():
             name = f"{prefix}{key}"
             if isinstance(value, Tensor):
                 yield name, value
             elif isinstance(value, Module):
-                yield name, value
-                yield from value._walk(f"{name}.")
+                yield from value.named_tensors(f"{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield f"{name}.{i}", item
-                        yield from item._walk(f"{name}.{i}.")
-
-    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        for name, value in self._walk():
-            if isinstance(value, Tensor):
-                yield name, value
-
-    def modules(self) -> Iterator[Module]:
-        """self, then every module below it, in attribute order."""
-        yield self
-        for _, value in self._walk():
-            if isinstance(value, Module):
-                yield value
+                        yield from item.named_tensors(f"{name}.{i}.")
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for name, t in self.named_tensors():
@@ -134,6 +117,10 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return dense(x, self.weight, self.bias)
+
+    def merged_weight(self) -> np.ndarray:
+        """The weight a decoding cache runs this layer on (KVEntry)."""
+        return self.weight.data
 
 
 LAYER_NORM_EPS = 1e-5
@@ -192,25 +179,17 @@ class AttentionLayer(Module):
         self.wo = linear(h, h, rng)
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
-        # wq, wk and wv merged into one (H, 3H) weight and (3H,) bias, plain
-        # arrays outside the model's tensors. Only inference sets them
-        # (lm.folded_adapters): the q, k and v split from the one GEMM
-        # carry no tape history.
-        self.qkv: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, x: Tensor, cache: KVEntry | None = None) -> Tensor:
-        if self.qkv is not None:
-            w, b = self.qkv
-            qkv = dense(x, Tensor(w), Tensor(b)).data
-            h = qkv.shape[-1] // 3
-            q, k, v = Tensor(qkv[..., :h]), Tensor(qkv[..., h:2 * h]), Tensor(qkv[..., 2 * h:])
-        else:
+    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
+        if entry is None:
             # q before k and v: backward runs in reverse creation order, so
             # this order fixes how the input's gradient sums.
             q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        if cache is not None:
-            k, v = cache.extend(k, v)
-        return self.wo(attention(q, k, v, self.n_heads, self.causal))
+            return self.wo(attention(q, k, v, self.n_heads, self.causal))
+        qkv = dense(x, *entry.qkv).data
+        h = qkv.shape[-1] // 3
+        k, v = entry.extend(Tensor(qkv[..., h:2 * h]), Tensor(qkv[..., 2 * h:]))
+        return dense(attention(Tensor(qkv[..., :h]), k, v, self.n_heads, self.causal), *entry.wo)
 
 
 class Mlp(Module):
@@ -219,8 +198,10 @@ class Mlp(Module):
         self.fc1 = linear(h, MLP_RATIO * h, rng)
         self.fc2 = linear(MLP_RATIO * h, h, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
+    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
+        if entry is None:
+            return self.fc2(gelu(self.fc1(x)))
+        return dense(gelu(dense(x, *entry.fc1)), *entry.fc2)
 
 
 class TransformerBlock(Module):
@@ -236,22 +217,29 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(cfg.hidden_dim)
         self.mlp = Mlp(cfg, rng, linear=linear)
 
-    def __call__(self, x: Tensor, cache: KVEntry | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache)
-        return x + self.mlp(self.ln2(x))
+    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), entry)
+        return x + self.mlp(self.ln2(x), entry)
 
 
 class KVEntry:
-    """One attention layer's keys and values for every position fed so far.
+    """One block's decoding state: its dense layers as constant (W, b)
+    pairs, read once from each layer's merged_weight with q, k and v as one
+    (H, 3H) GEMM, and the keys and values of every position fed so far.
 
-    The first extend allocates a (B, max_len, H) key buffer and a value
-    buffer of the same shape; every extend writes its positions into them
-    in place, so a new token copies one position, not the whole context.
-    The tensors extend returns are views of the filled prefix with no tape
-    history, so a cache serves inference only.
+    The first extend allocates (B, max_len, H) key and value buffers; every
+    extend writes its positions into them in place, so a new token copies
+    one position, not the whole context. Nothing here carries tape history,
+    so a cache serves inference only.
     """
 
-    def __init__(self, max_len: int):
+    def __init__(self, block: TransformerBlock, max_len: int):
+        attn, mlp = block.attn, block.mlp
+        qkv = (attn.wq, attn.wk, attn.wv)
+        self.qkv = (Tensor(np.concatenate([p.merged_weight() for p in qkv], axis=1)),
+                    Tensor(np.concatenate([p.bias.data for p in qkv])))
+        self.wo, self.fc1, self.fc2 = ((Tensor(p.merged_weight()), Tensor(p.bias.data))
+                                       for p in (attn.wo, mlp.fc1, mlp.fc2))
         self.max_len = max_len
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -279,10 +267,10 @@ class TransformerStack(Module):
     """Learned absolute positions, cfg.n_blocks blocks, then a final LayerNorm.
 
     Takes (T, H) or (B, T, H) and returns the input's shape; an unbatched
-    input runs as a batch of one. With a cache, one KVEntry per block, the
-    input holds the positions after the cached ones, which the call writes
-    in, so a new token costs one position; cached plus new stay within
-    cfg.max_len, and the call must run under no_grad.
+    input runs as a batch of one. With a cache (new_cache), the input holds
+    the positions after the cached ones, which the call writes in, so a new
+    token costs one position; cached plus new stay within cfg.max_len, and
+    the call must run under no_grad.
     """
 
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator, linear=Linear):
@@ -290,6 +278,10 @@ class TransformerStack(Module):
                           requires_grad=True, dtype=DEFAULT_DTYPE)
         self.blocks = [TransformerBlock(cfg, rng, linear=linear) for _ in range(cfg.n_blocks)]
         self.ln_f = LayerNorm(cfg.hidden_dim)
+
+    def new_cache(self, max_len: int) -> list[KVEntry]:
+        """One KVEntry per block, for up to max_len positions."""
+        return [KVEntry(block, max_len) for block in self.blocks]
 
     def __call__(self, x: Tensor, cache: list[KVEntry] | None = None) -> Tensor:
         if x.ndim not in (2, 3):

@@ -466,7 +466,8 @@ class TestArtifacts:
 
     def test_encode_refuses_a_label_no_caption_names(self, workspace, tmp_path, capsys):
         """A clip whose class has no event noun exits 2 naming the file, the
-        clip and the label, before anything is encoded or written."""
+        clip and the label, before anything is encoded or written; the
+        --out directory it made is gone again."""
         data = tmp_path / "labels.msnl"
         clips = load_latents(workspace / "data" / "train.msnl")
         save_latents(data, LatentDataset(clips.values[:3], np.array([0, 12, 3], dtype=np.uint16)))
@@ -477,7 +478,20 @@ class TestArtifacts:
         assert capsys.readouterr().err == (
             f"error: DatasetFormatError: {data}: clip 1 has class label 12, "
             f"but captions name classes 0 to 9\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_command_keeps_directories_it_did_not_make(self, workspace, tmp_path):
+        """Of the --out directories a failed command made, only the empty
+        ones go: one that existed before stays, empty or not."""
+        data = tmp_path / "labels.msnl"
+        clips = load_latents(workspace / "data" / "train.msnl")
+        save_latents(data, LatentDataset(clips.values[:2], np.array([0, 12], dtype=np.uint16)))
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for out in (existing, existing / "a" / "b"):
+            assert main(["encode", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),
+                         "--data", str(data), "--out", str(out)]) == 2
+        assert list(existing.iterdir()) == []
 
     def test_decode_round_trip_shape(self, workspace, tmp_path):
         code = main(["decode", "--checkpoint", str(workspace / "fm" / "tokenizer.msnc"),

@@ -339,6 +339,19 @@ class TestCompareTokenizers:
         with pytest.raises(ValueError, match="empty"):
             compare_tokenizers({"val": empty}, {"fm": fm, "mse": mse}, ClampLog())
 
+    def test_one_clip_split_rejected_before_any_decode(self, monkeypatch):
+        """One clip has no covariance; the refusal names the split and comes
+        before the splits sorted ahead of it are decoded."""
+        fm, mse = small_models()
+        splits = small_splits()
+        splits["val"] = LatentDataset(splits["val"].values[:1], splits["val"].labels[:1])
+        decoded = []
+        monkeypatch.setattr("flowtok.evaluation.decode_split",
+                            lambda name, *args: decoded.append(name))
+        with pytest.raises(ValueError, match="split 'val' holds 1 clip"):
+            compare_tokenizers(splits, {"fm": fm, "mse": mse}, ClampLog())
+        assert decoded == []
+
     def test_repeat_run_identical_csv_bytes(self, tmp_path):
         fm, mse = small_models()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -20,7 +20,6 @@ from flowtok.lm import (
     build_pretrain_example,
     collate,
     extend_vocab,
-    folded_adapters,
     frozen_digest,
     generate,
     next_token_accuracy,
@@ -29,7 +28,7 @@ from flowtok.lm import (
 )
 from flowtok import tensor
 from flowtok.data import load_checkpoint, read_checkpoint, save_checkpoint
-from flowtok.nn import AttentionLayer, DivergenceError
+from flowtok.nn import DivergenceError, Module
 from flowtok.tensor import ShapeError, Tensor, no_grad
 
 
@@ -56,15 +55,30 @@ def extended_model(n_audio=8, seed=0, **cfg_overrides):
     return model, vocab
 
 
+def modules(module):
+    """module, then every module in its attributes and their lists, depth first."""
+    yield module
+    for value in vars(module).values():
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, Module):
+                yield from modules(item)
+
+
 def lora_layers(model):
-    return [m for m in model.modules() if isinstance(m, LoraLinear)]
+    return [m for m in modules(model) if isinstance(m, LoraLinear)]
 
 
-def fold_state(model):
-    """What the fold adds besides the adapters' weights: each attention
-    layer's merged q/k/v weight and bias, then the model's joined
-    embedding table and output head, each pair None while unset."""
-    return [m.qkv for m in model.modules() if isinstance(m, AttentionLayer)] + [model.vocab_fold]
+def module_attributes(model):
+    """Each module with a copy of its attribute dict."""
+    return [(m, dict(vars(m))) for m in modules(model)]
+
+
+def attributes_unchanged(model, before):
+    """Whether model has the modules of before, each holding the same
+    objects under the same names."""
+    return [m for m, _ in before] == list(modules(model)) and all(
+        vars(m).keys() == saved.keys() and all(vars(m)[k] is v for k, v in saved.items())
+        for m, saved in before)
 
 
 class TestVocab:
@@ -639,20 +653,18 @@ class TestGeneration:
 
 
 class _FullRecompute:
-    """The oracle for generate's cache: stands in for the model and answers
-    each call by running every position seen so far through the model
-    again, with no cache."""
+    """The oracle for generate's cache: stands in for the model, whose
+    attributes it shares, and answers each call by running every position
+    seen so far through the model again, with no cache and the adapters
+    factored."""
 
     def __init__(self, model):
         self.model = model
-        self.vocab = model.vocab
-        self.cfg = model.cfg
         self.seen = np.zeros(0, dtype=np.int64)
         self.last_rows = []
 
-    def modules(self):
-        """No modules to fold: the oracle runs the model's factored adapters."""
-        return iter(())
+    def __getattr__(self, name):
+        return getattr(self.model, name)
 
     def __call__(self, ids, cache=None):
         self.seen = np.concatenate([self.seen, ids])
@@ -662,28 +674,17 @@ class _FullRecompute:
 
 
 class _Spy:
-    """Records the ids of every FusionLM call, each call's last logits row,
-    whether every adapter ran folded and every merged array was set,
-    whether any model tensor shared memory with a merged array, and the
-    model's tensor names."""
+    """Records the ids of every FusionLM call, each call's last logits row
+    and the model's tensor names."""
 
     def __init__(self, monkeypatch):
         self.fed = []
         self.last_rows = []
-        self.folded = []
-        self.merged = []
-        self.shared = []
         self.names = []
         original = FusionLM.__call__
 
         def spy(model, ids, cache=None):
             self.fed.append(np.asarray(ids))
-            self.folded.append(all(layer.folded is not None for layer in lora_layers(model)))
-            state = fold_state(model)
-            self.merged.append(all(pair is not None for pair in state))
-            merged = [a for pair in state if pair is not None for a in pair]
-            self.shared.append(any(np.may_share_memory(t.data, a) for a in merged
-                                   for _, t in model.named_tensors()))
             self.names.append([name for name, _ in model.named_tensors()])
             logits = original(model, ids, cache)
             self.last_rows.append(logits.data[-1])
@@ -717,7 +718,6 @@ class TestCachedGeneration:
         assert segments[0]["codes"] == [2, 5, 1] and "unclosed" not in segments[0]
         assert len(spy.last_rows) == len(oracle.last_rows) == 12
         # Folded and cached against factored and recomputed.
-        assert all(spy.folded)
         for cached, full in zip(spy.last_rows, oracle.last_rows):
             assert np.max(np.abs(cached - full)) <= 1e-6 * np.max(np.abs(full))
 
@@ -767,8 +767,7 @@ class TestCachedGeneration:
 class TestFoldedAdapters:
     def test_state_unchanged_by_generate(self, drum_model, monkeypatch, tmp_path):
         """The fold never joins the model's state: names, checkpoint bytes
-        and the frozen digest are the same before, during and after, and
-        the merged q/k/v, table and head are gone after."""
+        and the frozen digest are the same before, during and after."""
         model, vocab = drum_model
         names = [name for name, _ in model.named_tensors()]
         digest = frozen_digest(model)
@@ -784,38 +783,42 @@ class TestFoldedAdapters:
 
         monkeypatch.setattr(FusionLM, "__call__", saving)
         generate(model, vocab.encode_text("A drum"), 6, temperature=0.0)
-        assert all(spy.folded) and all(spy.merged) and spy.names == [names] * 6
-        assert not any(spy.shared)
+        assert spy.names == [names] * 6
         assert [name for name, _ in model.named_tensors()] == names
         assert frozen_digest(model) == digest
         save_checkpoint(tmp_path / "after.msnc", model)
         before = (tmp_path / "before.msnc").read_bytes()
         assert during.read_bytes() == before
         assert (tmp_path / "after.msnc").read_bytes() == before
-        assert all(layer.folded is None for layer in lora_layers(model))
-        assert all(pair is None for pair in fold_state(model))
 
-    def test_exception_leaves_adapters_factored(self, monkeypatch):
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_generate_mutates_no_module(self, monkeypatch, fail_at):
+        """Every module holds the same attribute objects before generate,
+        inside each model call it makes, and after it, also when a call
+        raises partway through; the adapters still learn afterwards."""
         model, vocab = extended_model(seed=2)
         rng = np.random.default_rng(2)
         for layer in lora_layers(model):
             layer.lora_b.data[:] = rng.normal(0.0, 0.02, size=layer.lora_b.shape)
+        before = module_attributes(model)
         original = FusionLM.__call__
         calls = []
 
-        def failing(m, ids, cache=None):
-            calls.append(all(pair is not None for pair in fold_state(m)))
-            if len(calls) == 3:
-                raise RuntimeError("third call fails")
+        def checking(m, ids, cache=None):
+            calls.append(attributes_unchanged(m, before))
+            if len(calls) == fail_at:
+                raise RuntimeError("call fails")
             return original(m, ids, cache)
 
-        monkeypatch.setattr(FusionLM, "__call__", failing)
-        with pytest.raises(RuntimeError, match="third call"):
+        monkeypatch.setattr(FusionLM, "__call__", checking)
+        if fail_at is None:
             generate(model, vocab.encode_text("abc"), 8, temperature=0.0)
+        else:
+            with pytest.raises(RuntimeError, match="call fails"):
+                generate(model, vocab.encode_text("abc"), 8, temperature=0.0)
         monkeypatch.undo()
-        assert calls == [True] * 3
-        assert all(layer.folded is None for layer in lora_layers(model))
-        assert all(pair is None for pair in fold_state(model))
+        assert calls == [True] * (fail_at or 8)
+        assert attributes_unchanged(model, before)
         ids = vocab.encode_text("abcd")
         _, _, total = weighted_ce_zloss(model(ids[:-1]), ids[1:], np.ones(3),
                                         valid_mask=np.ones(3, bool))
@@ -837,7 +840,7 @@ class TestFoldedAdapters:
         def generated_rows(m):
             start = len(spy.last_rows)
             result = generate(m, prompt, 4, temperature=0.0)
-            assert all(spy.folded[start:]) and len(spy.last_rows) == start + 4
+            assert len(spy.last_rows) == start + 4
             return result.tokens, spy.last_rows[start:]
 
         train_lm(examples, model, LmTrainConfig(epochs=3, batch_size=3, lr=3e-3))
@@ -854,16 +857,6 @@ class TestFoldedAdapters:
             assert a.tobytes() == b.tobytes()
         assert not np.array_equal(first[0], retrained[0])
 
-    def test_fold_refused_while_the_tape_records(self):
-        """The merged q/k/v split carries no tape history, so a recorded
-        folded call would lose the input's gradient without a word."""
-        model, _ = extended_model()
-        with pytest.raises(ValueError, match="inference only"):
-            with folded_adapters(model):
-                pass
-        assert all(layer.folded is None for layer in lora_layers(model))
-        assert all(pair is None for pair in fold_state(model))
-
     def test_one_token_call_records_one_gemm_per_dense_layer(self, monkeypatch):
         """Node counts of a cached one-token call on the default model (4
         blocks): one dense node per block for the merged q/k/v, the output
@@ -871,10 +864,11 @@ class TestFoldedAdapters:
         last position, and no concat. A factored adapter would add two
         GEMMs and a scale per dense layer, a separate bias add one node per
         dense layer, and a K/V cache that concatenates two concats per
-        block."""
+        block. The prompt call records the same nodes, each over all of
+        its positions but the head, which runs on the last one."""
         model = FusionLM(FusionConfig(), np.random.default_rng(0))
         vocab = extend_vocab(model, 8, np.random.default_rng(1))
-        ops = []
+        ops, shapes = [], []
         record, call = tensor._record, FusionLM.__call__
 
         def counting_record(op, out, *edges):
@@ -883,12 +877,15 @@ class TestFoldedAdapters:
 
         def counting_call(m, ids, cache=None):
             ops.append(Counter())
-            return call(m, ids, cache)
+            logits = call(m, ids, cache)
+            shapes.append(logits.shape)
+            return logits
 
         monkeypatch.setattr(tensor, "_record", counting_record)
         monkeypatch.setattr(FusionLM, "__call__", counting_call)
         generate(model, vocab.encode_text("A drum"), 2, temperature=0.0)
-        _, one_token = ops
+        prompt, one_token = ops
+        assert prompt == one_token and shapes == [(1, vocab.size)] * 2
         assert one_token["dense"] == 16
         assert one_token["matmul"] == 1
         assert one_token["add"] == 9  # two residuals per block, the positions

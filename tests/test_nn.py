@@ -113,7 +113,7 @@ class TestAttention:
         cfg = TransformerConfig(n_blocks=2, hidden_dim=16, head_dim=8, causal=True)
         stack = TransformerStack(cfg, rng)
         x = rng.normal(size=(2, 9, 16)).astype(np.float32)
-        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
+        cache = stack.new_cache(cfg.max_len)
         with no_grad():
             full = stack(Tensor(x)).data
             parts = [stack(Tensor(x[:, a:b]), cache).data
@@ -124,7 +124,7 @@ class TestAttention:
     def test_cached_length_counts_toward_max_len(self):
         cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
+        cache = stack.new_cache(cfg.max_len)
         with no_grad():
             stack(Tensor(np.zeros((6, 8))), cache)
             with pytest.raises(ShapeError, match="length 9 exceeds max_len 8"):
@@ -134,7 +134,7 @@ class TestAttention:
         cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
         x = _rng(6).normal(size=(8, 8)).astype(np.float32)
-        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
+        cache = stack.new_cache(cfg.max_len)
         with no_grad():
             full = stack(Tensor(x)).data
             parts = [stack(Tensor(x[:6]), cache).data, stack(Tensor(x[6:]), cache).data]
@@ -145,7 +145,8 @@ class TestAttention:
         """extend writes in place after the filled prefix, so the keys and
         values it returned before stay as they were."""
         rng = _rng(7)
-        entry = KVEntry(max_len=5)
+        cfg = TransformerConfig(n_blocks=1, hidden_dim=4, head_dim=4, causal=True)
+        entry = KVEntry(TransformerBlock(cfg, _rng(8)), max_len=5)
         chunks = [(rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 4))) for n in (2, 1, 2)]
         returned, kept = [], []
         for k, v in chunks:
@@ -167,7 +168,7 @@ class TestAttention:
         drop the gradient through earlier positions."""
         cfg = TransformerConfig(n_blocks=1, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = [KVEntry(cfg.max_len) for _ in range(cfg.n_blocks)]
+        cache = stack.new_cache(cfg.max_len)
         with pytest.raises(ValueError, match="inference only"):
             stack(Tensor(np.zeros((3, 8))), cache)
         assert len(cache[0]) == 0
@@ -179,7 +180,7 @@ class TestAttention:
     def test_cache_needs_one_entry_per_block(self, n_entries):
         cfg = TransformerConfig(n_blocks=2, hidden_dim=8, head_dim=4, causal=True, max_len=8)
         stack = TransformerStack(cfg, _rng(5))
-        cache = [KVEntry(cfg.max_len) for _ in range(n_entries)]
+        cache = [KVEntry(stack.blocks[0], cfg.max_len) for _ in range(n_entries)]
         with no_grad(), pytest.raises(ShapeError,
                                       match=f"cache holds {n_entries} entries for 2 blocks"):
             stack(Tensor(np.zeros((3, 8))), cache)
