@@ -47,7 +47,7 @@ from .data import (
     write_json,
 )
 from .evaluation import ClampLog, compare_tokenizers
-from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE
+from .flow import N_SAMPLE_STEPS, OBJECTIVE_FLOW, OBJECTIVE_MSE
 from .lm import (
     FusionConfig,
     FusionLM,
@@ -67,7 +67,6 @@ from .pipeline import (
     TokenizerConfig,
     TokenizerModel,
     bitrate,
-    check_tokens,
     decode_tokens,
     encode_to_tokens,
     train_tokenizer,
@@ -115,8 +114,8 @@ TRAIN_TOKENIZER_DEFAULTS = {key: value for key, value in _flatten(TokenizerConfi
 
 SEED_DEFAULTS = {"seed": 0}
 
-# decode and eval; n_steps None keeps the checkpoint's flow.n_sample_steps.
-DECODE_DEFAULTS = {"seed": 0, "n_steps": None}
+# decode and eval: the noise seed and the flow sampler's Euler steps.
+DECODE_DEFAULTS = {"seed": 0, "n_steps": N_SAMPLE_STEPS}
 
 TRAIN_LM_DEFAULTS = {
     **_flatten(FusionConfig()), **_flatten(LmTrainConfig()), "n_audio": 256,
@@ -137,14 +136,13 @@ _KEY_TYPES = {
     **{key: hint for cfg in (TokenizerConfig(), FusionConfig(), LmTrainConfig())
        for key, hint, _ in _fields(cfg)},
     **{name: p.annotation for name, p in _SPEC_PARAMS.items()},
-    "n_per_class": int, "splits": str, "n_steps": int | None, "n_audio": int,
+    "n_per_class": int, "splits": str, "n_steps": int, "n_audio": int,
     "checkpoint": str | None, "tokens_per_clip": int, "clip_seconds": float,
 }
 
-# Every int key but a seed or a class index counts something (epochs,
-# blocks, clips, steps) and must be at least 1.
-_COUNT_KEYS = {key for key, hint in _KEY_TYPES.items()
-               if int in (get_args(hint) or (hint,)) and key not in ("seed", "bimodal_class")}
+# Every int key but the seed counts something (epochs, blocks, clips,
+# steps) and must be at least 1; the class index bimodal_class is int | None.
+_COUNT_KEYS = {key for key, hint in _KEY_TYPES.items() if hint is int and key != "seed"}
 
 
 def _parse_value(text: str):
@@ -188,7 +186,7 @@ def _load_config(defaults: dict, path, overrides: list[str]) -> dict:
                              f"got {value!r}")
         if type(value) is float and not math.isfinite(value):
             raise UsageError(f"config key {key!r} must be finite, got {value}")
-        if key in _COUNT_KEYS and value is not None and value < 1:
+        if key in _COUNT_KEYS and value < 1:
             raise UsageError(f"config key {key!r} is a count and must be at least 1, "
                              f"got {value}")
         if key == "seed" and value < 0:
@@ -322,13 +320,13 @@ def cmd_decode(args, config: dict) -> int:
         # .npy only: np.load would also open a pickle or an .npz archive.
         with open(args.tokens, "rb") as f:
             tokens = np.lib.format.read_array(f, allow_pickle=False)
-        check_tokens(tokens, model)
+        if tokens.ndim == 1:
+            tokens = tokens[np.newaxis, :]
+        # decode_tokens refuses token ids it cannot decode before decoding.
+        values = decode_tokens(tokens, model, rng=np.random.default_rng(config["seed"]),
+                               n_steps=config["n_steps"])
     except (ValueError, IndexError) as exc:
         raise UsageError(f"{args.tokens}: {exc}") from exc
-    if tokens.ndim == 1:
-        tokens = tokens[np.newaxis, :]
-    rng = np.random.default_rng(config["seed"])
-    values = decode_tokens(tokens, model, rng=rng, n_steps=config["n_steps"])
     decoded = LatentDataset(values=values, labels=np.zeros(values.shape[0], dtype=np.uint16))
     path = args.out / "decoded.msnl"
     save_latents(path, decoded)

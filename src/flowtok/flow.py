@@ -10,8 +10,10 @@ Gaussian around the data at t=1:
 The path coefficient is written as (1 - t) + sigma_min * t rather than
 1 - (1 - sigma_min) * t so the endpoint identities x_0 = x0 and
 x_1 = sigma_min * x0 + x1 hold exactly in floating point, not just to
-rounding. Sampling integrates the learned field with fixed-step Euler
-from the start state it is given; `pipeline.decode_tokens` draws it.
+rounding. sigma_min is a tokenizer setting (`TokenizerConfig.sigma_min`).
+Sampling integrates the learned field with fixed-step Euler from the start
+state it is given; `pipeline.decode_tokens` draws it, and runs
+N_SAMPLE_STEPS steps when its caller names no count.
 
 The deterministic regression baseline is this objective on the path
 pinned at t = 0 from a zero state, where x_t = 0 and u_t = x1: the same
@@ -33,23 +35,13 @@ OBJECTIVE_MSE = "mse"
 OBJECTIVES = (OBJECTIVE_FLOW, OBJECTIVE_MSE)
 
 
-@dataclass
-class OtCfmConfig:
-    """Path width and sampler resolution."""
-
-    sigma_min: float = 1e-4
-    # Euler steps, one decoder pass each. Gate: frame Fréchet (over all N*T
-    # frames, `frechet_frame` of `flowtok eval`) within 25% of 32 steps'.
-    # Two converged gen-data `fm` tokenizers, val split, mean of noise seeds
-    # 0-2, ratio to 32 steps: 16 steps read 1.075 (120 epochs at lr 1e-4)
-    # and 1.014 (40 epochs at 3e-4); 8 steps failed the first at 1.27.
-    n_sample_steps: int = 16
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_min < 1.0:
-            raise ValueError(f"sigma_min must be in [0, 1), got {self.sigma_min}")
-        if self.n_sample_steps < 1:
-            raise ValueError(f"n_sample_steps must be >= 1, got {self.n_sample_steps}")
+# Euler steps of a decode that names none, one decoder pass each. Gate:
+# frame Fréchet (over all N*T frames, `frechet_frame` of `flowtok eval`)
+# within 25% of 32 steps'. Two converged gen-data `fm` tokenizers, val
+# split, mean of noise seeds 0-2, ratio to 32 steps: 16 steps read 1.075
+# (120 epochs at lr 1e-4) and 1.014 (40 epochs at 3e-4); 8 steps failed the
+# first at 1.27.
+N_SAMPLE_STEPS = 16
 
 
 @dataclass
@@ -61,7 +53,7 @@ class FlowSample:
     u_t: np.ndarray
 
 
-def sample_path(x1: np.ndarray, rng: np.random.Generator, cfg: OtCfmConfig,
+def sample_path(x1: np.ndarray, rng: np.random.Generator, sigma_min: float,
                 t=None, x0: np.ndarray | None = None) -> FlowSample:
     """Draw (t, x0) and build the interpolant and its target velocity.
 
@@ -80,11 +72,11 @@ def sample_path(x1: np.ndarray, rng: np.random.Generator, cfg: OtCfmConfig,
     if x0.shape != x1.shape:
         raise ShapeError(f"sample_path: x0 shape {x0.shape} vs x1 shape {x1.shape}")
     t_arr = np.asarray(t, dtype=x1.dtype)
-    coeff = (1.0 - t_arr) + cfg.sigma_min * t_arr
+    coeff = (1.0 - t_arr) + sigma_min * t_arr
     if t_arr.ndim:
         coeff = coeff.reshape(t_arr.shape + (1,) * (x1.ndim - t_arr.ndim))
     x_t = coeff * x0 + t_arr.reshape(coeff.shape if t_arr.ndim else ()) * x1
-    u_t = x1 - (1.0 - cfg.sigma_min) * x0
+    u_t = x1 - (1.0 - sigma_min) * x0
     return FlowSample(t=t, x_t=x_t, u_t=u_t)
 
 

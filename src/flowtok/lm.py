@@ -44,6 +44,7 @@ from .nn import (
 )
 from .tensor import (
     DEFAULT_DTYPE,
+    NumericFault,
     ShapeError,
     Tensor,
     concat,
@@ -59,6 +60,7 @@ from .tensor import (
 
 AUDIO_WEIGHT = 10.0
 TEXT_WEIGHT = 1.0
+Z_COEFF = 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +381,7 @@ def build_finetune_example(instruction: str, audio_codes, answer: str,
 # loss
 
 
-def weighted_ce_zloss(logits: Tensor, targets, weights, z_coeff: float = 1e-4, *,
+def weighted_ce_zloss(logits: Tensor, targets, weights, z_coeff: float = Z_COEFF, *,
                       valid_mask) -> tuple[Tensor, Tensor, Tensor]:
     """Weighted cross entropy plus z-loss on the partition function.
 
@@ -424,7 +426,7 @@ class LmTrainConfig:
     weight_decay: float = 0.01
     epochs: int = 10
     batch_size: int = 8
-    z_coeff: float = 1e-4
+    z_coeff: float = Z_COEFF
     seed: int = 0
 
 
@@ -525,7 +527,7 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     and eoa are masked off.
     temperature 0 decodes greedily; top_k, when given, samples among the k
     likeliest ids. Hitting the length limit inside a span sets
-    unclosed_audio.
+    unclosed_audio; a non-finite logit, masked off or not, raises NumericFault.
     """
     if max_new_tokens < 0:
         raise ValueError(f"generate: max_new_tokens must be >= 0, got {max_new_tokens}")
@@ -556,10 +558,12 @@ def generate(model: FusionLM, prompt, max_new_tokens: int,
     cache = model.new_cache(min(model.cfg.max_len, ids.size + max_new_tokens))
     feed = ids
     with no_grad():
-        for _ in range(max_new_tokens):
+        for step in range(max_new_tokens):
             if len(out) >= model.cfg.max_len:
                 break
             logits = model(feed, cache).data[-1].astype(np.float64)
+            if not np.isfinite(logits).all():
+                raise NumericFault(f"generate: non-finite logit for new token {step}")
             if constrain_audio:
                 logits = np.where(inside if open_span else outside, logits, -np.inf)
             if temperature == 0.0:

@@ -7,7 +7,7 @@ noise ("flow") or as a single deterministic regression pass ("mse"). Both
 variants share the architecture, parameter count and decoder loss; the
 regression trains on the flow path pinned at t = 0 from a zero state, so
 only the path draw and the decode rule differ. `decode_tokens` draws the
-flow's start noise and resolves its Euler step count.
+flow's start noise; its caller sets the Euler step count, not the model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LatentDataset, MetricsLog, save_checkpoint
-from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, OtCfmConfig, cfm_loss, euler_sample, mse_reconstruct, sample_path
+from .flow import OBJECTIVE_FLOW, OBJECTIVE_MSE, OBJECTIVES, DitDecoder, N_SAMPLE_STEPS, cfm_loss, euler_sample, mse_reconstruct, sample_path
 from .nn import Linear, Module, TrainReport, TransformerConfig, TransformerStack, fit
 from .tensor import DEFAULT_DTYPE, ShapeError, Tensor, no_grad, scale
 from .vq import Codebook, codebook_maintenance, codebook_perplexity, index_histogram, nearest_entries, quantize, straight_through
@@ -37,7 +37,7 @@ class TokenizerConfig:
     decoder: TransformerConfig = field(
         default_factory=lambda: TransformerConfig(n_blocks=2, hidden_dim=128, head_dim=32,
                                                   causal=False, max_len=32))
-    flow: OtCfmConfig = field(default_factory=OtCfmConfig)
+    sigma_min: float = 1e-4  # width of the flow path at the data end
     timestep_dim: int = 64
     lr: float = 1e-4
     weight_decay: float = 0.01
@@ -49,6 +49,8 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {sorted(OBJECTIVES)}, got {self.objective!r}")
+        if not 0.0 <= self.sigma_min < 1.0:
+            raise ValueError(f"sigma_min must be in [0, 1), got {self.sigma_min}")
         if not self.encoder.causal:
             raise ValueError("encoder config must be causal")
         if self.decoder.causal:
@@ -118,9 +120,9 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
                   n_steps: int | None = None) -> np.ndarray:
     """Token indices back to a latent clip of the same length.
 
-    Flow mode integrates the learned velocity field for n_steps (default:
-    the config's) Euler steps from seeded noise; MSE mode is a single
-    deterministic pass.
+    Flow mode integrates the learned velocity field for n_steps (default
+    N_SAMPLE_STEPS) Euler steps from seeded noise; MSE mode is a single
+    deterministic pass, whatever n_steps says.
     """
     indices = np.asarray(indices)
     check_tokens(indices, model)
@@ -129,7 +131,7 @@ def decode_tokens(indices, model: TokenizerModel, rng: np.random.Generator | Non
     with no_grad():
         if cfg.objective == OBJECTIVE_MSE:
             return mse_reconstruct(cond, model.decoder)
-        n_steps = cfg.flow.n_sample_steps if n_steps is None else n_steps
+        n_steps = N_SAMPLE_STEPS if n_steps is None else n_steps
         rng = np.random.default_rng(0) if rng is None else rng
         x0 = rng.standard_normal(indices.shape + (model.decoder.data_dim,)).astype(cond.dtype)
         return euler_sample(cond, model.decoder, n_steps, x0)
@@ -147,11 +149,11 @@ def _loss_terms(batch: np.ndarray, model: TokenizerModel, cfg: TokenizerConfig,
     tokens = straight_through(flat, q.quantized).reshape(b, tlen, cfg.code_dim)
 
     if cfg.objective == OBJECTIVE_FLOW:
-        fs = sample_path(batch, rng, cfg.flow)
+        fs = sample_path(batch, rng, cfg.sigma_min)
     else:
         # Regression: at t = 0 from a zero state the path gives x_t = 0 and
         # u_t = x1, with no draw from rng.
-        fs = sample_path(batch, rng, cfg.flow, t=np.zeros(b), x0=np.zeros_like(batch))
+        fs = sample_path(batch, rng, cfg.sigma_min, t=np.zeros(b), x0=np.zeros_like(batch))
     decoder_loss = cfm_loss(model.decoder(fs.x_t, fs.t, tokens), fs.u_t)
 
     # Unweighted as in VQ-VAE: this term alone trains the entries, and AdamW is scale-blind.

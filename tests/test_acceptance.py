@@ -30,8 +30,8 @@ from flowtok.evaluation import (
     mean_pool_embeddings,
 )
 from flowtok.flow import (
+    N_SAMPLE_STEPS,
     DitDecoder,
-    OtCfmConfig,
     cfm_loss,
     euler_sample,
     mse_reconstruct,
@@ -94,18 +94,18 @@ def test_01_gradient_suite(verdict):
 
 
 def test_02_path_closed_form(verdict):
-    cfg = OtCfmConfig(sigma_min=1e-4)
+    sigma_min = 1e-4
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=(5, 6, 4)).astype(np.float32)
     x0 = rng.normal(size=(5, 6, 4)).astype(np.float32)
-    at0 = sample_path(x1, rng, cfg, t=0.0, x0=x0)
+    at0 = sample_path(x1, rng, sigma_min, t=0.0, x0=x0)
     start_exact = np.array_equal(at0.x_t, x0)
-    at1 = sample_path(x1, rng, cfg, t=1.0, x0=x0)
-    end_exact = np.array_equal(at1.x_t, np.float32(cfg.sigma_min) * x0 + x1)
+    at1 = sample_path(x1, rng, sigma_min, t=1.0, x0=x0)
+    end_exact = np.array_equal(at1.x_t, np.float32(sigma_min) * x0 + x1)
 
     # With sigma_min=0 the path from a zero start is the ray t*x1, and the
     # [2,4] pair at t=0.5 lands on [1,2] with both values exact in binary.
-    plain = OtCfmConfig(sigma_min=0.0)
+    plain = 0.0
     zeros = np.zeros_like(x1)
     errs = []
     for t in (0.1, 0.25, 0.5, 0.9):
@@ -184,7 +184,6 @@ def _toy_tokenizer_config(objective: str) -> TokenizerConfig:
         frames=16, data_dim=8, code_dim=8, codebook_size=32, objective=objective,
         encoder=TransformerConfig(causal=True, **tower),
         decoder=TransformerConfig(causal=False, **tower),
-        flow=OtCfmConfig(),
         timestep_dim=32, lr=3e-3, weight_decay=0.0,
         epochs=2000, batch_size=8, seed=0)
 
@@ -218,14 +217,14 @@ def _train_decoder(objective: str, targets: np.ndarray, cond: np.ndarray,
     """Fit a velocity (or regression) decoder against fixed conditioning."""
     tower = TransformerConfig(n_blocks=2, hidden_dim=64, head_dim=16,
                               causal=False, max_len=targets.shape[1])
-    flow_cfg = OtCfmConfig()
+    sigma_min = TokenizerConfig().sigma_min
     rng = np.random.default_rng(seed)
     decoder = DitDecoder(targets.shape[2], cond.shape[2], tower, 32,
                          np.random.default_rng(seed + 1))
     opt = AdamW(decoder, lr=3e-3, weight_decay=0.0)
     for _ in range(steps):
         if objective == "fm":
-            fs = sample_path(targets, rng, flow_cfg)
+            fs = sample_path(targets, rng, sigma_min)
             loss = cfm_loss(decoder(fs.x_t, fs.t, Tensor(cond)), fs.u_t)
         else:
             pred = decoder(np.zeros_like(targets), 0.0, Tensor(cond))
@@ -253,7 +252,7 @@ def test_06_mode_separation(verdict):
 
     with no_grad():
         mse_hat = mse_reconstruct(Tensor(cond), decoder_mse)
-    fm_hat = euler_sample(Tensor(cond), decoder_fm, OtCfmConfig().n_sample_steps,
+    fm_hat = euler_sample(Tensor(cond), decoder_fm, N_SAMPLE_STEPS,
                           np.random.default_rng(123).standard_normal(cond.shape).astype(cond.dtype))
 
     mse_norm = float(np.mean(np.linalg.norm(
@@ -429,7 +428,7 @@ def test_12_determinism(verdict, tmp_path):
             "--set", "decoder.n_blocks=1", "--set", "decoder.hidden_dim=32",
             "--set", "decoder.head_dim=16",
             "--set", "timestep_dim=16", "--set", "epochs=1",
-            "--set", "batch_size=8", "--set", "flow.n_sample_steps=2"]
+            "--set", "batch_size=8"]
     data = tmp_path / "data"
     run(["gen-data", "--out", str(data), "--set", "frames=8", "--set", "dim=4",
          "--set", "n_per_class=4"])

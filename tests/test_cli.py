@@ -37,7 +37,7 @@ from flowtok.data import (
 from flowtok.flow import DitDecoder
 from flowtok.lm import FusionConfig, LmTrainConfig
 from flowtok.nn import TransformerConfig
-from flowtok.pipeline import TokenizerConfig, TokenizerModel
+from flowtok.pipeline import TokenizerConfig
 
 TINY_TOKENIZER = [
     "--set", "codebook_size=16", "--set", "code_dim=8",
@@ -46,7 +46,6 @@ TINY_TOKENIZER = [
     "--set", "decoder.n_blocks=1", "--set", "decoder.hidden_dim=32",
     "--set", "decoder.head_dim=16",
     "--set", "timestep_dim=16", "--set", "epochs=1", "--set", "batch_size=8",
-    "--set", "flow.n_sample_steps=2",
 ]
 
 
@@ -172,7 +171,7 @@ class TestConfigPlumbing:
             "code_dim": 16, "codebook_size": 256,
             "encoder.n_blocks": 2, "encoder.hidden_dim": 128, "encoder.head_dim": 32,
             "decoder.n_blocks": 2, "decoder.hidden_dim": 128, "decoder.head_dim": 32,
-            "flow.sigma_min": 1e-4, "flow.n_sample_steps": 16, "timestep_dim": 64,
+            "sigma_min": 1e-4, "timestep_dim": 64,
             "lr": 1e-4, "weight_decay": 0.01, "epochs": 10, "batch_size": 16,
             "commitment_weight": 0.25, "seed": 0,
         }
@@ -185,6 +184,7 @@ class TestConfigPlumbing:
         assert REPORT_DEFAULTS == {
             "tokens_per_clip": 215, "clip_seconds": 10.0, "codebook_size": 8196,
         }
+        assert DECODE_DEFAULTS == {"seed": 0, "n_steps": 16}
         assert GEN_DATA_DEFAULTS == {
             "n_classes": 4, "frames": 32, "dim": 16, "noise_std": 0.05,
             "bimodal_class": -1, "n_per_class": 16, "splits": "train,val", "seed": 0,
@@ -211,6 +211,10 @@ class TestConfigPlumbing:
         # Set from the data, or not a field at all.
         ("train-tokenizer", "encoder.max_len"),
         ("train-tokenizer", "flow.objective"),
+        # The flow settings: the path width is `sigma_min`, the Euler step
+        # count decode's and eval's `n_steps`.
+        ("train-tokenizer", "flow.n_sample_steps"),
+        ("train-tokenizer", "flow.sigma_min"),
         ("train-lm", "transformer"),
         # The codebook loss is unweighted; its weight is no longer a key.
         ("train-tokenizer", "codebook_loss_weight"),
@@ -255,6 +259,7 @@ class TestConfigPlumbing:
         ("gen-data", "n_classes", "null", 1),
         ("gen-data", "splits", "5", 1),
         ("train-tokenizer", "epochs", "null", 1),
+        ("decode", "n_steps", "null", 1),
         ("decode", "n_steps", "true", 1),
         ("decode", "n_steps", "2.5", 1),
         ("train-lm", "checkpoint", "5", 1),
@@ -273,8 +278,7 @@ class TestConfigPlumbing:
         ("gen-data", "bimodal_class", "null", 0),
         ("gen-data", "bimodal_class", "-2", 0),
         ("gen-data", "seed", "0", 0),
-        ("decode", "n_steps", "null", 2),
-        ("train-tokenizer", "flow.sigma_min", "0", 2),
+        ("train-tokenizer", "sigma_min", "0", 2),
     ])
     def test_value_outside_declared_type_rejected(self, tmp_path, capsys, command, key, raw,
                                                   code):
@@ -329,13 +333,13 @@ class TestConfigPlumbing:
         ("report", "clip_seconds=0", "clip_seconds", 1),
         ("report", "clip_seconds=-5", "clip_seconds", 1),
         ("train-tokenizer", "encoder.head_dim=5", "head_dim 5", 1),
-        ("train-tokenizer", "flow.sigma_min=1.0", "sigma_min must be in [0, 1)", 1),
+        ("train-tokenizer", "sigma_min=1.0", "sigma_min must be in [0, 1)", 1),
         # Refused while the model is built, not its config.
         ("train-tokenizer", "timestep_dim=3", "must be even, got 3", 1),
         ("train-lm", "head_dim=5", "head_dim 5", 1),
         # Edge values the library takes.
         ("gen-data", "n_classes=2", None, 0),
-        ("train-tokenizer", "flow.sigma_min=0", None, 0),
+        ("train-tokenizer", "sigma_min=0", None, 0),
     ])
     def test_setting_the_library_refuses_is_usage_error(self, workspace, tmp_path, capsys,
                                                         command, setting, problem, code):
@@ -425,6 +429,26 @@ class TestArtifacts:
         for name, path in (("current", current), ("legacy", legacy)):
             assert main(["decode", "--checkpoint", str(path),
                          "--tokens", str(workspace / "enc" / "tokens.npy"),
+                         "--out", str(tmp_path / name), "--set", "n_steps=2"]) == 0
+        assert ((tmp_path / "legacy" / "decoded.msnl").read_bytes()
+                == (tmp_path / "current" / "decoded.msnl").read_bytes())
+
+    def test_checkpoint_with_flow_keys_loads(self, workspace, tmp_path, monkeypatch):
+        """A header that still nests the flow settings (`flow.sigma_min` and
+        `flow.n_sample_steps`, no `sigma_min`) loads, both keys ignored, and
+        decodes byte for byte as the same tensors do under today's header:
+        at decode's step count, not the header's."""
+        current = workspace / "fm" / "tokenizer.msnc"
+        header = read_checkpoint(current)[0]
+        old = {**header, "flow.sigma_min": header.pop("sigma_min"), "flow.n_sample_steps": 2}
+        legacy = tmp_path / "legacy.msnc"
+        with monkeypatch.context() as patch:
+            patch.setattr("flowtok.data._flatten", lambda cfg: old)
+            save_checkpoint(legacy, _load_tokenizer(current))
+        assert read_checkpoint(legacy)[0] == old
+        for name, path in (("current", current), ("legacy", legacy)):
+            assert main(["decode", "--checkpoint", str(path),
+                         "--tokens", str(workspace / "enc" / "tokens.npy"),
                          "--out", str(tmp_path / name)]) == 0
         assert ((tmp_path / "legacy" / "decoded.msnl").read_bytes()
                 == (tmp_path / "current" / "decoded.msnl").read_bytes())
@@ -502,23 +526,27 @@ class TestArtifacts:
         decoded = load_latents(tmp_path / "decoded.msnl")
         assert decoded.values.shape == (16, 8, 4)
 
-    def test_decode_keeps_the_checkpoints_step_count(self, tmp_path, monkeypatch):
-        """A checkpoint whose header says 32 sampler steps decodes with 32
-        decoder calls, whatever the current default."""
-        cfg = _build(TokenizerConfig, {**TRAIN_TOKENIZER_DEFAULTS, "flow.n_sample_steps": 32,
-                                       "frames": 8, "data_dim": 4, "encoder.max_len": 8,
-                                       "decoder.max_len": 8})
-        save_checkpoint(tmp_path / "tokenizer.msnc", TokenizerModel(cfg))
-        np.save(tmp_path / "tokens.npy", np.arange(16).reshape(2, 8))
+    @pytest.mark.parametrize("given, steps", [([], 16), (["--set", "n_steps=3"], 3)],
+                             ids=["default", "set"])
+    def test_decode_and_eval_record_the_step_count(self, workspace, tmp_path, monkeypatch,
+                                                   given, steps):
+        """decode and eval integrate 16 Euler steps, or n_steps when set, one
+        decoder call each, and their run records name the count."""
         calls = []
         call = DitDecoder.__call__
         monkeypatch.setattr(DitDecoder, "__call__",
                             lambda self, *args: calls.append(args[1]) or call(self, *args))
-        assert main(["decode", "--checkpoint", str(tmp_path / "tokenizer.msnc"),
-                     "--tokens", str(tmp_path / "tokens.npy"),
-                     "--out", str(tmp_path / "dec")]) == 0
-        assert TokenizerConfig().flow.n_sample_steps != 32
-        assert calls == [i / 32 for i in range(32)]
+        checkpoint = workspace / "fm" / "tokenizer.msnc"
+        assert main(["decode", "--checkpoint", str(checkpoint),
+                     "--tokens", str(workspace / "enc" / "tokens.npy"),
+                     "--out", str(tmp_path / "decode"), *given]) == 0
+        assert main(["eval", "--checkpoint", f"fm={checkpoint}",
+                     "--data", f"val={workspace / 'data' / 'val.msnl'}",
+                     "--out", str(tmp_path / "eval"), *given]) == 0
+        assert calls == [i / steps for i in range(steps)] * 2
+        for command in ("decode", "eval"):
+            record = json.loads((tmp_path / command / f"{command}-config.json").read_text())
+            assert record["n_steps"] == steps
 
     @pytest.mark.parametrize("write, message", [
         (lambda p: np.save(p, np.zeros((2, 8))), "token ids must be integers, got dtype float64"),

@@ -255,7 +255,6 @@ def small_models():
             decoder=TransformerConfig(n_blocks=1, hidden_dim=16, head_dim=8,
                                       causal=False, max_len=8),
             timestep_dim=8,
-            flow=__import__("flowtok.flow", fromlist=["OtCfmConfig"]).OtCfmConfig(n_sample_steps=4),
         )
         return TokenizerModel(cfg, np.random.default_rng(seed))
 

@@ -6,13 +6,13 @@ import pytest
 from flowtok.flow import (
     DitDecoder,
     FlowSample,
-    OtCfmConfig,
     cfm_loss,
     euler_sample,
     mse_reconstruct,
     sample_path,
 )
 from flowtok.nn import AdamW, TransformerConfig
+from flowtok.pipeline import TokenizerConfig
 from flowtok.tensor import NumericFault, ShapeError, Tensor, no_grad
 
 
@@ -24,15 +24,13 @@ class TestSamplePath:
     def test_zero_width_path_is_straight_interpolation(self):
         """With sigma_min = 0 and x0 = 0 the interpolant is t * x1 and the
         target velocity is x1 itself."""
-        cfg = OtCfmConfig(sigma_min=0.0)
         x1 = np.array([[2.0, -4.0]], dtype=np.float32)
-        smp = sample_path(x1, _rng(1), cfg, t=0.25, x0=np.zeros_like(x1))
+        smp = sample_path(x1, _rng(1), 0.0, t=0.25, x0=np.zeros_like(x1))
         np.testing.assert_allclose(smp.x_t, 0.25 * x1, atol=1e-7)
         np.testing.assert_allclose(smp.u_t, x1, atol=1e-7)
 
     def test_narrow_path_at_terminal_time(self):
-        cfg = OtCfmConfig(sigma_min=0.1)
-        smp = sample_path(np.array([[0.0]], dtype=np.float32), _rng(2), cfg,
+        smp = sample_path(np.array([[0.0]], dtype=np.float32), _rng(2), 0.1,
                           t=1.0, x0=np.array([[1.0]], dtype=np.float32))
         np.testing.assert_allclose(smp.x_t, [[0.1]], rtol=1e-6)
         np.testing.assert_allclose(smp.u_t, [[-0.9]], rtol=1e-6)
@@ -40,52 +38,49 @@ class TestSamplePath:
     def test_endpoint_identities_exact(self):
         """x_t at t=0 equals x0 and at t=1 equals sigma_min*x0 + x1, with no
         floating-point slack."""
-        cfg = OtCfmConfig(sigma_min=1e-4)
+        sigma_min = 1e-4
         rng = _rng(3)
         x1 = rng.normal(size=(5, 4)).astype(np.float32)
         x0 = rng.normal(size=(5, 4)).astype(np.float32)
-        at0 = sample_path(x1, rng, cfg, t=0.0, x0=x0)
+        at0 = sample_path(x1, rng, sigma_min, t=0.0, x0=x0)
         np.testing.assert_array_equal(at0.x_t, x0)
-        at1 = sample_path(x1, rng, cfg, t=1.0, x0=x0)
-        np.testing.assert_array_equal(at1.x_t, np.float32(cfg.sigma_min) * x0 + x1)
+        at1 = sample_path(x1, rng, sigma_min, t=1.0, x0=x0)
+        np.testing.assert_array_equal(at1.x_t, np.float32(sigma_min) * x0 + x1)
 
     def test_target_velocity_is_time_independent(self):
-        cfg = OtCfmConfig()
         rng = _rng(4)
         x1 = rng.normal(size=(3, 2)).astype(np.float32)
         x0 = rng.normal(size=(3, 2)).astype(np.float32)
-        a = sample_path(x1, rng, cfg, t=0.2, x0=x0)
-        b = sample_path(x1, rng, cfg, t=0.9, x0=x0)
+        a = sample_path(x1, rng, 1e-4, t=0.2, x0=x0)
+        b = sample_path(x1, rng, 1e-4, t=0.9, x0=x0)
         np.testing.assert_array_equal(a.u_t, b.u_t)
 
     def test_interpolant_mean_matches_t_x1(self):
         """Averaged over many x0 draws, E[x_t] = t*x1 for sigma_min = 0."""
-        cfg = OtCfmConfig(sigma_min=0.0)
         rng = _rng(5)
         x1 = np.full((1, 1), 3.0, dtype=np.float64)
         t = 0.6
         n = 10_000
-        draws = np.array([sample_path(x1, rng, cfg, t=t).x_t[0, 0] for _ in range(n)])
+        draws = np.array([sample_path(x1, rng, 0.0, t=t).x_t[0, 0] for _ in range(n)])
         se = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - t * 3.0) < 3.0 * se + 1e-12
 
     def test_batched_times_broadcast_per_item(self):
-        cfg = OtCfmConfig(sigma_min=0.0)
         rng = _rng(6)
         x1 = np.ones((2, 3, 2), dtype=np.float32)
-        smp = sample_path(x1, rng, cfg, t=np.array([0.0, 1.0]), x0=np.zeros_like(x1))
+        smp = sample_path(x1, rng, 0.0, t=np.array([0.0, 1.0]), x0=np.zeros_like(x1))
         np.testing.assert_allclose(smp.x_t[0], 0.0)
         np.testing.assert_allclose(smp.x_t[1], 1.0)
 
     def test_mismatched_x0_rejected(self):
         with pytest.raises(ShapeError):
-            sample_path(np.zeros((2, 2)), _rng(7), OtCfmConfig(), x0=np.zeros((3, 2)))
+            sample_path(np.zeros((2, 2)), _rng(7), 1e-4, x0=np.zeros((3, 2)))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OtCfmConfig(sigma_min=1.0)
-        with pytest.raises(ValueError):
-            OtCfmConfig(n_sample_steps=0)
+        """A tokenizer's path width is in [0, 1)."""
+        for sigma_min in (1.0, -1e-3):
+            with pytest.raises(ValueError, match="sigma_min must be in"):
+                TokenizerConfig(sigma_min=sigma_min)
 
 
 class TestCfmLoss:
@@ -247,12 +242,11 @@ class TestDistributionRecovery:
         sample variance within 0.5 of 1."""
         rng = _rng(22)
         dec = _tiny_decoder(rng, data_dim=2, cond_dim=2, hidden=32, max_len=1)
-        cfg = OtCfmConfig(sigma_min=1e-4, n_sample_steps=32)
         opt = AdamW(dec, lr=3e-3)
         cond = Tensor(np.zeros((128, 1, 2), dtype=np.float32))
         for _ in range(400):
             x1 = rng.normal(loc=2.0, size=(128, 1, 2)).astype(np.float32)
-            smp = sample_path(x1, rng, cfg)
+            smp = sample_path(x1, rng, 1e-4)
             pred = dec(smp.x_t, smp.t, cond)
             loss = cfm_loss(pred, smp.u_t)
             opt.zero_grad()
@@ -263,7 +257,7 @@ class TestDistributionRecovery:
             draws = euler_sample(
                 Tensor(np.zeros((2000, 1, 2), dtype=np.float32)),
                 dec,
-                cfg.n_sample_steps,
+                32,
                 rng.standard_normal((2000, 1, 2)).astype(np.float32),
             ).reshape(2000, 2)
         assert np.abs(draws.mean(axis=0) - 2.0).max() < 0.3

@@ -29,7 +29,7 @@ from flowtok.lm import (
 from flowtok import tensor
 from flowtok.data import load_checkpoint, read_checkpoint, save_checkpoint
 from flowtok.nn import DivergenceError, Module
-from flowtok.tensor import ShapeError, Tensor, no_grad
+from flowtok.tensor import NumericFault, ShapeError, Tensor, no_grad
 
 
 class _FixedRandom:
@@ -650,6 +650,18 @@ class TestGeneration:
         prompt = vocab.encode_text("a" * 90)
         result = generate(model, prompt, max_new_tokens=50, temperature=0.0)
         assert result.tokens.size <= model.cfg.max_len
+
+    @pytest.mark.parametrize("sampling", [{"temperature": 0.0}, {"temperature": 1.0}],
+                             ids=["greedy", "sampled"])
+    def test_non_finite_logit_raises(self, sampling):
+        """A NaN logit, here one of an audio id the constraint masks off
+        outside a span, stops generation with the new token's index named
+        instead of decoding past it."""
+        model, vocab = extended_model(seed=6)
+        model.out_ext.data[:, 1] = np.nan
+        with pytest.raises(NumericFault, match="non-finite logit for new token 0"):
+            generate(model, vocab.encode_text("abc"), 6, rng=np.random.default_rng(0),
+                     **sampling)
 
 
 class _FullRecompute:

@@ -18,7 +18,7 @@ from flowtok.data import (
     read_checkpoint,
 )
 from flowtok import pipeline
-from flowtok.flow import DitDecoder, OtCfmConfig, euler_sample, mse_reconstruct
+from flowtok.flow import N_SAMPLE_STEPS, DitDecoder, euler_sample, mse_reconstruct
 from flowtok.nn import DivergenceError, TransformerConfig
 from flowtok.pipeline import (
     CausalEncoder,
@@ -238,7 +238,7 @@ class TestDecode:
         monkeypatch.setattr(DitDecoder, "__call__",
                             lambda self, *args: calls.append(args[1]) or call(self, *args))
         decode_tokens(np.arange(16) % 32, model, rng=np.random.default_rng(0))
-        assert cfg.flow.n_sample_steps == 16
+        assert N_SAMPLE_STEPS == 16
         assert calls == [i / 16 for i in range(16)]
 
     def test_flow_decode_is_euler_from_its_own_seeded_draw(self):
@@ -259,17 +259,20 @@ class TestDecode:
         with pytest.raises(ValueError, match="must be >= 1"):
             decode_tokens(np.arange(16) % 32, TokenizerModel(tiny_config("fm")), n_steps=0)
 
-    def test_32_steps_on_request_equal_a_32_step_config(self):
-        """n_steps=32 decodes bit for bit as a model whose config says 32
-        (a checkpoint written at 32 steps), for the same tokens and noise."""
+    def test_unnamed_step_count_is_n_sample_steps(self):
+        """n_steps None decodes bit for bit as n_steps=N_SAMPLE_STEPS, for the
+        same tokens and noise, and 32 steps decode otherwise; an mse model
+        decodes in one pass whatever n_steps says."""
         tokens = np.arange(32).reshape(2, 16) % 32
         model = TokenizerModel(tiny_config("fm"))
-        model32 = TokenizerModel(tiny_config("fm", flow=OtCfmConfig(n_sample_steps=32)))
-        asked = decode_tokens(tokens, model, rng=np.random.default_rng(4), n_steps=32)
-        configured = decode_tokens(tokens, model32, rng=np.random.default_rng(4))
-        assert asked.tobytes() == configured.tobytes()
+        named = decode_tokens(tokens, model, rng=np.random.default_rng(4), n_steps=N_SAMPLE_STEPS)
         default = decode_tokens(tokens, model, rng=np.random.default_rng(4))
+        assert default.tobytes() == named.tobytes()
+        asked = decode_tokens(tokens, model, rng=np.random.default_rng(4), n_steps=32)
         assert default.tobytes() != asked.tobytes()
+        mse = TokenizerModel(tiny_config("mse"))
+        assert (decode_tokens(tokens, mse, n_steps=1).tobytes()
+                == decode_tokens(tokens, mse, n_steps=32).tobytes())
 
 
 # Decodes a desk-size batch (64 clips of 32 frames, the default model) in
