@@ -17,8 +17,8 @@ the prompt through the model once, then feeds one position per new
 token. The cache holds every inference-only array: each block's nn.KVEntry,
 where every adapter is folded into its base weight, W + (alpha/rank) A B,
 so each dense layer is one GEMM and q/k/v are one, and the embedding
-table and output head joined once. A cached call computes logits for its
-last position only: a new token runs 47 tape nodes on the default model.
+table and output head joined once. A cached call runs on plain arrays
+and computes logits for its last position only: it records no tape node.
 generate changes nothing in the model; training and any uncached forward
 use the factored form.
 """
@@ -48,6 +48,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
+    dense_forward,
     logsumexp,
     matmul,
     no_grad,
@@ -55,6 +56,7 @@ from .tensor import (
     square,
     take_along_last,
     take_rows,
+    take_rows_forward,
     tsum,
 )
 
@@ -124,8 +126,8 @@ class LoraLinear(Linear):
     out = x W + b + (alpha/rank) (x A) B, where only A and B learn. B
     starts at zero, so a fresh adapter is an exact no-op; the frozen x W + b
     is one dense node. A decoding cache (nn.KVEntry) runs the layer as
-    x (W + (alpha/rank) A B) + b, one dense node on merged_weight, a plain
-    array the cache holds and the model never does.
+    x (W + (alpha/rank) A B) + b, one GEMM on merged_weight, a plain array
+    the cache holds and the model never does.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, rank: int,
@@ -186,8 +188,8 @@ class DecodeCache:
     embedding table (V, H) and the output head (H, V), each joined once."""
 
     blocks: list[KVEntry]
-    table: Tensor
-    head: Tensor
+    table: np.ndarray
+    head: np.ndarray
 
 
 class FusionLM(Module):
@@ -216,19 +218,19 @@ class FusionLM(Module):
         """A decoding cache for up to max_len positions."""
         rows = [t.data for t in (self.text_embed, self.audio_embed) if t is not None]
         cols = [t.data for t in (self.out_base, self.out_ext) if t is not None]
-        return DecodeCache(self.stack.new_cache(max_len), Tensor(np.concatenate(rows)),
-                           Tensor(np.concatenate(cols, axis=1)))
+        return DecodeCache(self.stack.new_cache(max_len), np.concatenate(rows),
+                           np.concatenate(cols, axis=1))
 
     def __call__(self, ids, cache: DecodeCache | None = None) -> Tensor:
         """Logits for ids. With a cache (new_cache), ids are the positions
         after the cached ones, the cache grows by them, and the call gives
-        the logits of its last position only."""
+        the logits of its last position only, recording no tape node."""
         ids = as_ids(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"FusionLM expects (T,) or (B, T) ids, got {ids.shape}")
         if cache is not None:
-            x = self.stack(take_rows(cache.table, ids), cache.blocks)
-            return matmul(Tensor(x.data[..., -1:, :]), cache.head)
+            x = self.stack(Tensor(take_rows_forward(cache.table, ids)), cache.blocks).data
+            return Tensor(dense_forward(x[..., -1:, :], cache.head, None))
         table = self.text_embed
         if self.audio_embed is not None:
             table = concat([self.text_embed, self.audio_embed], axis=0)

@@ -6,10 +6,10 @@ MLP_RATIO times the model width, assembled from the autodiff primitives in
 fused tape op (`tensor.dense`, `tensor.layer_norm`,
 `tensor.scaled_dot_product`) once this module has checked shapes and
 chosen the mask. The stack owns the learned absolute position table and
-the length check. For incremental decoding the blocks run on a cache's
-constant arrays instead of their own tensors (`TransformerStack.new_cache`,
-one KVEntry per block). Modules build in DEFAULT_DTYPE; `Module.double`
-recasts one to float64 for finite-difference checks.
+the length check. For incremental decoding a cache (`new_cache`, one
+KVEntry per block) steps the blocks on plain arrays through the same
+forward kernels, recording no tape node. Modules build in DEFAULT_DTYPE;
+`Module.double` recasts one to float64 for finite-difference checks.
 Causal masking uses a finite -1e9 additive constant: exp underflows to
 +0.0 for masked scores, so changing later positions leaves a prefix's
 outputs bit-identical at the same length. Dropping later positions, or
@@ -39,12 +39,16 @@ from .tensor import (
     ShapeError,
     Tensor,
     dense,
+    dense_forward,
     gelu,
+    gelu_forward,
     grad_check,
     is_grad_enabled,
     layer_norm,
+    layer_norm_forward,
     matmul,
     scaled_dot_product,
+    scaled_dot_product_forward,
     square,
     take_rows,
 )
@@ -148,13 +152,8 @@ def causal_mask(t: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
     return m
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Tensor:
-    """Scaled dot-product attention over already-projected q/k/v.
-
-    Inputs are (B, T, H) with H split into n_heads; k and v may hold more
-    positions than q, whose rows are then the last of k's. Scores are
-    scaled by 1/sqrt(head_dim) and softmaxed per query row.
-    """
+def _attention_mask(q, k, v, n_heads: int, causal: bool) -> np.ndarray | None:
+    """Check attention's operands (Tensors or arrays); its scores' mask or None."""
     if k.shape != v.shape:
         raise ShapeError(f"attention: k/v shapes differ, {k.shape} {v.shape}")
     if q.ndim != 3 or k.ndim != 3:
@@ -166,8 +165,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Te
     if h % n_heads != 0:
         raise ShapeError(f"width {h} not divisible by {n_heads} heads")
     # The last query row of a causal mask is all zeros, so one query needs none.
-    mask = causal_mask(tk, q.dtype)[tk - t:] if causal and t > 1 else None
-    return scaled_dot_product(q, k, v, n_heads, mask)
+    return causal_mask(tk, q.dtype)[tk - t:] if causal and t > 1 else None
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool) -> Tensor:
+    """Scaled dot-product attention over already-projected q/k/v.
+
+    Inputs are (B, T, H) with H split into n_heads; k and v may hold more
+    positions than q, whose rows are then the last of k's. Scores are
+    scaled by 1/sqrt(head_dim) and softmaxed per query row.
+    """
+    return scaled_dot_product(q, k, v, n_heads, _attention_mask(q, k, v, n_heads, causal))
 
 
 class AttentionLayer(Module):
@@ -180,16 +188,11 @@ class AttentionLayer(Module):
         self.n_heads = cfg.n_heads
         self.causal = cfg.causal
 
-    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
-        if entry is None:
-            # q before k and v: backward runs in reverse creation order, so
-            # this order fixes how the input's gradient sums.
-            q, k, v = self.wq(x), self.wk(x), self.wv(x)
-            return self.wo(attention(q, k, v, self.n_heads, self.causal))
-        qkv = dense(x, *entry.qkv).data
-        h = qkv.shape[-1] // 3
-        k, v = entry.extend(Tensor(qkv[..., h:2 * h]), Tensor(qkv[..., 2 * h:]))
-        return dense(attention(Tensor(qkv[..., :h]), k, v, self.n_heads, self.causal), *entry.wo)
+    def __call__(self, x: Tensor) -> Tensor:
+        # q before k and v: backward runs in reverse creation order, so
+        # this order fixes how the input's gradient sums.
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        return self.wo(attention(q, k, v, self.n_heads, self.causal))
 
 
 class Mlp(Module):
@@ -198,10 +201,8 @@ class Mlp(Module):
         self.fc1 = linear(h, MLP_RATIO * h, rng)
         self.fc2 = linear(MLP_RATIO * h, h, rng)
 
-    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
-        if entry is None:
-            return self.fc2(gelu(self.fc1(x)))
-        return dense(gelu(dense(x, *entry.fc1)), *entry.fc2)
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.fc2(gelu(self.fc1(x)))
 
 
 class TransformerBlock(Module):
@@ -217,38 +218,44 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(cfg.hidden_dim)
         self.mlp = Mlp(cfg, rng, linear=linear)
 
-    def __call__(self, x: Tensor, entry: KVEntry | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), entry)
-        return x + self.mlp(self.ln2(x), entry)
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.ln1(x))
+        return x + self.mlp(self.ln2(x))
 
 
 class KVEntry:
-    """One block's decoding state: its dense layers as constant (W, b)
-    pairs, read once from each layer's merged_weight with q, k and v as one
-    (H, 3H) GEMM, and the keys and values of every position fed so far.
-
-    The first extend allocates (B, max_len, H) key and value buffers; every
-    extend writes its positions into them in place, so a new token copies
-    one position, not the whole context. Nothing here carries tape history,
-    so a cache serves inference only.
-    """
+    """One block's decoding state: its arrays, read once ((W, b) from each
+    dense layer's merged_weight, q, k and v as one (H, 3H) GEMM, and each
+    LayerNorm's (gamma, beta)), and (B, max_len, H) key and value buffers
+    that each extend writes in place, so a new token copies one position.
+    Calling it steps the block on an array through the tape's kernels."""
 
     def __init__(self, block: TransformerBlock, max_len: int):
         attn, mlp = block.attn, block.mlp
         qkv = (attn.wq, attn.wk, attn.wv)
-        self.qkv = (Tensor(np.concatenate([p.merged_weight() for p in qkv], axis=1)),
-                    Tensor(np.concatenate([p.bias.data for p in qkv])))
-        self.wo, self.fc1, self.fc2 = ((Tensor(p.merged_weight()), Tensor(p.bias.data))
+        self.qkv = (np.concatenate([p.merged_weight() for p in qkv], axis=1),
+                    np.concatenate([p.bias.data for p in qkv]))
+        self.wo, self.fc1, self.fc2 = ((p.merged_weight(), p.bias.data)
                                        for p in (attn.wo, mlp.fc1, mlp.fc2))
-        self.max_len = max_len
-        self.k: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-        self.length = 0
+        self.ln1, self.ln2 = ((ln.gamma.data, ln.beta.data) for ln in (block.ln1, block.ln2))
+        self.n_heads, self.causal = attn.n_heads, attn.causal
+        self.max_len, self.length = max_len, 0
+        self.k = self.v = None
 
     def __len__(self) -> int:
         return self.length
 
-    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The block on x, the (B, T, H) positions after the cached ones."""
+        qkv = dense_forward(layer_norm_forward(x, *self.ln1, LAYER_NORM_EPS)[0], *self.qkv)
+        h = qkv.shape[-1] // 3
+        q, (k, v) = qkv[..., :h], self.extend(qkv[..., h:2 * h], qkv[..., 2 * h:])
+        mask = _attention_mask(q, k, v, self.n_heads, self.causal)
+        x = x + dense_forward(scaled_dot_product_forward(q, k, v, self.n_heads, mask)[0], *self.wo)
+        hidden = dense_forward(layer_norm_forward(x, *self.ln2, LAYER_NORM_EPS)[0], *self.fc1)
+        return x + dense_forward(gelu_forward(hidden)[0], *self.fc2)
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write this call's positions; returns the keys and values of all."""
         if self.k is None:
             self.k = np.empty((k.shape[0], self.max_len, k.shape[2]), dtype=k.dtype)
@@ -257,10 +264,10 @@ class KVEntry:
         if k.shape[::2] != self.k.shape[::2] or stop > self.max_len:
             raise ShapeError(f"KVEntry: positions {start}..{stop} of shape {k.shape} do not "
                              f"fit the {self.k.shape} buffer")
-        self.k[:, start:stop] = k.data
-        self.v[:, start:stop] = v.data
+        self.k[:, start:stop] = k
+        self.v[:, start:stop] = v
         self.length = stop
-        return Tensor(self.k[:, :stop]), Tensor(self.v[:, :stop])
+        return self.k[:, :stop], self.v[:, :stop]
 
 
 class TransformerStack(Module):
@@ -289,8 +296,7 @@ class TransformerStack(Module):
         if x.shape[-2] == 0:
             raise ShapeError(f"transformer stack needs at least one position, got {x.shape}")
         if cache is not None and is_grad_enabled():
-            # Cached keys and values carry no tape edges: the gradient
-            # through earlier positions would be lost without a word.
+            # A cached call records nothing: a gradient through it would be lost.
             raise ValueError("a KV cache serves inference only; run the cached call under no_grad")
         if cache is not None and len(cache) != len(self.blocks):
             raise ShapeError(f"cache holds {len(cache)} entries for {len(self.blocks)} blocks")
@@ -299,12 +305,17 @@ class TransformerStack(Module):
         if tlen > self.pos.shape[0]:
             raise ShapeError(f"sequence length {tlen} exceeds max_len {self.pos.shape[0]}")
         unbatched = x.ndim == 2
+        if cache is not None:
+            h = (x.data[None] if unbatched else x.data) + self.pos.data[start:tlen]
+            for entry in cache:
+                h = entry(h)
+            h = layer_norm_forward(h, self.ln_f.gamma.data, self.ln_f.beta.data, LAYER_NORM_EPS)[0]
+            return Tensor(h[0] if unbatched else h)
         if unbatched:
             x = x.reshape(1, *x.shape)
-        x = x + take_rows(self.pos, np.arange(start, tlen))
-        entries = [None] * len(self.blocks) if cache is None else cache
-        for block, entry in zip(self.blocks, entries):
-            x = block(x, entry)
+        x = x + take_rows(self.pos, np.arange(tlen))
+        for block in self.blocks:
+            x = block(x)
         x = self.ln_f(x)
         return x.reshape(x.shape[1:]) if unbatched else x
 

@@ -14,8 +14,9 @@ nodes from a heap keyed on it.
 (x W + b) are fused: one tape node each, with closed-form VJPs, forwards
 and VJPs bit-identical to the composites of simpler ops they replace.
 `dense` and `matmul` with a 2-D right operand fold the leading axes
-into rows, so the forward and each VJP are one GEMM; `dense` is `matmul`
-with a bias, added in place, and its bias VJP is a column sum.
+into rows, so the forward and each VJP are one GEMM. Those forwards,
+gelu's and take_rows' are array kernels (`*_forward`): the tape op
+records what its kernel returns, and a decoding cache calls them bare.
 Binary ops, and the operators `+`, `-`, `*` and `@`, take two Tensors; a
 Python scalar enters through `scale`.
 
@@ -304,11 +305,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form (smooth everywhere):
-    0.5 * x * (1 + tanh(C * (x + K * x**3))). Forward and VJP compute in
-    place, in the operation order of the plain expressions."""
-    x = a.data
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     th = x * x
     th *= x
     th *= _GELU_K
@@ -318,6 +315,15 @@ def gelu(a: Tensor) -> Tensor:
     out = th + 1.0
     out *= x
     out *= 0.5
+    return out, th
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh form (smooth everywhere):
+    0.5 * x * (1 + tanh(C * (x + K * x**3))). Forward and VJP compute in
+    place, in the operation order of the plain expressions."""
+    x = a.data
+    out, th = gelu_forward(x)
 
     def vjp(g):
         # g * (0.5 * (1 + th) + 0.5 * x * (1 - th * th) * C * (1 + 3K * x * x)),
@@ -344,6 +350,13 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra
 
 
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    out = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        out += b
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b over the last two axes. A 2-D b (a dense layer's weight) folds
     a's leading axes into rows, so the forward and each VJP are one GEMM.
@@ -354,18 +367,15 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     if b.ndim == 2:
-        shape = a.data.shape
-        n = b.data.shape[1]
-        a2 = a.data.reshape(-1, shape[-1])
-        out = a2 @ b.data
-        edges = ((a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(shape)),
-                 (b, lambda g: a2.T @ g.reshape(-1, n)))
-        if bias is None:
-            return _record("matmul", out.reshape(shape[:-1] + (n,)), *edges)
-        if bias.shape != (n,):
+        x, n = a.data, b.data.shape[1]
+        if bias is not None and bias.data.shape != (n,):
             raise ShapeError(f"dense: bias of shape {bias.shape} for a weight of shape {b.shape}")
-        out += bias.data
-        return _record("dense", out.reshape(shape[:-1] + (n,)), *edges,
+        out = dense_forward(x, b.data, None if bias is None else bias.data)
+        edges = ((a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(x.shape)),
+                 (b, lambda g: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, n)))
+        if bias is None:
+            return _record("matmul", out, *edges)
+        return _record("dense", out, *edges,
                        (bias, lambda g: g.sum(axis=tuple(range(g.ndim - 1)))))
     if bias is not None:
         raise ShapeError(f"dense needs a 2-D weight, got {b.shape}")
@@ -375,14 +385,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a (D, N) weight and an (N,) bias, as one tape node.
-
-    The leading axes of x fold into rows, so the forward is one GEMM with
-    the bias added in place, the x and w VJPs are one GEMM each, and the
-    bias VJP is a column sum: bit for bit matmul followed by add. It runs
-    inside matmul, so whatever wraps matmul (a profiler's span) still sees
-    every dense layer's GEMM.
-    """
+    """x @ w + b for a (D, N) weight and an (N,) bias, as one tape node, bit
+    for bit matmul followed by add; the bias VJP is a column sum. It runs
+    inside matmul, so a profiler's span around matmul sees every GEMM."""
     return matmul(x, w, b)
 
 
@@ -454,27 +459,30 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # indexing
 
 
+def take_rows_forward(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx], refusing an index NumPy would wrap or fail on."""
+    if table.ndim != 2:
+        raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"take_rows: index out of range [0, {table.shape[0]}), got extremes "
+                         f"({idx.min()}, {idx.max()})")
+    return table[idx]
+
+
 def take_rows(table: Tensor, indices) -> Tensor:
     """Row lookup table[indices]; the embedding primitive.
 
     indices may have any shape; output shape is indices.shape + (row_dim,).
     Backward scatter-adds, so repeated indices accumulate.
     """
-    if table.ndim != 2:
-        raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(
-            f"take_rows: index out of range [0, {table.shape[0]}), got extremes "
-            f"({idx.min()}, {idx.max()})"
-        )
 
     def vjp(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
         return gt
 
-    return _record("take_rows", table.data[idx], (table, vjp))
+    return _record("take_rows", take_rows_forward(table.data, idx), (table, vjp))
 
 
 def take_along_last(a: Tensor, indices) -> Tensor:
@@ -519,6 +527,18 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", out, (a, vjp))
 
 
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= n
+    rstd = (var + x.dtype.type(eps)) ** -0.5
+    xhat = centered * rstd
+    return xhat * gamma + beta, xhat, rstd
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then
     x_hat * gamma + beta, as one tape node (Ba et al., 2016).
@@ -527,14 +547,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     dx = rstd * (d - mean(d) - x_hat * mean(d * x_hat)).
     """
     n = x.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    mu /= n
-    centered = x.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
-    var /= n
-    rstd = (var + x.data.dtype.type(eps)) ** -0.5
-    xhat = centered * rstd
-    out = xhat * gamma.data + beta.data
+    out, xhat, rstd = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def vjp_x(g):
         d = g * gamma.data
@@ -553,6 +566,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
                    (beta, lambda g: _reduce_to(g, beta.data.shape)))
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, H) -> (B, n_heads, T, H / n_heads)."""
+    return x.reshape(*x.shape[:2], n_heads, x.shape[2] // n_heads).swapaxes(1, 2)
+
+
+def scaled_dot_product_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                               mask: np.ndarray | None):
+    """(out, p, (qh, kh, vh)): p is the softmax, qh, kh and vh per head."""
+    qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= kh.shape[-1] ** -0.5
+    if mask is not None:
+        p += mask
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return (p @ vh).swapaxes(1, 2).reshape(q.shape), p, (qh, kh, vh)
+
+
 def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                        mask: np.ndarray | None = None) -> Tensor:
     """softmax(q k^T / sqrt(head_dim) + mask) v per head, as one tape node.
@@ -562,31 +594,16 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     dS = P * (dP - rowsum(dP * P)) * scale, formed once per incoming
     gradient; the v VJP is P^T g.
     """
-    b, _, h = q.shape
-    dh = h // n_heads
-    factor = dh**-0.5
-
-    def heads(x: np.ndarray) -> np.ndarray:
-        return x.reshape(b, x.shape[1], n_heads, dh).swapaxes(1, 2)
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.swapaxes(1, 2).reshape(b, x.shape[2], h)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= factor
-    if mask is not None:
-        p += mask
-    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    out = merge(p @ vh)
-
+    out, p, (qh, kh, vh) = scaled_dot_product_forward(q.data, k.data, v.data, n_heads, mask)
+    factor = kh.shape[-1] ** -0.5
     memo: dict[str, np.ndarray] = {}
+
+    def merged(x: np.ndarray, like: Tensor) -> np.ndarray:
+        return x.swapaxes(1, 2).reshape(like.shape)
 
     def d_scores(g: np.ndarray) -> np.ndarray:
         if memo.get("g") is not g:
-            dp = heads(g) @ vh.swapaxes(-1, -2)
+            dp = _split_heads(g, n_heads) @ vh.swapaxes(-1, -2)
             dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
             dp *= p
             dp *= factor
@@ -594,9 +611,9 @@ def scaled_dot_product(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return memo["ds"]
 
     return _record("scaled_dot_product", out,
-                   (q, lambda g: merge(d_scores(g) @ kh)),
-                   (k, lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh)),
-                   (v, lambda g: merge(p.swapaxes(-1, -2) @ heads(g))))
+                   (q, lambda g: merged(d_scores(g) @ kh, q)),
+                   (k, lambda g: merged(d_scores(g).swapaxes(-1, -2) @ qh, k)),
+                   (v, lambda g: merged(p.swapaxes(-1, -2) @ _split_heads(g, n_heads), v)))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Fusion LM: vocabulary, adapters, example builders, loss, generation."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -663,6 +661,14 @@ class TestGeneration:
             generate(model, vocab.encode_text("abc"), 6, rng=np.random.default_rng(0),
                      **sampling)
 
+    def test_non_finite_adapter_raises(self):
+        """The cache steps on plain arrays, out of set_nan_checks' reach; a
+        NaN in a folded adapter still stops generate at its first logits."""
+        model, vocab = extended_model(seed=6)
+        model.stack.blocks[0].mlp.fc2.lora_b.data[0, 0] = np.nan
+        with pytest.raises(NumericFault, match="non-finite logit for new token 0"):
+            generate(model, vocab.encode_text("abc"), 6, temperature=0.0)
+
 
 class _FullRecompute:
     """The oracle for generate's cache: stands in for the model, whose
@@ -869,26 +875,24 @@ class TestFoldedAdapters:
             assert a.tobytes() == b.tobytes()
         assert not np.array_equal(first[0], retrained[0])
 
-    def test_one_token_call_records_one_gemm_per_dense_layer(self, monkeypatch):
-        """Node counts of a cached one-token call on the default model (4
-        blocks): one dense node per block for the merged q/k/v, the output
-        projection and each MLP layer, one GEMM for the joined head on the
-        last position, and no concat. A factored adapter would add two
-        GEMMs and a scale per dense layer, a separate bias add one node per
-        dense layer, and a K/V cache that concatenates two concats per
-        block. The prompt call records the same nodes, each over all of
-        its positions but the head, which runs on the last one."""
+    def test_cached_calls_record_no_tape_node(self, monkeypatch):
+        """The prompt call and a one-token call on the default model (4
+        blocks) run on the cache's plain arrays: neither records a tape
+        node, and each gives the (1, V) logits of its last position. The
+        cache holds each block's q/k/v as one (H, 3H) weight and the joined
+        head as one (H, V) weight."""
         model = FusionLM(FusionConfig(), np.random.default_rng(0))
         vocab = extend_vocab(model, 8, np.random.default_rng(1))
-        ops, shapes = [], []
+        records, shapes, caches = [], [], []
         record, call = tensor._record, FusionLM.__call__
 
         def counting_record(op, out, *edges):
-            ops[-1][op] += 1
+            records[-1] += 1
             return record(op, out, *edges)
 
         def counting_call(m, ids, cache=None):
-            ops.append(Counter())
+            records.append(0)
+            caches.append(cache)
             logits = call(m, ids, cache)
             shapes.append(logits.shape)
             return logits
@@ -896,13 +900,28 @@ class TestFoldedAdapters:
         monkeypatch.setattr(tensor, "_record", counting_record)
         monkeypatch.setattr(FusionLM, "__call__", counting_call)
         generate(model, vocab.encode_text("A drum"), 2, temperature=0.0)
-        prompt, one_token = ops
-        assert prompt == one_token and shapes == [(1, vocab.size)] * 2
-        assert one_token["dense"] == 16
-        assert one_token["matmul"] == 1
-        assert one_token["add"] == 9  # two residuals per block, the positions
-        assert one_token["concat"] == 0 and one_token["scale"] == 0
-        assert sum(one_token.values()) == 47
+        assert records == [0, 0] and shapes == [(1, vocab.size)] * 2
+        cache = caches[0]
+        assert caches[1] is cache
+        h = model.cfg.hidden_dim
+        assert [entry.qkv[0].shape for entry in cache.blocks] == [(h, 3 * h)] * 4
+        assert cache.head.shape == (h, vocab.size)
+        with no_grad():  # the counter does see an uncached call's nodes
+            model(vocab.encode_text("A drum"))
+        assert records[-1] > 0
+
+    def test_cached_call_refuses_an_id_outside_the_vocabulary(self):
+        """Plain indexing would read id -1 as the last row without a word;
+        the cached lookup refuses it, and the vocabulary size, before the
+        cache grows."""
+        model, vocab = extended_model()
+        cache = model.new_cache(8)
+        with no_grad():
+            model(vocab.encode_text("ab"), cache)
+            for bad in (-1, vocab.size):
+                with pytest.raises(ShapeError, match="index out of range"):
+                    model(np.array([bad]), cache)
+                assert len(cache.blocks[0]) == 2
 
 
 class TestMemorization:

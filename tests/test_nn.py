@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,12 @@ from flowtok.nn import (
     timestep_features,
 )
 from flowtok.data import MetricsLog
+from flowtok.lm import LoraLinear
 from flowtok.tensor import (
     ShapeError,
     Tensor,
+    dense,
+    gelu,
     layer_norm,
     matmul,
     no_grad,
@@ -46,6 +50,7 @@ from flowtok.tensor import (
     softmax,
     square,
     swapaxes,
+    take_rows,
     tmean,
 )
 
@@ -150,18 +155,18 @@ class TestAttention:
         chunks = [(rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 4))) for n in (2, 1, 2)]
         returned, kept = [], []
         for k, v in chunks:
-            views = entry.extend(Tensor(k), Tensor(v))
+            views = entry.extend(k, v)
             returned.append(views)
-            kept.append([t.data.copy() for t in views])
+            kept.append([a.copy() for a in views])
         assert len(entry) == 5
         for views, copies in zip(returned, kept):
-            for t, c in zip(views, copies):
-                np.testing.assert_array_equal(t.data, c)
-        for i, t in enumerate(returned[-1]):
+            for a, c in zip(views, copies):
+                np.testing.assert_array_equal(a, c)
+        for i, a in enumerate(returned[-1]):
             np.testing.assert_array_equal(
-                t.data, np.concatenate([chunk[i] for chunk in chunks], axis=1).astype(t.dtype))
+                a, np.concatenate([chunk[i] for chunk in chunks], axis=1).astype(a.dtype))
         with pytest.raises(ShapeError, match="do not fit"):
-            entry.extend(Tensor(chunks[1][0]), Tensor(chunks[1][1]))
+            entry.extend(*chunks[1])
 
     def test_cache_refused_while_the_tape_records(self):
         """Cached keys carry no tape edges, so a recorded cached call would
@@ -755,6 +760,71 @@ class TestFusedAgainstComposites:
         expected = _grads(lambda *a: _composite_attention(*a, 2, True),
                           [t.data for t in leaves], 2 * probes[0].data + probes[1].data)
         _assert_within([t.grad for t in leaves], expected)
+
+
+class _TapeEntry:
+    """KVEntry's oracle: the cached block step composed of tape ops (the
+    block's LayerNorms, dense on Tensor constants of the folded weights,
+    attention, gelu and the residual adds), with key and value buffers of
+    its own."""
+
+    def __init__(self, block, max_len):
+        attn, mlp = block.attn, block.mlp
+        qkv = (attn.wq, attn.wk, attn.wv)
+        self.qkv = (Tensor(np.concatenate([p.merged_weight() for p in qkv], axis=1)),
+                    Tensor(np.concatenate([p.bias.data for p in qkv])))
+        self.wo, self.fc1, self.fc2 = ((Tensor(p.merged_weight()), Tensor(p.bias.data))
+                                       for p in (attn.wo, mlp.fc1, mlp.fc2))
+        self.block, self.max_len = block, max_len
+        self.k = self.v = None
+        self.length = 0
+
+    def __call__(self, x: Tensor) -> Tensor:
+        block = self.block
+        qkv = dense(block.ln1(x), *self.qkv).data
+        h = qkv.shape[-1] // 3
+        if self.k is None:
+            self.k = np.empty((x.shape[0], self.max_len, h), dtype=qkv.dtype)
+            self.v = np.empty_like(self.k)
+        start, self.length = self.length, self.length + x.shape[1]
+        self.k[:, start:self.length] = qkv[..., h:2 * h]
+        self.v[:, start:self.length] = qkv[..., 2 * h:]
+        k, v = Tensor(self.k[:, :self.length]), Tensor(self.v[:, :self.length])
+        x = x + dense(attention(Tensor(qkv[..., :h]), k, v, block.attn.n_heads,
+                                block.attn.causal), *self.wo)
+        return x + dense(gelu(dense(block.ln2(x), *self.fc1)), *self.fc2)
+
+
+class TestCachedStepAgainstTapeOps:
+    @pytest.mark.parametrize("causal, chunks", [(True, (5, 1, 1, 1)), (False, (6,))],
+                             ids=["causal", "non_causal"])
+    def test_array_step_is_byte_equal(self, causal, chunks):
+        """KVEntry's array step against the tape ops it replaced, on a LoRA
+        stack with non-zero adapters, batch 2: every block's output and
+        both key and value buffers, then the stack's output, byte for byte."""
+        rng = _rng(12)
+        cfg = TransformerConfig(n_blocks=2, hidden_dim=16, head_dim=8, causal=causal, max_len=16)
+        stack = TransformerStack(cfg, rng, linear=partial(LoraLinear, rank=2, alpha=4.0))
+        for name, t in stack.named_tensors():
+            if name.endswith(".lora_b"):
+                t.data = rng.normal(0.0, 0.2, size=t.shape).astype(t.dtype)
+        x = rng.normal(size=(2, sum(chunks), 16)).astype(np.float32)
+        entries, cache = stack.new_cache(cfg.max_len), stack.new_cache(cfg.max_len)
+        tape = [_TapeEntry(block, cfg.max_len) for block in stack.blocks]
+        start = 0
+        with no_grad():
+            for n in chunks:
+                chunk = Tensor(x[:, start:start + n])
+                fast = slow = (chunk + take_rows(stack.pos, np.arange(start, start + n))).data
+                for entry, step in zip(entries, tape):
+                    fast, slow = entry(fast), step(Tensor(slow)).data
+                    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+                    assert len(entry) == step.length == start + n
+                    for ours, theirs in ((entry.k, step.k), (entry.v, step.v)):
+                        assert ours[:, :len(entry)].tobytes() == theirs[:, :len(entry)].tobytes()
+                out = stack(chunk, cache).data
+                assert out.tobytes() == stack.ln_f(Tensor(slow)).data.tobytes()
+                start += n
 
 
 class TestCompositeGradients:
